@@ -7,6 +7,10 @@ space gives F.  The additive constants B then have to satisfy the difference
 bounds -F(b,a) <= B(a) - B(b) <= F(a,b), a finite feasibility problem solved
 with shortest-path potentials; composite spaces carry the implied linear
 combination of their factors instead of a variable of their own.
+
+Every one-step cost comes from a table keyed by (left signature, right
+signature) that a StateSpaceGraph builds once, at construction; the graph
+caches it and the D matrices built from it, so it must not be mutated after.
 """
 
 import math
@@ -40,6 +44,12 @@ class StateSpaceGraph:
 
     A fact side is a tuple of (space, state) pairs (unit scale each); sides
     with two or more parts live in the composite space of their factors.
+
+    Construction builds `steps`, the one-step table: per (left signature,
+    right signature) pair of the facts, the least side_entropy(right) -
+    side_entropy(left), ties going to the first declared fact.  The graph
+    caches it and the D matrices built from it, so it must not be mutated
+    after construction.
     """
 
     nodes: dict
@@ -47,6 +57,9 @@ class StateSpaceGraph:
     catalysts: list = field(default_factory=list)
 
     def __post_init__(self):
+        self.steps = {}
+        self._d_matrices = {}
+        entropy = {}
         for left, right in self.facts:
             cl = self._side_composition(left)
             cr = self._side_composition(right)
@@ -55,6 +68,13 @@ class StateSpaceGraph:
                     "fact %s -> %s does not conserve element content"
                     % (left, right)
                 )
+            for side in (left, right):
+                if side not in entropy:
+                    entropy[side] = self.side_entropy(side)
+            key = (_signature(left), _signature(right))
+            diff = entropy[right] - entropy[left]
+            if diff < self.steps.setdefault(key, INF):
+                self.steps[key] = diff
 
     def _side_composition(self, side):
         total = None
@@ -73,33 +93,54 @@ class StateSpaceGraph:
 
     def node_ids(self):
         """Simple spaces plus composite spaces appearing in facts."""
-        ids = set(map(lambda s: (s,), self.simple_ids()))
-        for left, right in self.facts:
-            ids.add(_signature(left))
-            ids.add(_signature(right))
+        ids = {(s,) for s in self.nodes}
+        for key in self.steps:
+            ids.update(key)
         return sorted(ids)
 
 
-def graph_from_json(doc):
-    nodes = {}
-    for entry in doc.get("spaces", []):
-        table = {
-            st: parse_number(v) for st, v in entry["entropy"].items()
-        }
-        nodes[entry["id"]] = SpaceNode(
-            space_id=entry["id"],
-            composition=tuple(parse_number(c) for c in entry["composition"]),
-            entropy=table,
-        )
-    facts = []
-    for left, right in doc.get("facts", []):
-        facts.append((
-            tuple((sp, st) for sp, st in left),
-            tuple((sp, st) for sp, st in right),
-        ))
-    return StateSpaceGraph(
-        nodes=nodes, facts=facts, catalysts=list(doc.get("catalysts", []))
+def _fact_side(side, declared):
+    parts = tuple((sp, st) for sp, st in side)
+    if parts and declared.issuperset(parts):
+        return parts
+    raise InputFormatError(
+        "fact side %r is empty or names an undeclared space or state"
+        % (side,)
     )
+
+
+def graph_from_json(doc):
+    """Build a StateSpaceGraph from its JSON form; malformed entries and
+    undeclared spaces or states raise InputFormatError."""
+    try:
+        max_chain = int(doc.get("max_chain", 4))
+        nodes = {
+            entry["id"]: SpaceNode(
+                space_id=entry["id"],
+                composition=tuple(
+                    parse_number(c) for c in entry["composition"]
+                ),
+                entropy={
+                    st: parse_number(v) for st, v in entry["entropy"].items()
+                },
+            )
+            for entry in doc.get("spaces", [])
+        }
+        declared = {(sp, st) for sp in nodes for st in nodes[sp].entropy}
+        facts = [
+            (_fact_side(left, declared), _fact_side(right, declared))
+            for left, right in doc.get("facts", [])
+        ]
+        catalysts = list(doc.get("catalysts", []))
+        unknown = [cat for cat in catalysts if cat not in nodes]
+    except (AttributeError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
+        raise InputFormatError("malformed graph (%r)" % (exc,)) from exc
+    if max_chain < 1:
+        raise InputFormatError("max_chain must be >= 1, got %d" % max_chain)
+    if unknown:
+        raise InputFormatError("undeclared catalyst spaces %r" % unknown)
+    return StateSpaceGraph(nodes=nodes, facts=facts, catalysts=catalysts)
 
 
 def compute_D(graph, a, b):
@@ -108,37 +149,8 @@ def compute_D(graph, a, b):
     Includes the reflexive step when a == b; +inf when no process leads from
     a to b at all.
     """
-    best = INF
-    if a == b:
-        best = 0
-    sig_a, sig_b = (a,), (b,)
-    for left, right in graph.facts:
-        if _signature(left) == sig_a and _signature(right) == sig_b:
-            diff = graph.side_entropy(right) - graph.side_entropy(left)
-            if diff < best:
-                best = diff
-    return best
-
-
-def _composite_D(graph, a, b, cat):
-    """D between the composites (a x cat) and (b x cat).
-
-    Combines declared two-part facts with the product of one-step facts in
-    each factor (the catalyst may idle via its reflexive step).
-    """
-    best = INF
-    sig_a = tuple(sorted((a, cat)))
-    sig_b = tuple(sorted((b, cat)))
-    for left, right in graph.facts:
-        if _signature(left) == sig_a and _signature(right) == sig_b:
-            diff = graph.side_entropy(right) - graph.side_entropy(left)
-            if diff < best:
-                best = diff
-    d_ab = compute_D(graph, a, b)
-    d_cat = min(compute_D(graph, cat, cat), 0)
-    if d_ab < INF:
-        best = min(best, d_ab + d_cat)
-    return best
+    d = graph.steps.get(((a,), (b,)), INF)
+    return 0 if a == b and not d < 0 else d
 
 
 def chain_min(d_matrix, node_ids, a, b, max_chain):
@@ -173,25 +185,27 @@ def chain_min(d_matrix, node_ids, a, b, max_chain):
 
 
 def _d_matrix(graph, node_ids):
-    matrix = {}
-    for u in node_ids:
-        for v in node_ids:
-            if len(u) == 1 and len(v) == 1:
-                d = compute_D(graph, u[0], v[0])
-            else:
-                d = _signature_D(graph, u, v)
-            if d < INF:
-                matrix[(u, v)] = d
+    """Finite one-step costs between the given nodes, built once per graph
+    and node list; callers must not modify the returned dict."""
+    key = tuple(node_ids)
+    matrix = graph._d_matrices.get(key)
+    if matrix is None:
+        matrix = {}
+        for u in node_ids:
+            for v in node_ids:
+                if len(u) == 1 and len(v) == 1:
+                    d = compute_D(graph, u[0], v[0])
+                else:
+                    d = _signature_D(graph, u, v)
+                if d < INF:
+                    matrix[(u, v)] = d
+        graph._d_matrices[key] = matrix
     return matrix
 
 
 def _signature_D(graph, sig_u, sig_v):
     """One-step cost between arbitrary (possibly composite) signatures."""
-    best = INF
-    for left, right in graph.facts:
-        if _signature(left) == sig_u and _signature(right) == sig_v:
-            diff = graph.side_entropy(right) - graph.side_entropy(left)
-            best = min(best, diff)
+    best = graph.steps.get((sig_u, sig_v), INF)
     if sig_u == sig_v:
         best = min(best, 0)
     # shared-factor product steps: same catalyst on both sides
@@ -209,11 +223,7 @@ def _signature_D(graph, sig_u, sig_v):
 def compute_E(graph, a, b, max_chain=4):
     """Chained entropy difference over simple spaces, chain length bounded."""
     nodes = [(s,) for s in graph.simple_ids()]
-    matrix = {
-        (u, v): compute_D(graph, u[0], v[0]) for u in nodes for v in nodes
-    }
-    matrix = {k: v for k, v in matrix.items() if v < INF}
-    return chain_min(matrix, nodes, (a,), (b,), max_chain)
+    return chain_min(_d_matrix(graph, nodes), nodes, (a,), (b,), max_chain)
 
 
 def chain_stability(graph, a, b, max_chain=4):
@@ -228,22 +238,16 @@ def chain_stability(graph, a, b, max_chain=4):
 
 def compute_F(graph, a, b, max_chain=4):
     """Catalyzed chained difference: the plain chain value or any catalog
-    catalyst run alongside the chain, whichever is cheaper."""
+    catalyst run alongside the chain, whichever is cheaper.  Each catalyst
+    adds its composites with a and b to the chain's nodes for later ones."""
     best = compute_E(graph, a, b, max_chain)
     node_ids = graph.node_ids()
-    matrix = None
     for cat in graph.catalysts:
-        if matrix is None:
-            matrix = _d_matrix(graph, node_ids)
         src = tuple(sorted((a, cat)))
         dst = tuple(sorted((b, cat)))
-        if src not in node_ids or dst not in node_ids:
-            extra = [n for n in (src, dst) if n not in node_ids]
-            node_ids = sorted(set(node_ids) | set(extra))
-            matrix = _d_matrix(graph, node_ids)
-        val = chain_min(matrix, node_ids, src, dst, max_chain)
-        if val < best:
-            best = val
+        node_ids = sorted(set(node_ids) | {src, dst})
+        matrix = _d_matrix(graph, node_ids)
+        best = min(best, chain_min(matrix, node_ids, src, dst, max_chain))
     return best
 
 
@@ -305,12 +309,9 @@ def check_no_sinks(graph, max_chain=4):
             elif fab < INF and -fba > fab + 1e-12:
                 bad_pairs.append((a, b, fab, fba))
     nodes = [(s,) for s in ids]
-    matrix = {}
-    for u in nodes:
-        for v in nodes:
-            d = compute_D(graph, u[0], v[0])
-            if d < INF and u != v:
-                matrix[(u, v)] = d
+    matrix = {
+        (u, v): d for (u, v), d in _d_matrix(graph, nodes).items() if u != v
+    }
     cycle = detect_negative_cycle(matrix, nodes)
     holds = not asymmetric and not bad_pairs and cycle is None
     return SinkReport(holds, asymmetric, bad_pairs, cycle)
@@ -368,7 +369,7 @@ def _collect_constraints(graph, max_chain):
                 if u == v or (len(u) == 1 and len(v) == 1):
                     continue
                 w = chain_min(matrix, node_ids, u, v, max_chain)
-                if w is INF:
+                if math.isinf(w):
                     continue
                 coeffs = {}
                 for s in u:
@@ -523,7 +524,7 @@ def detect_gap(graph, a, b, max_chain=4, tol=1e-12):
     """
     fab = compute_F(graph, a, b, max_chain)
     fba = compute_F(graph, b, a, max_chain)
-    if fab is INF or fba is INF:
+    if math.isinf(fab) or math.isinf(fba):
         return GapResult(False, INF, -fba if fba < INF else -INF, fab)
     width = fab + fba
     return GapResult(width > tol, float(width), float(-fba), float(fab))
@@ -578,10 +579,8 @@ def matrix_json(graph, max_chain=4):
     ids = graph.simple_ids()
 
     def render(value):
-        if value is INF:
-            return "inf"
-        if value is -INF:
-            return "-inf"
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
         return float(value)
 
     out = {"spaces": ids, "D": {}, "E": {}, "F": {}}

@@ -460,8 +460,8 @@ def _stage_calibration_suite(ctx):
     doc = _resolve(ctx.spec.calibration, ctx.spec.base_dir)
     if doc is None:
         raise InputFormatError("calibration stage needs a graph input")
-    max_chain = int(doc.get("max_chain", 4))
     graph = graph_from_json(doc)
+    max_chain = int(doc.get("max_chain", 4))
     out = {"max_chain": max_chain}
     out["matrices"] = matrix_json(graph, max_chain)
     rows = ["from,to,D,E,F"]

@@ -462,3 +462,34 @@ def test_graph_from_json_round_trip():
     g = graph_from_json(doc)
     assert compute_D(g, "A", "B") == 1
     assert g.nodes["A"].entropy["y"] == Fraction(3, 2)
+
+
+def test_declaration_order_does_not_change_d_e_f():
+    rng = random.Random(21)
+    for _ in range(30):
+        names = ["A", "B", "C", "K"]
+        spaces = {
+            nm: node(nm, {"s%d" % k: rng.randint(-4, 4) for k in range(3)})
+            for nm in names
+        }
+
+        def side():
+            return tuple(
+                (nm, "s%d" % rng.randint(0, 2))
+                for nm in rng.sample(names, rng.choice([1, 1, 2]))
+            )
+
+        facts = []
+        while len(facts) < 10:
+            left, right = side(), side()
+            if len(left) == len(right):
+                facts.append((left, right))
+        shuffled = facts[:]
+        rng.shuffle(shuffled)
+        g1 = StateSpaceGraph(spaces, facts, catalysts=["K"])
+        g2 = StateSpaceGraph(spaces, shuffled, catalysts=["K"])
+        assert g1.steps == g2.steps
+        for a in names:
+            for b in names:
+                for fn in (compute_D, compute_E, compute_F):
+                    assert fn(g1, a, b) == fn(g2, a, b)

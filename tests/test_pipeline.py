@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import entropy_engine
 from entropy_engine.cli import main
 from entropy_engine.errors import InputFormatError
 from entropy_engine.pipeline import load_pipeline_spec, run_pipeline
@@ -273,3 +276,42 @@ def test_cli_out_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("ENTROPY_ENGINE_OUT", str(tmp_path / "envout"))
     assert main(["run", spec_path]) == 0
     assert os.path.exists(tmp_path / "envout" / "report.json")
+
+
+CALIBRATION_GRAPH = {
+    "spaces": [
+        {"id": "s1", "composition": ["1"], "entropy": {"a": "0"}},
+        {"id": "s2", "composition": ["1"], "entropy": {"c": "5"}},
+    ],
+    "facts": [[[["s1", "a"]], [["s2", "c"]]]],
+}
+
+
+@pytest.mark.parametrize("change", [
+    {"facts": [[[["Q", "a"]], [["s2", "c"]]]]},
+    {"facts": [[[["s1", "zz"]], [["s2", "c"]]]]},
+    {"max_chain": "four"},
+    {"max_chain": 0},
+    {"catalysts": ["Q"]},
+    {"facts": [[[["s1", "a"]]]]},
+    {"spaces": CALIBRATION_GRAPH["spaces"] + [{"id": "s3", "entropy": {}}]},
+], ids=["undeclared-space", "undeclared-state", "max-chain-word",
+        "max-chain-zero", "undeclared-catalyst", "one-sided-fact",
+        "space-without-composition"])
+def test_cli_bad_calibration_graph_is_input_error(tmp_path, change):
+    graph = dict(CALIBRATION_GRAPH, **change)
+    graph_path = write_json(tmp_path / "graph.json", graph)
+    spec_path = write_json(
+        tmp_path / "spec.json",
+        base_spec(stages=["calibration_suite"], calibration="graph.json"),
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(entropy_engine.__file__)))
+    for args in (["validate", graph_path],
+                 ["run", spec_path, "--out", str(tmp_path / "out")]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "entropy_engine.cli"] + args,
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert "Traceback" not in proc.stderr
