@@ -24,7 +24,6 @@ from .relation import (
     Relation,
     accessible_signed,
     classify,
-    _query,
 )
 from .states import signed_sides, single
 
@@ -228,20 +227,33 @@ def verify_entropy_principle(rel, tables, multipliers=None, resolution=None,
     for sp in rel.spaces:
         if sp not in tables:
             raise DegenerateTableError("no entropy table for space %r" % sp)
+    amax = 1 if multipliers is None else max(abs(a) for a in multipliers.values())
+    # per distinct state: sort text, per-space totals, entropy sum, scale sum
+    cache = {}
+
+    def summary(state):
+        entry = cache.get(state)
+        if entry is None:
+            entry = cache[state] = (
+                str(state),
+                state.total_scale_by_space(),
+                compound_entropy(tables, state, multipliers),
+                sum(lam for _sp, _st, lam in state.parts),
+            )
+        return entry
+
     report = PrincipleReport()
-    for left, right in sorted(rel.facts, key=lambda p: (str(p[0]), str(p[1]))):
-        if left.total_scale_by_space() != right.total_scale_by_space():
+    for left, right in sorted(
+        rel.facts, key=lambda p: (summary(p[0])[0], summary(p[1])[0])
+    ):
+        _text, totals_left, s_left, scale_left = summary(left)
+        _text, totals_right, s_right, scale_right = summary(right)
+        if totals_left != totals_right:
             report.skipped_scale_mismatch += 1
             continue
         report.max_parts_seen = max(report.max_parts_seen, len(left), len(right))
-        s_left = compound_entropy(tables, left, multipliers)
-        s_right = compound_entropy(tables, right, multipliers)
         margin = s_right - s_left
-        scale = sum(lam for _sp, _st, lam in left.parts) + sum(
-            lam for _sp, _st, lam in right.parts
-        )
-        amax = 1 if multipliers is None else max(abs(a) for a in multipliers.values())
-        tol = resolution * scale * amax
+        tol = resolution * (scale_left + scale_right) * amax
         report.facts_checked += 1
         equivalent = (right, left) in rel.facts
         kind = "equivalence" if equivalent else "monotonicity"
@@ -309,7 +321,7 @@ def find_calibrators(rel, space1, space2):
         for y0, y1 in strict2:
             left = single(space1, x0).combine(single(space2, y1))
             right = single(space1, x1).combine(single(space2, y0))
-            if _query(rel, left, right) and _query(rel, right, left):
+            if rel.accessible(left, right) and rel.accessible(right, left):
                 return x0, x1, y0, y1
     raise CalibratorError(
         "no calibrator quadruple between %r and %r in the declared universe"

@@ -22,15 +22,25 @@ class UnclosedRelationError(EngineError):
 
 
 class ClosureBudgetError(EngineError):
-    """Closure exceeded the configured fact budget (combinatorial blow-up)."""
+    """Closure exceeded the configured fact budget (combinatorial blow-up).
 
-    def __init__(self, budget, facts):
+    rule names the closure rule that produced the fact past the budget
+    (input, reflexive, split, transitivity, scaling, consistency or
+    cancellation) and parts gives the part counts of its two sides.
+    """
+
+    def __init__(self, budget, facts, rule=None, parts=None):
+        where = ""
+        if rule is not None:
+            where = " at a %s fact with %d -> %d parts" % (rule, parts[0], parts[1])
         super().__init__(
-            "closure exceeded the fact budget of %d (reached %d facts); "
-            "shrink the lambda grid or max_parts" % (budget, facts)
+            "closure exceeded the fact budget of %d (reached %d facts)%s; "
+            "shrink the lambda grid or max_parts" % (budget, facts, where)
         )
         self.budget = budget
         self.facts = facts
+        self.rule = rule
+        self.parts = parts
 
 
 class NoReferencePairError(EngineError):

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .rational import format_rational, parse_rational
 from .relation import (
+    DEFAULT_BUDGET,
     check_comparison_hypothesis,
     close,
     relation_from_json,
@@ -76,12 +77,14 @@ STAGE_REQUIRES = {
     "verify_principle": ("close", "construct_entropy"),
 }
 
+DEFAULT_OPTIONS = {"max_parts": 3, "budget": DEFAULT_BUDGET}
+
 
 @dataclass
 class PipelineSpec:
     stages: list
     seed: int = 0
-    options: dict = field(default_factory=dict)
+    options: dict = field(default_factory=lambda: dict(DEFAULT_OPTIONS))
     relation: object = None
     entropy: dict = None
     models: dict = field(default_factory=dict)
@@ -91,14 +94,60 @@ class PipelineSpec:
     base_dir: str = "."
 
 
+def _integer(value, what, minimum=None):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputFormatError("%s must be an integer, got %r" % (what, value))
+    if minimum is not None and value < minimum:
+        raise InputFormatError("%s must be at least %d, got %d" % (what, minimum, value))
+    return value
+
+
+def _options(doc):
+    """max_parts and budget as integers >= 1, defaults filled in."""
+    if not isinstance(doc, dict):
+        raise InputFormatError("options must be an object, got %r" % (doc,))
+    return {
+        name: _integer(doc.get(name, default), "option %r" % name, 1)
+        for name, default in DEFAULT_OPTIONS.items()
+    }
+
+
+def _entropy_section(doc):
+    """The entropy section with its rationals parsed and checked."""
+    if not isinstance(doc, dict):
+        raise InputFormatError("the entropy section must be an object, got %r" % (doc,))
+    missing = [k for k in ("space", "ref_low", "ref_high") if k not in doc]
+    if missing:
+        raise InputFormatError("the entropy section lacks %s" % ", ".join(missing))
+    cfg = dict(doc)
+    cfg["resolution"] = parse_rational(doc.get("resolution", "1/128"))
+    if cfg["resolution"] <= 0:
+        raise InputFormatError(
+            "entropy resolution must be positive, got %s" % cfg["resolution"]
+        )
+    cfg["lambda_lo"] = parse_rational(doc.get("lambda_lo", "-1"))
+    cfg["lambda_hi"] = parse_rational(doc.get("lambda_hi", "2"))
+    oracle = doc.get("oracle_values")
+    if oracle is not None:
+        if not isinstance(oracle, dict):
+            raise InputFormatError("oracle_values must be an object")
+        cfg["oracle_values"] = {k: parse_rational(v) for k, v in oracle.items()}
+    return cfg
+
+
 def load_pipeline_spec(path):
+    """Read and validate a pipeline spec; every problem is an InputFormatError."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise InputFormatError("a pipeline spec must be a JSON object")
     if doc.get("schema") != SCHEMA:
         raise InputFormatError(
             "unknown schema %r (expected %r)" % (doc.get("schema"), SCHEMA)
         )
     stages = doc.get("stages", [])
+    if not isinstance(stages, list):
+        raise InputFormatError("stages must be a list, got %r" % (stages,))
     for st in stages:
         if st not in STAGES:
             raise InputFormatError("unknown stage %r" % st)
@@ -109,12 +158,15 @@ def load_pipeline_spec(path):
                     raise InputFormatError(
                         "stage %r requires %r to run first" % (st, need)
                     )
+    entropy = doc.get("entropy")
+    if entropy is not None or "construct_entropy" in stages:
+        entropy = _entropy_section(entropy)
     return PipelineSpec(
         stages=list(stages),
-        seed=int(doc.get("seed", 0)),
-        options=dict(doc.get("options", {})),
+        seed=_integer(doc.get("seed", 0), "seed"),
+        options=_options(doc.get("options", {})),
         relation=doc.get("relation"),
-        entropy=doc.get("entropy"),
+        entropy=entropy,
         models=dict(doc.get("models", {})),
         simple_system=doc.get("simple_system"),
         thermal=doc.get("thermal"),
@@ -180,11 +232,7 @@ class PipelineContext:
 def _stage_close(ctx):
     rel = ctx.get_relation()
     opts = ctx.spec.options
-    closed = close(
-        rel,
-        max_parts=int(opts.get("max_parts", 3)),
-        budget=int(opts.get("budget", 10 ** 6)),
-    )
+    closed = close(rel, max_parts=opts["max_parts"], budget=opts["budget"])
     ctx.closed = closed
     return {
         "facts": len(closed.facts),
@@ -194,7 +242,7 @@ def _stage_close(ctx):
 
 def _stage_check_axioms(ctx):
     rel = ctx.get_relation()
-    reports = run_axiom_scan(rel, int(ctx.spec.options.get("max_parts", 3)))
+    reports = run_axiom_scan(rel, ctx.spec.options["max_parts"])
     out = {}
     for name, rep in sorted(reports.items()):
         # scanner order follows set iteration; sort for stable bundles
@@ -230,16 +278,16 @@ def _stage_check_ch(ctx):
 
 
 def _stage_construct_entropy(ctx):
-    cfg = ctx.spec.entropy or {}
+    cfg = ctx.spec.entropy
     rel = ctx.get_relation()
     table = construct_entropy(
         rel,
         cfg["space"],
         cfg["ref_low"],
         cfg["ref_high"],
-        resolution=parse_rational(cfg.get("resolution", "1/128")),
-        lambda_lo=parse_rational(cfg.get("lambda_lo", "-1")),
-        lambda_hi=parse_rational(cfg.get("lambda_hi", "2")),
+        resolution=cfg["resolution"],
+        lambda_lo=cfg["lambda_lo"],
+        lambda_hi=cfg["lambda_hi"],
     )
     ctx.tables[table.space_id] = table
     ctx.csv_files["entropy_tables.csv"] = entropy_table_csv(ctx.tables)
@@ -253,7 +301,7 @@ def _stage_construct_entropy(ctx):
     oracle = cfg.get("oracle_values")
     if oracle:
         a, b, residual = fit_affine(
-            {k: float(parse_rational(v)) for k, v in oracle.items()},
+            {k: float(v) for k, v in oracle.items()},
             {k: float(v) for k, v in table.values.items()},
         )
         out["oracle_fit"] = {"a": a, "b": b, "max_residual": residual}

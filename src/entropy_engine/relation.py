@@ -7,19 +7,33 @@ over a finite rational grid, splitting/recombination of parts, and the
 cancellation law.  Closure is bounded by the grid and by a maximum part count,
 which keeps it decidable; a fact budget guards against blow-up.
 
+close() and the axiom scanners apply the rules on a private fact store
+(_FactStore).  It gives each distinct compound state an integer id, keyed by
+its parts with every scale written as an integer numerator over the least
+common denominator of the grid and of the scales in the input facts.  Facts
+are (id, id) pairs, successors and predecessors are Python-int bitsets, so
+transitivity is a row OR as in Warshall/Purdom closure, and each rule
+(scaling, side-by-side combination, split/merge variants, cancellation
+remainders) is a map memoized per id.  close() converts back to one canonical
+CompoundState per id at the end; each scanner builds its own store from
+rel.facts when called, so hand-built relations are scanned as they stand.
+
 OracleRelation is the second backend: it answers the same queries lazily from
 a per-state entropy assignment and is used to generate ground-truth relations
-over grids far too large to materialize.
+over grids far too large to materialize.  Both backends answer
+rel.accessible(x, y).
 """
 
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .errors import (
     ClosureBudgetError,
     CompositionMismatchError,
+    InputFormatError,
     RelationSpecError,
     UnclosedRelationError,
     UnknownStateError,
@@ -94,6 +108,14 @@ class Relation:
     def in_universe(self, state):
         return state in self.successors
 
+    def accessible(self, x, y):
+        """Is (x, y) a fact?  Raises UnclosedRelationError before close()."""
+        if not self.closed:
+            raise UnclosedRelationError(
+                "accessible() on an unclosed relation would give false negatives"
+            )
+        return y in self.successors.get(x, ())
+
 
 def _index_fact(rel, pair):
     left, right = pair
@@ -155,78 +177,199 @@ def build_relation(spaces, facts, lambda_grid=None):
     return rel
 
 
-def _scaled_pair(pair, lam, grid):
-    """Scale both sides of a fact by lam; None when a part leaves the grid."""
-    out = []
-    for state in pair:
-        parts = []
-        for sp, st, mu in state.parts:
-            prod = mu * lam
-            if prod not in grid:
-                return None
-            parts.append((sp, st, prod))
-        out.append(CompoundState(tuple(sorted(parts))))
-    return tuple(out)
+def _bits(mask):
+    """Indices of the set bits of a Python-int bitset, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _split_variants(state, grid, max_parts):
-    """All one-part splits and merges of `state` allowed by grid and size."""
-    variants = []
-    parts = state.parts
-    if len(parts) + 1 <= max_parts:
-        for i, (sp, st, mu) in enumerate(parts):
-            for lam in grid:
-                if lam >= 1:
-                    continue
-                a, b = mu * lam, mu * (1 - lam)
-                if a in grid and b in grid:
+class _FactStore:
+    """Interned compound states and facts between them, by integer id.
+
+    A state's key is its part tuple with each scale replaced by its integer
+    numerator over `den`, the least common denominator of the grid and of
+    every scale the store was built from.  No rule makes a scale outside
+    that set, and the numerators sort like the Fractions they stand for.
+    Facts are (id, id) pairs; successors and predecessors are Python-int
+    bitsets indexed by id.  Each rule map is memoized per id.
+    """
+
+    def __init__(self, grid, states, max_parts=None):
+        den = 1
+        for q in grid:
+            den = lcm(den, q.denominator)
+        for state in states:
+            for _sp, _st, lam in state.parts:
+                den = lcm(den, lam.denominator)
+        self.den = den
+        self.max_parts = max_parts
+        self.grid = {g.numerator * (den // g.denominator) for g in grid}
+        # (scale, numerator) for each grid scale other than 1
+        self.factors = [
+            (g, g.numerator * (den // g.denominator)) for g in sorted(grid) if g != 1
+        ]
+        self.keys = []
+        self.ids = {}
+        self.states = []
+        self.succ = []
+        self.pred = []
+        self.facts = set()
+        self._scaled = {}
+        self._variants = {}
+        self._combined = {}
+        self._remainders = {}
+        for state in states:
+            self.intern(tuple(
+                (sp, st, lam.numerator * (den // lam.denominator))
+                for sp, st, lam in state.parts
+            ), state)
+
+    def intern(self, key, state=None):
+        sid = self.ids.get(key)
+        if sid is None:
+            sid = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.states.append(state)
+            self.succ.append(0)
+            self.pred.append(0)
+        return sid
+
+    def state(self, sid):
+        """The canonical CompoundState of an id, built once."""
+        state = self.states[sid]
+        if state is None:
+            den = self.den
+            state = self.states[sid] = CompoundState(tuple(
+                (sp, st, Fraction(n, den)) for sp, st, n in self.keys[sid]
+            ))
+        return state
+
+    def add(self, left, right):
+        """Record the fact left -> right; False when it was already known."""
+        pair = (left, right)
+        if pair in self.facts:
+            return False
+        self.facts.add(pair)
+        self.succ[left] |= 1 << right
+        self.pred[right] |= 1 << left
+        return True
+
+    def scaled(self, sid):
+        """Per entry of `factors`: the id of the state scaled by it, or None
+        when a part scale leaves the grid."""
+        out = self._scaled.get(sid)
+        if out is None:
+            den, grid = self.den, self.grid
+            out = []
+            for _lam, g in self.factors:
+                parts = []
+                for sp, st, mu in self.keys[sid]:
+                    q, rem = divmod(mu * g, den)
+                    if rem or q not in grid:
+                        parts = None
+                        break
+                    parts.append((sp, st, q))
+                out.append(None if parts is None else self.intern(tuple(sorted(parts))))
+            out = self._scaled[sid] = tuple(out)
+        return out
+
+    def variants(self, sid):
+        """Ids of all one-part splits and merges allowed by grid and size,
+        one entry per way of reaching each."""
+        out = self._variants.get(sid)
+        if out is None:
+            den, grid, parts = self.den, self.grid, self.keys[sid]
+            keys = []
+            if len(parts) < self.max_parts:
+                for i, (sp, st, mu) in enumerate(parts):
                     rest = parts[:i] + parts[i + 1:]
-                    variants.append(CompoundState(
-                        tuple(sorted(rest + ((sp, st, a), (sp, st, b))))
-                    ))
-    if len(parts) >= 2:
-        for i, j in combinations(range(len(parts)), 2):
-            si, sj = parts[i], parts[j]
-            if si[0] == sj[0] and si[1] == sj[1]:
-                merged = si[2] + sj[2]
-                if merged in grid:
+                    for _lam, g in self.factors:
+                        if g >= den:
+                            continue
+                        a, rem_a = divmod(mu * g, den)
+                        b, rem_b = divmod(mu * (den - g), den)
+                        if not (rem_a or rem_b) and a in grid and b in grid:
+                            keys.append(tuple(sorted(rest + ((sp, st, a), (sp, st, b)))))
+            for i, j in combinations(range(len(parts)), 2):
+                (sp, st, mu), (sp2, st2, nu) = parts[i], parts[j]
+                if sp == sp2 and st == st2 and mu + nu in grid:
                     rest = tuple(p for k, p in enumerate(parts) if k not in (i, j))
-                    variants.append(CompoundState(
-                        tuple(sorted(rest + ((si[0], si[1], merged),)))
-                    ))
-    return variants
+                    keys.append(tuple(sorted(rest + ((sp, st, mu + nu),))))
+            out = self._variants[sid] = [self.intern(k) for k in keys]
+        return out
+
+    def combine(self, a, b):
+        """Id of the two states side by side (multiset union of parts)."""
+        pair = (a, b) if a <= b else (b, a)
+        sid = self._combined.get(pair)
+        if sid is None:
+            sid = self._combined[pair] = self.intern(
+                tuple(sorted(self.keys[a] + self.keys[b]))
+            )
+        return sid
+
+    def remainders(self, sid):
+        """Each nonempty proper sub-multiset of the parts, as a part tuple,
+        mapped to the id of the parts left over."""
+        out = self._remainders.get(sid)
+        if out is None:
+            parts = self.keys[sid]
+            n = len(parts)
+            out = {}
+            for r in range(1, n):
+                for combo in combinations(range(n), r):
+                    sub = tuple(parts[k] for k in combo)
+                    if sub not in out:
+                        out[sub] = self.intern(tuple(sorted(
+                            p for k, p in enumerate(parts) if k not in combo
+                        )))
+            self._remainders[sid] = out
+        return out
+
+    def cancelled(self, left, right):
+        """Facts the cancellation law derives from left -> right: drop a
+        part bundle the two sides share, keeping both sides nonempty."""
+        rem_left = self.remainders(left)
+        if not rem_left:
+            return ()
+        rem_right = self.remainders(right)
+        return [(x, rem_right[sub]) for sub, x in rem_left.items() if sub in rem_right]
 
 
-def _sub_multisets(items):
-    """Nonempty proper-or-full sub-multisets of a small part tuple."""
-    subs = set()
-    n = len(items)
-    for r in range(1, n + 1):
-        for combo in combinations(range(n), r):
-            subs.add(tuple(items[k] for k in combo))
-    return subs
+def _store_of(rel, max_parts=None):
+    """A fresh store interning every state of rel's facts and universe.
+
+    Returns the store, rel.facts as id pairs (not yet added to the store)
+    and the set of universe ids.  One dict lookup per fact side; the
+    CompoundState objects of rel are kept as the states of their ids.
+    """
+    index = {}
+    pairs = []
+    for left, right in rel.facts:
+        lid = index.get(left)
+        if lid is None:
+            lid = index[left] = len(index)
+        rid = index.get(right)
+        if rid is None:
+            rid = index[right] = len(index)
+        pairs.append((lid, rid))
+    universe = set()
+    for state in rel.successors:
+        sid = index.get(state)
+        if sid is None:
+            sid = index[state] = len(index)
+        universe.add(sid)
+    return _FactStore(rel.lambda_grid, list(index), max_parts), pairs, universe
 
 
-def _remove_parts(state, sub):
-    remaining = list(state.parts)
-    for p in sub:
-        remaining.remove(p)
-    if not remaining:
-        return None
-    return CompoundState(tuple(sorted(remaining)))
-
-
-def _cancelled_pairs(pair):
-    """Facts implied by the cancellation law: drop a common part bundle."""
-    left, right = pair
-    common = set(_sub_multisets(left.parts)) & set(_sub_multisets(right.parts))
-    out = []
-    for sub in common:
-        new_left = _remove_parts(left, sub)
-        new_right = _remove_parts(right, sub)
-        if new_left is not None and new_right is not None:
-            out.append((new_left, new_right))
-    return out
+def _scan_store(rel, max_parts=None):
+    """_store_of with rel's facts added: what the axiom scanners read."""
+    store, pairs, universe = _store_of(rel, max_parts)
+    for left, right in pairs:
+        store.add(left, right)
+    return store, pairs, universe
 
 
 def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
@@ -235,96 +378,93 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
     Returns a new, closed relation.  Generated compound states are restricted
     to at most max_parts parts with scales inside the lambda grid; rule
     applications that would leave those bounds are skipped.  Raises
-    ClosureBudgetError when the fact count exceeds `budget`.
+    ClosureBudgetError, naming the rule and the part counts of the fact that
+    overflowed, when the fact count exceeds `budget`.
     """
+    store, pairs, _universe = _store_of(rel, max_parts)
+    keys, succ, pred = store.keys, store.succ, store.pred
+    queue = deque()
+    size_buckets = {}
+    seen = set()
+
+    def add_fact(left, right, rule):
+        if not store.add(left, right):
+            return
+        sizes = (len(keys[left]), len(keys[right]))
+        if len(store.facts) > budget:
+            raise ClosureBudgetError(budget, len(store.facts), rule, sizes)
+        size_buckets.setdefault(sizes, []).append((left, right))
+        queue.append((left, right))
+
+    for left, right in pairs:
+        add_fact(left, right, "input")
+
+    while queue:
+        left, right = queue.popleft()
+        # reflexivity and splitting/recombination, once per state
+        for sid in (left, right):
+            if sid not in seen:
+                seen.add(sid)
+                add_fact(sid, sid, "reflexive")
+                for variant in store.variants(sid):
+                    add_fact(sid, variant, "split")
+                    add_fact(variant, sid, "split")
+        # transitivity through both endpoints, new pairs only
+        for nxt in _bits(succ[right] & ~succ[left]):
+            add_fact(left, nxt, "transitivity")
+        for prev in _bits(pred[left] & ~pred[right]):
+            add_fact(prev, right, "transitivity")
+        # scaling invariance over the grid
+        for a, b in zip(store.scaled(left), store.scaled(right)):
+            if a is not None and b is not None:
+                add_fact(a, b, "scaling")
+        # consistency: compose with every size-compatible fact
+        n_left, n_right = len(keys[left]), len(keys[right])
+        for (ls, rs), bucket in list(size_buckets.items()):
+            if n_left + ls > max_parts or n_right + rs > max_parts:
+                continue
+            for other_left, other_right in list(bucket):
+                add_fact(store.combine(left, other_left),
+                         store.combine(right, other_right), "consistency")
+        # cancellation law
+        for a, b in store.cancelled(left, right):
+            add_fact(a, b, "cancellation")
+
     out = Relation(
         spaces=dict(rel.spaces),
         facts=set(),
         lambda_grid=rel.lambda_grid,
+        closed=True,
         epsilon_families=tuple(rel.epsilon_families),
     )
-    grid = rel.lambda_grid
-    queue = deque()
-    size_buckets = {}
-    seen_states = set()
-
-    def add_fact(pair):
-        if pair in out.facts:
-            return
-        out.facts.add(pair)
-        if len(out.facts) > budget:
-            raise ClosureBudgetError(budget, len(out.facts))
-        _index_fact(out, pair)
-        size_buckets.setdefault((len(pair[0]), len(pair[1])), []).append(pair)
-        queue.append(pair)
-        for state in pair:
-            ensure_state(state)
-
-    def ensure_state(state):
-        if state in seen_states:
-            return
-        seen_states.add(state)
-        add_fact((state, state))
-        for variant in _split_variants(state, grid, max_parts):
-            add_fact((state, variant))
-            add_fact((variant, state))
-
-    for left, right in rel.facts:
-        add_fact((left, right))
-
-    while queue:
-        left, right = queue.popleft()
-        # transitivity through both endpoints
-        for nxt in list(out.successors.get(right, ())):
-            add_fact((left, nxt))
-        for prev in list(out.predecessors.get(left, ())):
-            add_fact((prev, right))
-        # scaling invariance over the grid
-        for lam in grid:
-            if lam == 1:
-                continue
-            scaled = _scaled_pair((left, right), lam, grid)
-            if scaled is not None:
-                add_fact(scaled)
-        # consistency: compose with every size-compatible fact
-        for (ls, rs), bucket in list(size_buckets.items()):
-            if len(left) + ls > max_parts or len(right) + rs > max_parts:
-                continue
-            for other_left, other_right in list(bucket):
-                add_fact((left.combine(other_left), right.combine(other_right)))
-        # cancellation law
-        for pair in _cancelled_pairs((left, right)):
-            add_fact(pair)
-
-    out.closed = True
+    state = store.state
+    for sid in sorted(seen):
+        x = state(sid)
+        out.successors[x] = {state(n) for n in _bits(succ[sid])}
+        out.predecessors[x] = {state(p) for p in _bits(pred[sid])}
+    out.facts = {(state(left), state(right)) for left, right in store.facts}
     return out
 
 
 def accessible(rel, x, y):
-    """Membership query: is (x, y) a fact of the closed relation?"""
-    if not rel.closed:
-        raise UnclosedRelationError(
-            "accessible() on an unclosed relation would give false negatives"
-        )
-    return y in rel.successors.get(x, ())
+    """Membership query: is (x, y) a fact of the relation?
+
+    Works on either backend; an unclosed Relation raises
+    UnclosedRelationError.
+    """
+    return rel.accessible(x, y)
 
 
 def accessible_signed(rel, left, right):
     """Query with signed scales, normalized via the side-swap convention."""
     lhs, rhs = signed_sides(left, right)
-    return _query(rel, lhs, rhs)
-
-
-def _query(rel, x, y):
-    if isinstance(rel, Relation):
-        return accessible(rel, x, y)
-    return rel.accessible(x, y)
+    return rel.accessible(lhs, rhs)
 
 
 def classify(rel, x, y):
     """One of equivalent / strictly_precedes / strictly_follows / incomparable."""
-    fwd = _query(rel, x, y)
-    back = _query(rel, y, x)
+    fwd = rel.accessible(x, y)
+    back = rel.accessible(y, x)
     if fwd and back:
         return EQUIVALENT
     if fwd:
@@ -355,7 +495,7 @@ def adiabats(rel, space_id):
             if other in seen:
                 continue
             y = single(space_id, other)
-            if _query(rel, x, y) and _query(rel, y, x):
+            if rel.accessible(x, y) and rel.accessible(y, x):
                 cls.append(other)
                 seen.add(other)
         classes.append(cls)
@@ -395,7 +535,7 @@ def check_comparison_hypothesis(rel, space_ids=None, universe=None):
     for group in by_signature.values():
         for x, y in combinations(group, 2):
             checked += 1
-            if not _query(rel, x, y) and not _query(rel, y, x):
+            if not rel.accessible(x, y) and not rel.accessible(y, x):
                 return CHResult(False, (x, y), checked, len(universe))
     return CHResult(True, None, checked, len(universe))
 
@@ -417,85 +557,87 @@ def check_reflexivity(rel):
 
 
 def check_transitivity(rel):
+    store, pairs, _universe = _scan_store(rel)
+    succ, state = store.succ, store.state
     viol = []
     checked = 0
-    for left, right in rel.facts:
-        for nxt in rel.successors.get(right, ()):
-            checked += 1
-            if (left, nxt) not in rel.facts:
-                viol.append((left, right, nxt))
+    for left, right in pairs:
+        reach = succ[right]
+        checked += reach.bit_count()
+        for nxt in _bits(reach & ~succ[left]):
+            viol.append((state(left), state(right), state(nxt)))
     return AxiomReport("transitivity", checked, viol)
 
 
 def check_consistency(rel, max_parts=3, universe_only=False):
+    store, pairs, universe = _scan_store(rel)
+    facts, keys, combine, state = store.facts, store.keys, store.combine, store.state
     viol = []
     checked = 0
     buckets = {}
-    for pair in rel.facts:
-        buckets.setdefault((len(pair[0]), len(pair[1])), []).append(pair)
+    for pair in pairs:
+        buckets.setdefault((len(keys[pair[0]]), len(keys[pair[1]])), []).append(pair)
     for (l1, r1), bucket1 in buckets.items():
         for (l2, r2), bucket2 in buckets.items():
             if l1 + l2 > max_parts or r1 + r2 > max_parts:
                 continue
-            for p1 in bucket1:
-                for p2 in bucket2:
-                    combined = (p1[0].combine(p2[0]), p1[1].combine(p2[1]))
-                    if universe_only and not (
-                        rel.in_universe(combined[0]) and rel.in_universe(combined[1])
-                    ):
+            for a, b in bucket1:
+                for c, d in bucket2:
+                    left, right = combine(a, c), combine(b, d)
+                    if universe_only and not (left in universe and right in universe):
                         continue
                     checked += 1
-                    if combined not in rel.facts:
-                        viol.append((p1, p2))
+                    if (left, right) not in facts:
+                        viol.append(((state(a), state(b)), (state(c), state(d))))
     return AxiomReport("consistency", checked, viol)
 
 
 def check_scaling_invariance(rel, universe_only=False):
+    store, pairs, universe = _scan_store(rel)
+    facts, scaled, state = store.facts, store.scaled, store.state
+    lams = [lam for lam, _num in store.factors]
     viol = []
     checked = 0
-    for pair in rel.facts:
-        for lam in rel.lambda_grid:
-            if lam == 1:
+    for a, b in pairs:
+        for lam, x, y in zip(lams, scaled(a), scaled(b)):
+            if x is None or y is None:
                 continue
-            scaled = _scaled_pair(pair, lam, rel.lambda_grid)
-            if scaled is None:
-                continue
-            if universe_only and not (
-                rel.in_universe(scaled[0]) and rel.in_universe(scaled[1])
-            ):
+            if universe_only and not (x in universe and y in universe):
                 continue
             checked += 1
-            if scaled not in rel.facts:
-                viol.append((pair, lam))
+            if (x, y) not in facts:
+                viol.append(((state(a), state(b)), lam))
     return AxiomReport("scaling_invariance", checked, viol)
 
 
 def check_splitting(rel, max_parts=3, universe_only=False):
+    store, _pairs, universe = _scan_store(rel, max_parts)
+    facts, state = store.facts, store.state
     viol = []
     checked = 0
-    for state in rel.universe:
-        for variant in _split_variants(state, rel.lambda_grid, max_parts):
-            if universe_only and not rel.in_universe(variant):
+    for sid in universe:
+        for variant in store.variants(sid):
+            if universe_only and variant not in universe:
                 continue
             checked += 1
-            if (state, variant) not in rel.facts or (variant, state) not in rel.facts:
-                viol.append((state, variant))
+            if (sid, variant) not in facts or (variant, sid) not in facts:
+                viol.append((state(sid), state(variant)))
     return AxiomReport("splitting_recombination", checked, viol)
 
 
 def check_cancellation(rel, universe_only=False):
     """Verify the cancellation law on every fact with a shared part bundle."""
+    store, pairs, universe = _scan_store(rel)
+    facts, state = store.facts, store.state
     viol = []
     checked = 0
-    for pair in rel.facts:
-        for reduced in _cancelled_pairs(pair):
-            if universe_only and not (
-                rel.in_universe(reduced[0]) and rel.in_universe(reduced[1])
-            ):
+    for a, b in pairs:
+        for x, y in store.cancelled(a, b):
+            if universe_only and not (x in universe and y in universe):
                 continue
             checked += 1
-            if reduced not in rel.facts:
-                viol.append((pair, reduced))
+            if (x, y) not in facts:
+                viol.append(((state(a), state(b)), (state(x), state(y))))
     return AxiomReport("cancellation", checked, viol)
 
 
@@ -609,9 +751,21 @@ def relation_from_oracle(spaces, sigma, universe, lambda_grid=(Fraction(1),), at
 
 
 def _parse_compound(doc):
+    if not isinstance(doc, list) or not doc or not all(isinstance(p, dict) for p in doc):
+        raise InputFormatError(
+            "a compound state must be a nonempty list of parts, got %r" % (doc,)
+        )
     return compound([
         (parse_rational(p["lambda"]), p["space"], p["state"]) for p in doc
     ])
+
+
+def _parse_fact(doc):
+    if not isinstance(doc, list) or len(doc) != 2:
+        raise InputFormatError(
+            "a relation fact must be a [left, right] pair, got %r" % (doc,)
+        )
+    return _parse_compound(doc[0]), _parse_compound(doc[1])
 
 
 def relation_from_json(doc):
@@ -625,9 +779,7 @@ def relation_from_json(doc):
             )
             for s in doc["spaces"]
         ]
-        facts = [
-            (_parse_compound(l), _parse_compound(r)) for l, r in doc.get("facts", [])
-        ]
+        facts = [_parse_fact(f) for f in doc.get("facts", [])]
         grid = [parse_rational(g) for g in doc.get("lambda_grid", ["1"])]
         families = tuple(
             EpsilonFamily(

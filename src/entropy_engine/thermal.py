@@ -34,19 +34,6 @@ class ThermalJoin:
             )
         return lo, hi
 
-    def contains(self, U, V1, V2):
-        try:
-            self.energy_interval(U, V1, V2)
-        except DomainError:
-            return False
-        v1_ok = self.left.domain.contains(
-            (0.5 * (self.left.domain.lo[0] + self.left.domain.hi[0]),) + tuple(V1)
-        )
-        v2_ok = self.right.domain.contains(
-            (0.5 * (self.right.domain.lo[0] + self.right.domain.hi[0]),) + tuple(V2)
-        )
-        return v1_ok and v2_ok
-
 
 @dataclass
 class TemperatureValue:

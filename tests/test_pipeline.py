@@ -315,3 +315,45 @@ def test_cli_bad_calibration_graph_is_input_error(tmp_path, change):
         )
         assert proc.returncode == 2, (args, proc.stderr)
         assert "Traceback" not in proc.stderr
+
+
+def run_cli(args):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(entropy_engine.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "entropy_engine.cli"] + args,
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_cli_one_sided_relation_fact_is_input_error(tmp_path):
+    relation = dict(CHAIN_RELATION, facts=[CHAIN_RELATION["facts"][0][:1]])
+    rel_path = write_json(tmp_path / "rel.json", relation)
+    spec_path = write_json(tmp_path / "spec.json",
+                           base_spec(stages=["close"], relation="rel.json"))
+    for args in (["validate", rel_path],
+                 ["run", spec_path, "--out", str(tmp_path / "out")]):
+        proc = run_cli(args)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert "Traceback" not in proc.stderr
+
+
+ENTROPY = {"space": "G", "ref_low": "x", "ref_high": "z"}
+
+
+@pytest.mark.parametrize("change", [
+    {"entropy": {"ref_low": "x", "ref_high": "z"}},
+    {"options": {"max_parts": "three"}},
+    {"entropy": dict(ENTROPY, resolution="0")},
+], ids=["entropy-without-space", "max-parts-word", "zero-resolution"])
+def test_cli_bad_relation_spec_is_input_error(tmp_path, change):
+    write_json(tmp_path / "rel.json", CHAIN_RELATION)
+    doc = base_spec(stages=["close", "construct_entropy"], relation="rel.json",
+                    entropy=ENTROPY)
+    doc.update(change)
+    spec_path = write_json(tmp_path / "spec.json", doc)
+    for args in (["validate", spec_path],
+                 ["run", spec_path, "--out", str(tmp_path / "out")]):
+        proc = run_cli(args)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert "Traceback" not in proc.stderr

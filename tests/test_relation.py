@@ -124,12 +124,19 @@ def test_close_is_idempotent():
 
 
 def test_close_budget_exceeded_raises():
-    with pytest.raises(ClosureBudgetError):
+    with pytest.raises(ClosureBudgetError) as info:
         close(build_relation(
             [space("abcdef")],
             [fact(a, b) for a, b in [("a", "b"), ("b", "c"), ("c", "d")]],
             GRID,
         ), max_parts=3, budget=50)
+    exc = info.value
+    assert (exc.budget, exc.facts) == (50, 51)
+    # the message names the rule and the part counts of the overflowing fact
+    assert exc.rule in ("input", "reflexive", "split", "transitivity",
+                        "scaling", "consistency", "cancellation")
+    assert len(exc.parts) == 2 and all(1 <= n <= 3 for n in exc.parts)
+    assert "%s fact with %d -> %d parts" % ((exc.rule,) + exc.parts) in str(exc)
 
 
 # ---------------------------------------------------------------- queries
@@ -151,6 +158,18 @@ def test_accessible_requires_closed_relation():
     rel = build_relation([space("xy")], [fact("x", "y")], [Fraction(1)])
     with pytest.raises(UnclosedRelationError):
         accessible(rel, single("G", "x"), single("G", "y"))
+    with pytest.raises(UnclosedRelationError):
+        rel.accessible(single("G", "x"), single("G", "y"))
+
+
+def test_accessible_answers_on_both_backends():
+    g = space("xy")
+    x, y = single("G", "x"), single("G", "y")
+    explicit = close(build_relation([g], [fact("x", "y")], [Fraction(1)]))
+    oracle = OracleRelation([g], {("G", "x"): Fraction(0), ("G", "y"): Fraction(1)})
+    for rel in (explicit, oracle):
+        assert accessible(rel, x, y) and rel.accessible(x, y)
+        assert not accessible(rel, y, x) and not rel.accessible(y, x)
 
 
 def test_accessible_signed_normalizes_queries():

@@ -1,0 +1,241 @@
+"""Differential tests: the interned fact store behind close(), the axiom
+scanners and verify_entropy_principle against the frozen Fraction-level
+reference in reference_relation.py."""
+
+import json
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+import reference_relation as ref
+from entropy_engine import relation
+from entropy_engine.entropy import EntropyTable, verify_entropy_principle
+from entropy_engine.errors import ClosureBudgetError
+from entropy_engine.pipeline import load_pipeline_spec, run_pipeline
+from entropy_engine.relation import (
+    Relation,
+    _index_fact,
+    build_relation,
+    close,
+    dyadic_grid,
+    relation_from_oracle,
+)
+from entropy_engine.states import compound, make_space
+
+F = Fraction
+GRIDS = [
+    frozenset([F(1, 2), F(1)]),
+    frozenset([F(1, 4), F(1, 2), F(3, 4), F(1)]),
+    dyadic_grid(8),
+]
+
+
+def random_spaces(rng):
+    """One or two spaces; the second has a different element content."""
+    spaces = [make_space("G", [1], ["a", "b", "c", "d"][:rng.randint(2, 4)])]
+    if rng.random() < 0.5:
+        spaces.append(make_space("H", [2], ["p", "q"]))
+    return spaces
+
+
+def random_facts(rng, spaces, grid):
+    """Facts that conserve element content, with one- and two-part sides,
+    scales from the grid and, sometimes, the off-grid 1/3 and 2/3."""
+    scales = sorted(grid) + ([F(1, 3), F(2, 3)] if rng.random() < 0.4 else [])
+    parts = [(lam, sp.space_id, st) for sp in spaces for st in sp.state_ids
+             for lam in scales]
+    by_content = {}
+    space_map = {sp.space_id: sp for sp in spaces}
+    for _ in range(300):
+        side = compound(rng.sample(parts, rng.choice([1, 1, 2])))
+        by_content.setdefault(side.composition(space_map), []).append(side)
+    groups = [g for g in by_content.values() if len(g) > 1]
+    facts = []
+    for _ in range(rng.randint(1, 3)):
+        left, right = rng.sample(rng.choice(groups), 2)
+        facts.append((left, right))
+    return facts
+
+
+def random_relation(rng):
+    grid = rng.choice(GRIDS)
+    spaces = random_spaces(rng)
+    return build_relation(spaces, random_facts(rng, spaces, grid), grid)
+
+
+def hand_built(source, rng):
+    """An unclosed relation: source's facts minus a few, plus a few planted
+    between its states, indexed with _index_fact."""
+    rel = Relation(spaces=dict(source.spaces), facts=set(),
+                   lambda_grid=source.lambda_grid)
+    facts = sorted(source.facts, key=str)
+    states = sorted(source.universe, key=str)
+    drop = set(rng.sample(range(len(facts)), min(len(facts), rng.randint(1, 4))))
+    kept = [f for k, f in enumerate(facts) if k not in drop]
+    kept += [(rng.choice(states), rng.choice(states)) for _ in range(3)]
+    for pair in kept:
+        rel.facts.add(pair)
+        _index_fact(rel, pair)
+    return rel
+
+
+def scan_outcome(module, rel, max_parts, universe_only=False):
+    """Checked counts and violation multisets of each structural scanner."""
+    out = {}
+    reports = {
+        "reflexivity": module.check_reflexivity(rel),
+        "transitivity": module.check_transitivity(rel),
+        "consistency": module.check_consistency(rel, max_parts, universe_only),
+        "scaling_invariance": module.check_scaling_invariance(rel, universe_only),
+        "splitting_recombination": module.check_splitting(
+            rel, max_parts, universe_only),
+        "cancellation": module.check_cancellation(rel, universe_only),
+    }
+    for name, rep in reports.items():
+        assert rep.name == name
+        out[name] = (rep.checked, Counter(rep.violations))
+    return out
+
+
+def close_outcome(module, rel, max_parts, budget):
+    try:
+        return ("ok", module.close(rel, max_parts=max_parts, budget=budget))
+    except ClosureBudgetError as exc:
+        return ("raised", type(exc), exc.budget, exc.facts)
+
+
+def random_tables(rng, spaces):
+    tables = {}
+    for sp in spaces:
+        if rng.random() < 0.5:
+            values = {st: F(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+                      for st in sp.state_ids}
+            res = F(1, 4)
+        else:
+            values = {st: rng.uniform(-2, 2) for st in sp.state_ids}
+            res = F(1, 128)
+        tables[sp.space_id] = EntropyTable(sp.space_id, values,
+                                           sp.state_ids[0], sp.state_ids[-1], res)
+    return tables
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_close_and_scanners_match_reference(seed):
+    rng = random.Random(7000 + seed)
+    closed_cases = raised = off_grid = two_spaces = 0
+
+    for _ in range(20):
+        rel = random_relation(rng)
+        max_parts = rng.choice([1, 2, 2, 3])
+        budget = rng.choice([60, 1000, 1000, 1000])
+        got = close_outcome(relation, rel, max_parts, budget)
+        want = close_outcome(ref, rel, max_parts, budget)
+        if want[0] == "raised":
+            assert got == want
+            raised += 1
+            continue
+        closed, expected = got[1], want[1]
+        assert closed.closed
+        assert closed.facts == expected.facts
+        assert closed.successors == expected.successors
+        assert closed.predecessors == expected.predecessors
+        closed_cases += 1
+        off_grid += any(lam not in rel.lambda_grid
+                        for s in rel.universe for _sp, _st, lam in s.parts)
+        two_spaces += len(rel.spaces) == 2
+        assert scan_outcome(relation, closed, max_parts) == scan_outcome(
+            ref, expected, max_parts)
+        # unclosed inputs: the relation as built, and a hand-built one
+        for unclosed in (rel, hand_built(closed, rng)):
+            assert scan_outcome(relation, unclosed, max_parts) == scan_outcome(
+                ref, unclosed, max_parts)
+        tables = random_tables(rng, list(rel.spaces.values()))
+        assert verify_entropy_principle(closed, tables).to_json() == \
+            ref.verify_entropy_principle(expected, tables).to_json()
+    assert closed_cases and raised and off_grid and two_spaces
+
+
+def test_planted_violations_are_found_by_both():
+    g = make_space("G", [1], ["x", "y", "z"])
+    rel = close(build_relation([g], [(compound([(1, "G", "x")]),
+                                      compound([(1, "G", "y")]))],
+                               GRIDS[0]), max_parts=2)
+    rng = random.Random(3)
+    unclosed = hand_built(rel, rng)
+    got = scan_outcome(relation, unclosed, 2)
+    assert got == scan_outcome(ref, unclosed, 2)
+    assert sum(sum(v.values()) for _c, v in got.values()) > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_oracle_relations_scanned_on_their_universe(seed):
+    rng = random.Random(8000 + seed)
+    for _ in range(10):
+        grid = rng.choice(GRIDS[:2])
+        spaces = random_spaces(rng)
+        sigma = {(sp.space_id, st): F(rng.randint(0, 4))
+                 for sp in spaces for st in sp.state_ids}
+        parts = [(lam, sp.space_id, st) for sp in spaces
+                 for st in sp.state_ids for lam in sorted(grid)]
+        universe = {compound(rng.sample(parts, rng.choice([1, 1, 2])))
+                    for _ in range(rng.randint(4, 14))}
+        rel = relation_from_oracle(spaces, sigma, sorted(universe, key=str),
+                                   lambda_grid=grid)
+        max_parts = rng.choice([1, 2, 3])
+        assert scan_outcome(relation, rel, max_parts, True) == scan_outcome(
+            ref, rel, max_parts, True)
+
+
+def _part(lam, state):
+    return {"lambda": lam, "space": "G", "state": state}
+
+
+CHAIN = ["x0", "x1", "x2", "x3"]
+# a chain with midpoint equivalences (x_{i-1}/2, x_{i+1}/2) ~ x_i
+CHAIN_RELATION = {
+    "spaces": [{"id": "G", "composition": ["1"], "states": CHAIN}],
+    "facts": [[[_part("1", a)], [_part("1", b)]] for a, b in zip(CHAIN, CHAIN[1:])]
+    + [
+        fact
+        for lo, mid, hi in zip(CHAIN, CHAIN[1:], CHAIN[2:])
+        for fact in (
+            [[_part("1/2", lo), _part("1/2", hi)], [_part("1", mid)]],
+            [[_part("1", mid)], [_part("1/2", lo), _part("1/2", hi)]],
+        )
+    ],
+    "lambda_grid": ["1/2", "1"],
+}
+
+
+def test_chain_spec_report_bytes_match_reference(tmp_path, monkeypatch):
+    spec = {
+        "schema": "entropy-engine/1",
+        "seed": 0,
+        "stages": ["close", "check_axioms", "check_ch", "construct_entropy",
+                   "verify_principle"],
+        "relation": CHAIN_RELATION,
+        "options": {"max_parts": 3},
+        "entropy": {"space": "G", "ref_low": "x0", "ref_high": "x3",
+                    "resolution": "1/2", "lambda_lo": "0", "lambda_hi": "1"},
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    result = run_pipeline(load_pipeline_spec(str(spec_path)), str(tmp_path / "new"))
+    assert result.exit_code == 0
+    monkeypatch.setattr("entropy_engine.pipeline.close", ref.close)
+    monkeypatch.setattr("entropy_engine.pipeline.verify_entropy_principle",
+                        ref.verify_entropy_principle)
+    monkeypatch.setattr(
+        "entropy_engine.pipeline.run_axiom_scan",
+        lambda rel, max_parts: dict(
+            ref.run_axiom_scan(rel, max_parts),
+            stability=relation.check_stability(rel)),
+    )
+    run_pipeline(load_pipeline_spec(str(spec_path)), str(tmp_path / "ref"))
+    for name in ("report.json", "entropy_tables.csv"):
+        new = (tmp_path / "new" / name).read_bytes()
+        assert new == (tmp_path / "ref" / name).read_bytes()
+    report = json.loads((tmp_path / "new" / "report.json").read_text())
+    assert report["reports"]["close"]["facts"] > 1000
