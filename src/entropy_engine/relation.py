@@ -246,12 +246,12 @@ class _FactStore:
             ))
         return state
 
-    def add(self, left, right):
-        """Record the fact left -> right; False when it was already known."""
-        pair = (left, right)
+    def add(self, pair):
+        """Record the fact pair = (left, right); False when already known."""
         if pair in self.facts:
             return False
         self.facts.add(pair)
+        left, right = pair
         self.succ[left] |= 1 << right
         self.pred[right] |= 1 << left
         return True
@@ -367,8 +367,8 @@ def _store_of(rel, max_parts=None):
 def _scan_store(rel, max_parts=None):
     """_store_of with rel's facts added: what the axiom scanners read."""
     store, pairs, universe = _store_of(rel, max_parts)
-    for left, right in pairs:
-        store.add(left, right)
+    for pair in pairs:
+        store.add(pair)
     return store, pairs, universe
 
 
@@ -388,13 +388,14 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
     seen = set()
 
     def add_fact(left, right, rule):
-        if not store.add(left, right):
+        pair = (left, right)
+        if not store.add(pair):
             return
         sizes = (len(keys[left]), len(keys[right]))
         if len(store.facts) > budget:
             raise ClosureBudgetError(budget, len(store.facts), rule, sizes)
-        size_buckets.setdefault(sizes, []).append((left, right))
-        queue.append((left, right))
+        size_buckets.setdefault(sizes, []).append(pair)
+        queue.append(pair)
 
     for left, right in pairs:
         add_fact(left, right, "input")
@@ -437,12 +438,16 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
         closed=True,
         epsilon_families=tuple(rel.epsilon_families),
     )
+    # the bitset rows hold every fact: free the id pairs before building
+    # the output, so that the two fact sets never coexist
+    store.facts.clear()
+    size_buckets.clear()
     state = store.state
     for sid in sorted(seen):
         x = state(sid)
-        out.successors[x] = {state(n) for n in _bits(succ[sid])}
+        out.successors[x] = reach = {state(n) for n in _bits(succ[sid])}
         out.predecessors[x] = {state(p) for p in _bits(pred[sid])}
-    out.facts = {(state(left), state(right)) for left, right in store.facts}
+        out.facts.update((x, y) for y in reach)
     return out
 
 
