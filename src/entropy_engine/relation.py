@@ -10,8 +10,8 @@ which keeps it decidable; a fact budget guards against blow-up.
 close() and the axiom scanners apply the rules on a private fact store
 (_FactStore).  It gives each distinct compound state an integer id, keyed by
 its parts with every scale written as an integer numerator over the least
-common denominator of the grid and of the scales in the input facts.  Facts
-are (id, id) pairs, successors and predecessors are Python-int bitsets, so
+common denominator of the grid and of the scales in the input facts.  The
+facts are held as Python-int bitset rows of successors and predecessors, so
 transitivity is a row OR as in Warshall/Purdom closure, and each rule
 (scaling, side-by-side combination, split/merge variants, cancellation
 remainders) is a map memoized per id.  close() converts back to one canonical
@@ -192,8 +192,8 @@ class _FactStore:
     numerator over `den`, the least common denominator of the grid and of
     every scale the store was built from.  No rule makes a scale outside
     that set, and the numerators sort like the Fractions they stand for.
-    Facts are (id, id) pairs; successors and predecessors are Python-int
-    bitsets indexed by id.  Each rule map is memoized per id.
+    The facts are held once, as Python-int bitset rows of successors and
+    of predecessors indexed by id.  Each rule map is memoized per id.
     """
 
     def __init__(self, grid, states, max_parts=None):
@@ -215,7 +215,6 @@ class _FactStore:
         self.states = []
         self.succ = []
         self.pred = []
-        self.facts = set()
         self._scaled = {}
         self._variants = {}
         self._combined = {}
@@ -246,12 +245,13 @@ class _FactStore:
             ))
         return state
 
-    def add(self, pair):
-        """Record the fact pair = (left, right); False when already known."""
-        if pair in self.facts:
+    def has(self, left, right):
+        return self.succ[left] >> right & 1
+
+    def add(self, left, right):
+        """Record the fact left -> right; False when it was already known."""
+        if self.has(left, right):
             return False
-        self.facts.add(pair)
-        left, right = pair
         self.succ[left] |= 1 << right
         self.pred[right] |= 1 << left
         return True
@@ -367,8 +367,8 @@ def _store_of(rel, max_parts=None):
 def _scan_store(rel, max_parts=None):
     """_store_of with rel's facts added: what the axiom scanners read."""
     store, pairs, universe = _store_of(rel, max_parts)
-    for pair in pairs:
-        store.add(pair)
+    for left, right in pairs:
+        store.add(left, right)
     return store, pairs, universe
 
 
@@ -386,14 +386,17 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
     queue = deque()
     size_buckets = {}
     seen = set()
+    count = 0
 
     def add_fact(left, right, rule):
-        pair = (left, right)
-        if not store.add(pair):
+        nonlocal count
+        if not store.add(left, right):
             return
+        count += 1
         sizes = (len(keys[left]), len(keys[right]))
-        if len(store.facts) > budget:
-            raise ClosureBudgetError(budget, len(store.facts), rule, sizes)
+        if count > budget:
+            raise ClosureBudgetError(budget, count, rule, sizes)
+        pair = (left, right)
         size_buckets.setdefault(sizes, []).append(pair)
         queue.append(pair)
 
@@ -438,9 +441,8 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
         closed=True,
         epsilon_families=tuple(rel.epsilon_families),
     )
-    # the bitset rows hold every fact: free the id pairs before building
-    # the output, so that the two fact sets never coexist
-    store.facts.clear()
+    # the bitset rows hold every fact: free the bucketed id pairs before
+    # building the output
     size_buckets.clear()
     state = store.state
     for sid in sorted(seen):
@@ -576,7 +578,7 @@ def check_transitivity(rel):
 
 def check_consistency(rel, max_parts=3, universe_only=False):
     store, pairs, universe = _scan_store(rel)
-    facts, keys, combine, state = store.facts, store.keys, store.combine, store.state
+    has, keys, combine, state = store.has, store.keys, store.combine, store.state
     viol = []
     checked = 0
     buckets = {}
@@ -592,14 +594,14 @@ def check_consistency(rel, max_parts=3, universe_only=False):
                     if universe_only and not (left in universe and right in universe):
                         continue
                     checked += 1
-                    if (left, right) not in facts:
+                    if not has(left, right):
                         viol.append(((state(a), state(b)), (state(c), state(d))))
     return AxiomReport("consistency", checked, viol)
 
 
 def check_scaling_invariance(rel, universe_only=False):
     store, pairs, universe = _scan_store(rel)
-    facts, scaled, state = store.facts, store.scaled, store.state
+    has, scaled, state = store.has, store.scaled, store.state
     lams = [lam for lam, _num in store.factors]
     viol = []
     checked = 0
@@ -610,14 +612,14 @@ def check_scaling_invariance(rel, universe_only=False):
             if universe_only and not (x in universe and y in universe):
                 continue
             checked += 1
-            if (x, y) not in facts:
+            if not has(x, y):
                 viol.append(((state(a), state(b)), lam))
     return AxiomReport("scaling_invariance", checked, viol)
 
 
 def check_splitting(rel, max_parts=3, universe_only=False):
     store, _pairs, universe = _scan_store(rel, max_parts)
-    facts, state = store.facts, store.state
+    has, state = store.has, store.state
     viol = []
     checked = 0
     for sid in universe:
@@ -625,7 +627,7 @@ def check_splitting(rel, max_parts=3, universe_only=False):
             if universe_only and variant not in universe:
                 continue
             checked += 1
-            if (sid, variant) not in facts or (variant, sid) not in facts:
+            if not (has(sid, variant) and has(variant, sid)):
                 viol.append((state(sid), state(variant)))
     return AxiomReport("splitting_recombination", checked, viol)
 
@@ -633,7 +635,7 @@ def check_splitting(rel, max_parts=3, universe_only=False):
 def check_cancellation(rel, universe_only=False):
     """Verify the cancellation law on every fact with a shared part bundle."""
     store, pairs, universe = _scan_store(rel)
-    facts, state = store.facts, store.state
+    has, state = store.has, store.state
     viol = []
     checked = 0
     for a, b in pairs:
@@ -641,7 +643,7 @@ def check_cancellation(rel, universe_only=False):
             if universe_only and not (x in universe and y in universe):
                 continue
             checked += 1
-            if (x, y) not in facts:
+            if not has(x, y):
                 viol.append(((state(a), state(b)), (state(x), state(y))))
     return AxiomReport("cancellation", checked, viol)
 
