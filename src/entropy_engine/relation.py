@@ -197,19 +197,17 @@ class _FactStore:
     """
 
     def __init__(self, grid, states, max_parts=None):
-        den = 1
-        for q in grid:
-            den = lcm(den, q.denominator)
-        for state in states:
-            for _sp, _st, lam in state.parts:
-                den = lcm(den, lam.denominator)
+        den = lcm(*(q.denominator for q in grid),
+                  *(lam.denominator for s in states for _sp, _st, lam in s.parts))
+
+        def num(q):
+            return q.numerator * (den // q.denominator)
+
         self.den = den
         self.max_parts = max_parts
-        self.grid = {g.numerator * (den // g.denominator) for g in grid}
+        self.grid = {num(g) for g in grid}
         # (scale, numerator) for each grid scale other than 1
-        self.factors = [
-            (g, g.numerator * (den // g.denominator)) for g in sorted(grid) if g != 1
-        ]
+        self.factors = [(g, num(g)) for g in sorted(grid) if g != 1]
         self.keys = []
         self.ids = {}
         self.states = []
@@ -220,10 +218,7 @@ class _FactStore:
         self._combined = {}
         self._remainders = {}
         for state in states:
-            self.intern(tuple(
-                (sp, st, lam.numerator * (den // lam.denominator))
-                for sp, st, lam in state.parts
-            ), state)
+            self.intern(tuple((sp, st, num(lam)) for sp, st, lam in state.parts), state)
 
     def intern(self, key, state=None):
         sid = self.ids.get(key)
