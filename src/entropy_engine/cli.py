@@ -1,13 +1,12 @@
 """Command-line front end: run verification pipelines, validate instance files."""
 
 import argparse
-import json
 import os
 import sys
 
 from .constants import graph_from_json
 from .errors import EngineError, InputFormatError
-from .pipeline import load_pipeline_spec, run_pipeline
+from .pipeline import load_pipeline_spec, read_json, run_pipeline
 from .relation import relation_from_json
 from .simple import model_from_spec
 
@@ -17,11 +16,15 @@ EXIT_INPUT = 2
 
 
 def _detect_kind(doc):
+    if not isinstance(doc, dict):
+        raise InputFormatError("an instance file must hold a JSON object")
     if "stages" in doc or "schema" in doc:
         return "pipeline"
     if "type" in doc:
         return "model"
-    if "spaces" in doc and doc.get("spaces") and "entropy" in doc["spaces"][0]:
+    spaces = doc.get("spaces")
+    first = spaces[0] if isinstance(spaces, list) and spaces else None
+    if isinstance(first, dict) and "entropy" in first:
         return "graph"
     if "spaces" in doc:
         return "relation"
@@ -29,29 +32,15 @@ def _detect_kind(doc):
 
 
 def cmd_validate(args):
+    kind = "instance"
     try:
-        with open(args.file) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        print("cannot read %s: %s" % (args.file, exc), file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        print(
-            "%s: parse error at line %d column %d: %s"
-            % (args.file, exc.lineno, exc.colno, exc.msg),
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
-    try:
+        doc = read_json(args.file)
         kind = _detect_kind(doc)
         if kind == "pipeline":
             load_pipeline_spec(args.file)
-        elif kind == "model":
-            model_from_spec(doc)
-        elif kind == "graph":
-            graph_from_json(doc)
         else:
-            relation_from_json(doc)
+            {"model": model_from_spec, "graph": graph_from_json,
+             "relation": relation_from_json}[kind](doc)
     except EngineError as exc:
         print("%s: invalid %s: %s" % (args.file, kind, exc), file=sys.stderr)
         return EXIT_INPUT
@@ -62,16 +51,6 @@ def cmd_validate(args):
 def cmd_run(args):
     try:
         spec = load_pipeline_spec(args.spec)
-    except OSError as exc:
-        print("cannot read %s: %s" % (args.spec, exc), file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        print(
-            "%s: parse error at line %d column %d: %s"
-            % (args.spec, exc.lineno, exc.colno, exc.msg),
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
     except EngineError as exc:
         print("%s: %s" % (args.spec, exc), file=sys.stderr)
         return EXIT_INPUT
@@ -79,7 +58,7 @@ def cmd_run(args):
     only = set(args.stage) if args.stage else None
     try:
         result = run_pipeline(spec, out_dir, seed=args.seed, only_stages=only)
-    except (EngineError, OSError) as exc:
+    except OSError as exc:
         print("pipeline failed: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     for path in result.files:

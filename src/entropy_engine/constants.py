@@ -44,6 +44,7 @@ class StateSpaceGraph:
 
     A fact side is a tuple of (space, state) pairs (unit scale each); sides
     with two or more parts live in the composite space of their factors.
+    max_chain is the chain-length bound the instance declares.
 
     Construction builds `steps`, the one-step table: per (left signature,
     right signature) pair of the facts, the least side_entropy(right) -
@@ -55,6 +56,7 @@ class StateSpaceGraph:
     nodes: dict
     facts: list
     catalysts: list = field(default_factory=list)
+    max_chain: int = 4
 
     def __post_init__(self):
         self.steps = {}
@@ -140,7 +142,7 @@ def graph_from_json(doc):
         raise InputFormatError("max_chain must be >= 1, got %d" % max_chain)
     if unknown:
         raise InputFormatError("undeclared catalyst spaces %r" % unknown)
-    return StateSpaceGraph(nodes=nodes, facts=facts, catalysts=catalysts)
+    return StateSpaceGraph(nodes, facts, catalysts, max_chain)
 
 
 def compute_D(graph, a, b):

@@ -21,7 +21,6 @@ from .errors import (
 from .rational import format_rational
 from .relation import (
     STRICTLY_PRECEDES,
-    Relation,
     accessible_signed,
     classify,
 )
@@ -65,13 +64,13 @@ def construct_entropy(
 
     mode "grid" scans multiples of `resolution` in [lambda_lo, lambda_hi] and
     keeps the largest admissible one; mode "bisect" bisects down to
-    `resolution`.  Explicit relations default to a 1/128 grid scan,
-    oracle-backed relations to bisection at 2^-20.  Negative fractions and
+    `resolution`.  The default mode is the backend's `search_mode`: explicit
+    relations scan a 1/128 grid, oracle-backed relations bisect to 2^-20.  Negative fractions and
     fractions above one are handled by moving the negative part to the other
     side of the query.
     """
     if mode is None:
-        mode = "grid" if isinstance(rel, Relation) else "bisect"
+        mode = rel.search_mode
     if resolution is None:
         resolution = Fraction(1, 128) if mode == "grid" else ORACLE_RESOLUTION
     x0 = single(space_id, ref_low)
@@ -113,14 +112,11 @@ def _sup_on_grid(rel, space_id, x0, x1, st, resolution, lo, hi, check_cmp):
     k = -int(-lo / resolution)  # ceil
     lam = k * resolution
     while lam <= hi:
-        state_known = True
-        if isinstance(rel, Relation):
-            lhs, rhs = signed_sides(
-                [(1 - lam, space_id, x0), (lam, space_id, x1)],
-                [(Fraction(1), space_id, st)],
-            )
-            state_known = rel.in_universe(lhs) and rel.in_universe(rhs)
-        if state_known:
+        lhs, rhs = signed_sides(
+            [(1 - lam, space_id, x0), (lam, space_id, x1)],
+            [(Fraction(1), space_id, st)],
+        )
+        if rel.in_universe(lhs) and rel.in_universe(rhs):
             if _mixture_query(rel, space_id, x0, x1, lam, st):
                 if best is None or lam > best:
                     best = lam
@@ -210,15 +206,14 @@ class PrincipleReport:
         }
 
 
-def verify_entropy_principle(rel, tables, multipliers=None, resolution=None,
-                             record_all=True):
+def verify_entropy_principle(rel, tables, multipliers=None, resolution=None):
     """Check monotonicity of weighted entropy sums over all facts.
 
     Facts whose per-space scale totals differ on the two sides are outside
     the additivity contract and are skipped (counted in the report).  A fact
     violates when the entropy sum drops by more than the grid tolerance; an
-    equivalence violates when the sums differ by more than it.  With
-    record_all the report keeps every checked inequality with its margin.
+    equivalence violates when the sums differ by more than it.  The report
+    keeps every checked inequality with its margin.
     """
     if resolution is None:
         resolution = max(
@@ -257,8 +252,7 @@ def verify_entropy_principle(rel, tables, multipliers=None, resolution=None,
         report.facts_checked += 1
         equivalent = (right, left) in rel.facts
         kind = "equivalence" if equivalent else "monotonicity"
-        if record_all:
-            report.entries.append((left, right, kind, float(margin)))
+        report.entries.append((left, right, kind, float(margin)))
         if equivalent:
             if abs(margin) > tol:
                 report.violations.append(

@@ -1,15 +1,17 @@
-"""Batch pipeline: load instances, run verification stages, emit reports.
+"""Batch pipeline: load a spec and its instances, run stages, emit reports.
 
-A pipeline spec lists stages to run over declared inputs.  Stage outputs are
-collected into one schema-versioned JSON report plus CSV tables; all files
-are written atomically and are byte-identical for identical spec and seed.
+`load_pipeline_spec` checks the stage list against STAGE_TABLE and each spec
+section against FIELDS, and loads every instance the spec names, so bad input
+fails before any stage runs and stages read only parsed values.  Stage
+outputs go into one schema-versioned JSON report plus CSV tables, written
+atomically and byte-identical for identical spec and seed.
 """
 
 import json
 import math
 import os
 import random
-from dataclasses import dataclass, field, is_dataclass, asdict
+from dataclasses import dataclass, is_dataclass, asdict
 from fractions import Fraction
 
 from .constants import (
@@ -61,84 +63,136 @@ from .thermal import (
 
 SCHEMA = "entropy-engine/1"
 
-STAGES = (
-    "close",
-    "check_axioms",
-    "check_ch",
-    "construct_entropy",
-    "verify_principle",
-    "simple_system_suite",
-    "thermal_suite",
-    "calibration_suite",
-)
 
-STAGE_REQUIRES = {
-    "construct_entropy": ("close",),
-    "verify_principle": ("close", "construct_entropy"),
+def read_json(path):
+    """Parse a JSON file; an unreadable or malformed file is an InputFormatError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(
+            "%s: parse error at line %d column %d: %s"
+            % (path, exc.lineno, exc.colno, exc.msg)
+        ) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFormatError("cannot read %s: %s" % (path, exc)) from exc
+
+
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise InputFormatError("%s must be an object, got %r" % (what, value))
+    return value
+
+
+def _field(kind, value, what, models):
+    """Parse one raw field of a FIELDS kind; `what` names it in messages."""
+    if kind in ("integer", "count", "positive"):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InputFormatError("%s must be an integer, got %r" % (what, value))
+        minimum = {"count": 0, "positive": 1}.get(kind)
+        if minimum is not None and value < minimum:
+            raise InputFormatError("%s must be at least %d, got %d" % (what, minimum, value))
+        return value
+    if kind in ("name", "model"):
+        if not isinstance(value, str):
+            raise InputFormatError("%s must be a string, got %r" % (what, value))
+        if kind == "model" and models.get(value) is None:
+            raise InputFormatError("%s names an undeclared model %r" % (what, value))
+        return models[value] if kind == "model" else value
+    if kind in ("rational", "resolution"):
+        value = parse_rational(value)
+        if kind == "resolution" and value <= 0:
+            raise InputFormatError("%s must be positive, got %s" % (what, value))
+        return value
+    if kind == "rationals":
+        return {k: parse_rational(v) for k, v in _object(value, what).items()}
+    if kind == "real":
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise InputFormatError("%s must be a finite number, got %r" % (what, value))
+        return float(value)
+    if kind in ("reals", "experiments") and not isinstance(value, list):
+        raise InputFormatError("%s must be a list, got %r" % (what, value))
+    if kind == "reals":
+        if not value:
+            raise InputFormatError("%s must not be empty" % what)
+        return tuple(_field("real", v, what, models) for v in value)
+    if kind == "experiments":
+        return [_check(v, "experiment", models, "%s[%d]" % (what, i))
+                for i, v in enumerate(value)]
+    return _check(value, kind, models, what)  # a nested section
+
+
+REQUIRED = object()
+
+# section -> field -> (kind, default).  An absent or null field takes its
+# default; a REQUIRED one has none.  Kinds: integer, count (>= 0) and positive
+# (>= 1) are integers, a model is the name of a declared model, a resolution a
+# positive rational, rationals an object of them, reals a nonempty list of
+# finite numbers, experiments a list of experiment sections.
+FIELDS = {
+    "options": {"max_parts": ("positive", 3), "budget": ("positive", DEFAULT_BUDGET)},
+    "entropy": {
+        "space": ("name", REQUIRED),
+        "ref_low": ("name", REQUIRED),
+        "ref_high": ("name", REQUIRED),
+        "resolution": ("resolution", Fraction(1, 128)),
+        "lambda_lo": ("rational", Fraction(-1)),
+        "lambda_hi": ("rational", Fraction(2)),
+        "oracle_values": ("rationals", None),
+    },
+    "simple_system": {
+        "model": ("model", REQUIRED),
+        "pairs": ("count", 50),
+        "lipschitz_samples": ("count", 200),
+    },
+    "thermal": {
+        "left": ("model", REQUIRED),
+        "right": ("model", REQUIRED),
+        "experiments": ("experiments", ()),
+        "flow_checks": ("count", 20),
+        "zeroth_triples": ("count", 10),
+        "isotherm": ("isotherm", None),
+    },
+    "experiment": {"U": ("real", REQUIRED), "V1": ("reals", REQUIRED),
+                   "V2": ("reals", REQUIRED)},
+    "isotherm": {"model": ("model", REQUIRED), "T": ("real", REQUIRED),
+                 "v_grid": ("reals", REQUIRED)},
 }
 
-DEFAULT_OPTIONS = {"max_parts": 3, "budget": DEFAULT_BUDGET}
+
+def _check(doc, section, models, where=None):
+    """Check a section against FIELDS[section]; returns its parsed fields."""
+    where = where or section
+    doc = _object(doc, where)
+    out = {}
+    for key, (kind, default) in FIELDS[section].items():
+        value = doc.get(key)
+        if value is None and default is REQUIRED:
+            raise InputFormatError("%s lacks %r" % (where, key))
+        what = "%s.%s" % (where, key)
+        out[key] = default if value is None else _field(kind, value, what, models)
+    return out
 
 
 @dataclass
 class PipelineSpec:
+    """A checked spec: parsed sections and loaded instances (None if absent)."""
+
     stages: list
-    seed: int = 0
-    options: dict = field(default_factory=lambda: dict(DEFAULT_OPTIONS))
-    relation: object = None
-    entropy: dict = None
-    models: dict = field(default_factory=dict)
-    simple_system: dict = None
-    thermal: dict = None
-    calibration: object = None
-    base_dir: str = "."
-
-
-def _integer(value, what, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputFormatError("%s must be an integer, got %r" % (what, value))
-    if minimum is not None and value < minimum:
-        raise InputFormatError("%s must be at least %d, got %d" % (what, minimum, value))
-    return value
-
-
-def _options(doc):
-    """max_parts and budget as integers >= 1, defaults filled in."""
-    if not isinstance(doc, dict):
-        raise InputFormatError("options must be an object, got %r" % (doc,))
-    return {
-        name: _integer(doc.get(name, default), "option %r" % name, 1)
-        for name, default in DEFAULT_OPTIONS.items()
-    }
-
-
-def _entropy_section(doc):
-    """The entropy section with its rationals parsed and checked."""
-    if not isinstance(doc, dict):
-        raise InputFormatError("the entropy section must be an object, got %r" % (doc,))
-    missing = [k for k in ("space", "ref_low", "ref_high") if k not in doc]
-    if missing:
-        raise InputFormatError("the entropy section lacks %s" % ", ".join(missing))
-    cfg = dict(doc)
-    cfg["resolution"] = parse_rational(doc.get("resolution", "1/128"))
-    if cfg["resolution"] <= 0:
-        raise InputFormatError(
-            "entropy resolution must be positive, got %s" % cfg["resolution"]
-        )
-    cfg["lambda_lo"] = parse_rational(doc.get("lambda_lo", "-1"))
-    cfg["lambda_hi"] = parse_rational(doc.get("lambda_hi", "2"))
-    oracle = doc.get("oracle_values")
-    if oracle is not None:
-        if not isinstance(oracle, dict):
-            raise InputFormatError("oracle_values must be an object")
-        cfg["oracle_values"] = {k: parse_rational(v) for k, v in oracle.items()}
-    return cfg
+    seed: int
+    options: dict
+    relation: object
+    entropy: dict
+    simple_system: dict
+    thermal: dict
+    calibration: object
 
 
 def load_pipeline_spec(path):
-    """Read and validate a pipeline spec; every problem is an InputFormatError."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    """Read a spec and load every instance it names, inline or as a file name
+    relative to the spec; any problem raises an EngineError."""
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise InputFormatError("a pipeline spec must be a JSON object")
     if doc.get("schema") != SCHEMA:
@@ -148,38 +202,48 @@ def load_pipeline_spec(path):
     stages = doc.get("stages", [])
     if not isinstance(stages, list):
         raise InputFormatError("stages must be a list, got %r" % (stages,))
-    for st in stages:
-        if st not in STAGES:
-            raise InputFormatError("unknown stage %r" % st)
-    for st, needs in STAGE_REQUIRES.items():
-        if st in stages:
-            for need in needs:
-                if need not in stages or stages.index(need) > stages.index(st):
-                    raise InputFormatError(
-                        "stage %r requires %r to run first" % (st, need)
-                    )
-    entropy = doc.get("entropy")
-    if entropy is not None or "construct_entropy" in stages:
-        entropy = _entropy_section(entropy)
+    for i, st in enumerate(stages):
+        if not isinstance(st, str) or st not in STAGE_TABLE:
+            raise InputFormatError("unknown stage %r" % (st,))
+        _func, needs, sections = STAGE_TABLE[st]
+        for need in needs:
+            if need not in stages[:i]:
+                raise InputFormatError("stage %r requires %r to run first" % (st, need))
+        for section in sections:
+            if doc.get(section) is None:
+                raise InputFormatError("stage %r needs a %s section" % (st, section))
+    base_dir = os.path.dirname(os.path.abspath(path))
+
+    def load(value, loader, what):
+        """An instance given inline or as a file name relative to the spec."""
+        if value is None:
+            return None
+        if isinstance(value, str):
+            value = read_json(os.path.join(base_dir, value))
+        return loader(_object(value, what))
+
+    def section(name, empty=None):
+        value = doc.get(name)
+        if value is None:
+            value = empty
+        return None if value is None else _check(value, name, models)
+
+    declared = doc.get("models")
+    models = {
+        name: load(model, model_from_spec, "model %r" % name)
+        for name, model in _object({} if declared is None else declared,
+                                   "models").items()
+    }
     return PipelineSpec(
-        stages=list(stages),
-        seed=_integer(doc.get("seed", 0), "seed"),
-        options=_options(doc.get("options", {})),
-        relation=doc.get("relation"),
-        entropy=entropy,
-        models=dict(doc.get("models", {})),
-        simple_system=doc.get("simple_system"),
-        thermal=doc.get("thermal"),
-        calibration=doc.get("calibration"),
-        base_dir=os.path.dirname(os.path.abspath(path)),
+        stages=stages,
+        seed=_field("integer", doc.get("seed", 0), "seed", models),
+        options=section("options", {}),
+        relation=load(doc.get("relation"), relation_from_json, "relation"),
+        entropy=section("entropy"),
+        simple_system=section("simple_system"),
+        thermal=section("thermal"),
+        calibration=load(doc.get("calibration"), graph_from_json, "calibration"),
     )
-
-
-def _resolve(doc_or_path, base_dir):
-    if isinstance(doc_or_path, str):
-        with open(os.path.join(base_dir, doc_or_path)) as fh:
-            return json.load(fh)
-    return doc_or_path
 
 
 def _jsonable(obj):
@@ -204,45 +268,25 @@ class PipelineContext:
     def __init__(self, spec, seed):
         self.spec = spec
         self.seed = seed
-        self.relation = None
-        self.closed = None
+        self.relation = spec.relation  # replaced by its closure in close
         self.tables = {}
-        self.models = {}
         self.reports = {}
         self.violations = []
         self.csv_files = {}
 
-    def get_relation(self):
-        if self.relation is None:
-            doc = _resolve(self.spec.relation, self.spec.base_dir)
-            if doc is None:
-                raise InputFormatError("this stage needs a relation input")
-            self.relation = relation_from_json(doc)
-        return self.closed if self.closed is not None else self.relation
-
-    def get_model(self, name):
-        if name not in self.models:
-            doc = _resolve(self.spec.models.get(name), self.spec.base_dir)
-            if doc is None:
-                raise InputFormatError("model %r is not declared" % name)
-            self.models[name] = model_from_spec(doc)
-        return self.models[name]
-
 
 def _stage_close(ctx):
-    rel = ctx.get_relation()
     opts = ctx.spec.options
-    closed = close(rel, max_parts=opts["max_parts"], budget=opts["budget"])
-    ctx.closed = closed
+    ctx.relation = close(ctx.relation, max_parts=opts["max_parts"],
+                         budget=opts["budget"])
     return {
-        "facts": len(closed.facts),
-        "universe": len(closed.universe),
+        "facts": len(ctx.relation.facts),
+        "universe": len(ctx.relation.universe),
     }
 
 
 def _stage_check_axioms(ctx):
-    rel = ctx.get_relation()
-    reports = run_axiom_scan(rel, ctx.spec.options["max_parts"])
+    reports = run_axiom_scan(ctx.relation, ctx.spec.options["max_parts"])
     out = {}
     for name, rep in sorted(reports.items()):
         # scanner order follows set iteration; sort for stable bundles
@@ -262,8 +306,7 @@ def _stage_check_axioms(ctx):
 
 
 def _stage_check_ch(ctx):
-    rel = ctx.get_relation()
-    result = check_comparison_hypothesis(rel)
+    result = check_comparison_hypothesis(ctx.relation)
     if not result.holds:
         ctx.violations.append(
             "comparison hypothesis fails: %s vs %s"
@@ -279,14 +322,9 @@ def _stage_check_ch(ctx):
 
 def _stage_construct_entropy(ctx):
     cfg = ctx.spec.entropy
-    rel = ctx.get_relation()
     table = construct_entropy(
-        rel,
-        cfg["space"],
-        cfg["ref_low"],
-        cfg["ref_high"],
-        resolution=cfg["resolution"],
-        lambda_lo=cfg["lambda_lo"],
+        ctx.relation, cfg["space"], cfg["ref_low"], cfg["ref_high"],
+        resolution=cfg["resolution"], lambda_lo=cfg["lambda_lo"],
         lambda_hi=cfg["lambda_hi"],
     )
     ctx.tables[table.space_id] = table
@@ -298,7 +336,7 @@ def _stage_construct_entropy(ctx):
         "ref_high": table.ref_high,
         "resolution": format_rational(table.lambda_resolution),
     }
-    oracle = cfg.get("oracle_values")
+    oracle = cfg["oracle_values"]
     if oracle:
         a, b, residual = fit_affine(
             {k: float(v) for k, v in oracle.items()},
@@ -314,18 +352,18 @@ def _stage_construct_entropy(ctx):
 
 
 def _stage_verify_principle(ctx):
-    rel = ctx.get_relation()
     if not ctx.tables:
         return {"skipped": "no entropy tables were constructed"}
-    report = verify_entropy_principle(rel, ctx.tables)
+    report = verify_entropy_principle(ctx.relation, ctx.tables)
     for v in report.violations[:20]:
         ctx.violations.append(
             "entropy principle %s: %s -> %s margin %g"
             % (v.kind, v.left, v.right, v.margin)
         )
+    truncated = len(report.entries) > 500
+    del report.entries[500:]  # format only the inequalities the report keeps
     out = report.to_json()
-    if len(out["inequalities"]) > 500:
-        out["inequalities"] = out["inequalities"][:500]
+    if truncated:
         out["inequalities_truncated"] = True
     return out
 
@@ -340,15 +378,14 @@ def _random_interior(rng, model, margin=0.1):
 
 
 def _stage_simple_suite(ctx):
-    cfg = ctx.spec.simple_system or {}
-    model = ctx.get_model(cfg["model"])
+    cfg = ctx.spec.simple_system
+    model = cfg["model"]
     rng = random.Random(ctx.seed)
     out = {"model": model.name, "seed": ctx.seed}
 
-    pairs = int(cfg.get("pairs", 50))
     cases = {}
     crossings = 0
-    for _ in range(pairs):
+    for _ in range(cfg["pairs"]):
         x = _random_interior(rng, model)
         y = _random_interior(rng, model)
         result = check_nesting(model, x, y)
@@ -376,9 +413,7 @@ def _stage_simple_suite(ctx):
             )
 
     if model.lipschitz_bound is not None:
-        lip = check_lipschitz(
-            model, samples=int(cfg.get("lipschitz_samples", 200)), seed=ctx.seed
-        )
+        lip = check_lipschitz(model, samples=cfg["lipschitz_samples"], seed=ctx.seed)
         out["lipschitz_worst_quotient"] = lip.details["worst_quotient"]
         out["lipschitz_violations"] = len(lip.violations)
         if not lip.holds:
@@ -400,26 +435,17 @@ def _stage_simple_suite(ctx):
 
 
 def _stage_thermal_suite(ctx):
-    cfg = ctx.spec.thermal or {}
-    left = ctx.get_model(cfg["left"])
-    right = ctx.get_model(cfg["right"])
+    cfg = ctx.spec.thermal
+    left, right = cfg["left"], cfg["right"]
     rng = random.Random(ctx.seed)
     join = ThermalJoin(left, right)
     out = {"left": left.name, "right": right.name, "seed": ctx.seed}
 
     experiments = []
-    for exp in cfg.get("experiments", []):
-        split = thermal_split(
-            join, float(exp["U"]),
-            tuple(float(v) for v in exp["V1"]),
-            tuple(float(v) for v in exp["V2"]),
-        )
+    for exp in cfg["experiments"]:
+        split = thermal_split(join, exp["U"], exp["V1"], exp["V2"])
         t1 = temperature(left, split.X1).T
         t2 = temperature(right, split.X2).T
-        s_gain = split.total_entropy - (
-            left.entropy(float(exp["U"]) - split.X2.U, split.X1.V)
-            + right.entropy(split.X2.U, split.X2.V)
-        )
         experiments.append({
             "U": exp["U"],
             "U1": split.X1.U,
@@ -427,7 +453,6 @@ def _stage_thermal_suite(ctx):
             "T1": t1,
             "T2": t2,
             "degenerate": split.degenerate,
-            "entropy_gain": s_gain,
         })
         if abs(t1 - t2) > 1e-6 * max(t1, t2):
             ctx.violations.append(
@@ -435,7 +460,7 @@ def _stage_thermal_suite(ctx):
             )
     out["experiments"] = experiments
 
-    flows = int(cfg.get("flow_checks", 20))
+    flows = cfg["flow_checks"]
     flow_bad = 0
     flow_done = 0
     for _ in range(flows * 10):
@@ -454,7 +479,7 @@ def _stage_thermal_suite(ctx):
     if flow_bad:
         ctx.violations.append("%d energy flows against the gradient" % flow_bad)
 
-    n_triples = int(cfg.get("zeroth_triples", 10))
+    n_triples = cfg["zeroth_triples"]
     triples = []
     for _ in range(n_triples * 10):
         if len(triples) >= n_triples:
@@ -489,13 +514,10 @@ def _stage_thermal_suite(ctx):
             "no isothermal pair straddles the adiabat through %s" % (x,)
         )
 
-    iso_cfg = cfg.get("isotherm")
-    if iso_cfg:
-        model = ctx.get_model(iso_cfg["model"])
-        samples = isotherm_samples(
-            model, float(iso_cfg["T"]),
-            [float(v) for v in iso_cfg["v_grid"]],
-        )
+    iso = cfg["isotherm"]
+    if iso:
+        model = iso["model"]
+        samples = isotherm_samples(model, iso["T"], iso["v_grid"])
         rows = ["U,V,T"] + [
             "%r,%r,%r" % (s.U, s.V[0], temperature(model, s).T) for s in samples
         ]
@@ -505,11 +527,8 @@ def _stage_thermal_suite(ctx):
 
 
 def _stage_calibration_suite(ctx):
-    doc = _resolve(ctx.spec.calibration, ctx.spec.base_dir)
-    if doc is None:
-        raise InputFormatError("calibration stage needs a graph input")
-    graph = graph_from_json(doc)
-    max_chain = int(doc.get("max_chain", 4))
+    graph = ctx.spec.calibration
+    max_chain = graph.max_chain
     out = {"max_chain": max_chain}
     out["matrices"] = matrix_json(graph, max_chain)
     rows = ["from,to,D,E,F"]
@@ -552,16 +571,20 @@ def _stage_calibration_suite(ctx):
     return out
 
 
-STAGE_FUNCS = {
-    "close": _stage_close,
-    "check_axioms": _stage_check_axioms,
-    "check_ch": _stage_check_ch,
-    "construct_entropy": _stage_construct_entropy,
-    "verify_principle": _stage_verify_principle,
-    "simple_system_suite": _stage_simple_suite,
-    "thermal_suite": _stage_thermal_suite,
-    "calibration_suite": _stage_calibration_suite,
+# stage -> (function, stages that must run before it, spec sections it reads)
+STAGE_TABLE = {
+    "close": (_stage_close, (), ("relation",)),
+    "check_axioms": (_stage_check_axioms, (), ("relation",)),
+    "check_ch": (_stage_check_ch, (), ("relation",)),
+    "construct_entropy": (_stage_construct_entropy, ("close",),
+                          ("relation", "entropy")),
+    "verify_principle": (_stage_verify_principle, ("close", "construct_entropy"),
+                         ("relation",)),
+    "simple_system_suite": (_stage_simple_suite, (), ("simple_system",)),
+    "thermal_suite": (_stage_thermal_suite, (), ("thermal",)),
+    "calibration_suite": (_stage_calibration_suite, (), ("calibration",)),
 }
+STAGE_FUNCS = {name: row[0] for name, row in STAGE_TABLE.items()}
 
 
 @dataclass
@@ -575,7 +598,7 @@ def run_pipeline(spec, out_dir, seed=None, only_stages=None):
     """Execute the spec's stages in order and write the report bundle.
 
     Exit code 0 means every executed stage was violation-free, 1 means at
-    least one violation was found, 2 an input or dependency problem.
+    least one violation was found.
     """
     seed = spec.seed if seed is None else seed
     ctx = PipelineContext(spec, seed)
@@ -585,8 +608,6 @@ def run_pipeline(spec, out_dir, seed=None, only_stages=None):
     for name in stages:
         try:
             ctx.reports[name] = STAGE_FUNCS[name](ctx)
-        except InputFormatError:
-            raise
         except EngineError as exc:
             ctx.reports[name] = {"error": str(exc)}
             ctx.violations.append("%s: %s" % (name, exc))

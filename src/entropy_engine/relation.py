@@ -93,6 +93,7 @@ class Relation:
     relation is immutable by convention and all queries are pure.
     """
 
+    search_mode = "grid"  # construct_entropy's default for this backend
     spaces: dict
     facts: set
     lambda_grid: frozenset
@@ -698,6 +699,8 @@ class OracleRelation:
     construction; atol > 0 admits float-valued oracles.
     """
 
+    search_mode = "bisect"
+
     def __init__(self, spaces, sigma, lambda_grid=(Fraction(1),), atol=0):
         self.spaces = {sp.space_id: sp for sp in spaces}
         self.sigma = dict(sigma)
@@ -795,6 +798,8 @@ def relation_from_json(doc):
         )
     except KeyError as exc:
         raise RelationSpecError("missing relation field %s" % exc) from exc
+    except TypeError as exc:
+        raise RelationSpecError("malformed relation (%s)" % exc) from exc
     rel = build_relation(spaces, facts, grid)
     rel.epsilon_families = families
     return rel

@@ -194,6 +194,8 @@ def model_from_spec(doc):
                     tuple(float(parse_number(x)) for x in dom["V"][0]),
                 )
             moles = Fraction(parse_number(doc.get("moles", 1)))
+            if moles <= 0:
+                raise InputFormatError("moles must be positive, got %s" % moles)
             if kind == "ideal_gas":
                 return monatomic_ideal_gas(moles, **kwargs)
             for key in ("a", "b"):

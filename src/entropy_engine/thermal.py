@@ -296,14 +296,9 @@ def isotherm_state(model, V, T_target, tol=1e-12):
 
 
 def isotherm_samples(model, T_target, v_grid):
-    """States with temperature T_target along a grid of work coordinates."""
-    out = []
-    for v in v_grid:
-        state = isotherm_state(model, (v,) if isinstance(v, (int, float)) else v,
-                               T_target)
-        if state is not None:
-            out.append(state)
-    return out
+    """States with temperature T_target along a grid of one work coordinate."""
+    states = (isotherm_state(model, (v,), T_target) for v in v_grid)
+    return [state for state in states if state is not None]
 
 
 @dataclass

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import entropy_engine
 from entropy_engine.cli import main
@@ -253,6 +254,13 @@ def test_cli_parse_error_reports_position(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
+@pytest.mark.parametrize("doc", [
+    ["spaces"], {"spaces": {"a": 1}}, {"spaces": [5]}, {"spaces": "ab"},
+], ids=["list", "spaces-object", "spaces-of-numbers", "spaces-string"])
+def test_cli_validate_odd_document_is_input_error(tmp_path, doc):
+    assert main(["validate", write_json(tmp_path / "odd.json", doc)]) == 2
+
+
 def test_cli_run_missing_file_is_input_error(tmp_path):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
 
@@ -357,3 +365,102 @@ def test_cli_bad_relation_spec_is_input_error(tmp_path, change):
         proc = run_cli(args)
         assert proc.returncode == 2, (args, proc.stderr)
         assert "Traceback" not in proc.stderr
+
+
+GASES = {"gas": {"type": "ideal_gas", "moles": "1"},
+         "gas2": {"type": "ideal_gas", "moles": "2"}}
+THERMAL = {"left": "gas", "right": "gas2",
+           "experiments": [{"U": 6.0, "V1": [1.0], "V2": [1.0]}]}
+
+# case id -> (spec fields, instance files written beside the spec)
+BAD_SPECS = {
+    "simple-system-without-model": (
+        {"stages": ["simple_system_suite"], "models": GASES,
+         "simple_system": {"pairs": 1}}, {}),
+    "simple-suite-without-section": (
+        {"stages": ["simple_system_suite"], "models": GASES}, {}),
+    "pairs-word": (
+        {"stages": ["simple_system_suite"], "models": GASES,
+         "simple_system": {"model": "gas", "pairs": "many"}}, {}),
+    "experiment-without-v1": (
+        {"stages": ["thermal_suite"], "models": GASES,
+         "thermal": dict(THERMAL, experiments=[{"U": 6.0, "V2": [1.0]}])}, {}),
+    "models-list": ({"stages": [], "models": ["g"]}, {}),
+    "relation-space-without-composition": (
+        {"stages": ["close"], "relation": "rel.json"},
+        {"rel.json": dict(CHAIN_RELATION, spaces=[
+            {"id": "G", "states": ["x", "y", "z"]}])}),
+    "relation-not-json": (
+        {"stages": ["close"], "relation": "rel.json"}, {"rel.json": "{oops"}),
+    "relation-file-missing": ({"stages": ["close"], "relation": "rel.json"}, {}),
+    "calibration-without-section": ({"stages": ["calibration_suite"]}, {}),
+    "thermal-undeclared-model": (
+        {"stages": ["thermal_suite"], "models": GASES,
+         "thermal": dict(THERMAL, right="steam")}, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPECS))
+def test_cli_bad_spec_is_input_error(tmp_path, case):
+    fields, files = BAD_SPECS[case]
+    for name, doc in files.items():
+        if isinstance(doc, str):
+            (tmp_path / name).write_text(doc)
+        else:
+            write_json(tmp_path / name, doc)
+    spec_path = write_json(tmp_path / "spec.json", base_spec(**fields))
+    for args in (["validate", spec_path],
+                 ["run", spec_path, "--out", str(tmp_path / "out")]):
+        proc = run_cli(args)
+        assert proc.returncode == 2, (args, proc.stdout, proc.stderr)
+        assert "Traceback" not in proc.stderr
+
+
+# A small spec that reads every section; every count is tiny.
+SMALL_SPEC = base_spec(
+    stages=["close", "check_axioms", "check_ch", "construct_entropy",
+            "verify_principle", "simple_system_suite", "thermal_suite",
+            "calibration_suite"],
+    relation=dict(CHAIN_RELATION, lambda_grid=["1"]),
+    entropy={"space": "G", "ref_low": "x", "ref_high": "z", "resolution": "1/2"},
+    models=GASES,
+    simple_system={"model": "gas", "pairs": 1, "lipschitz_samples": 2},
+    thermal=dict(THERMAL, flow_checks=1, zeroth_triples=1,
+                 isotherm={"model": "gas", "T": 2.0, "v_grid": [1.0, 2.0]}),
+    calibration=CALIBRATION_GRAPH,
+)
+
+
+def _field_paths(doc, prefix=()):
+    """Paths to every field of the spec, through objects and lists of objects."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = [(i, v) for i, v in enumerate(doc) if isinstance(v, dict)]
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, prefix + (key,))
+
+
+DROP = object()
+
+
+@settings(max_examples=60, deadline=None)
+@given(path=st.sampled_from(sorted(_field_paths(SMALL_SPEC), key=repr)),
+       value=st.sampled_from([DROP, "x", 1.5, [1], None, -1]))
+def test_mutated_spec_never_raises_and_validate_agrees_with_run(
+        tmp_path_factory, path, value):
+    doc = json.loads(json.dumps(SMALL_SPEC))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    work = tmp_path_factory.mktemp("mutated")
+    spec_path = write_json(work / "spec.json", doc)
+    validated = main(["validate", spec_path])
+    ran = main(["run", spec_path, "--out", str(work / "out")])
+    assert (validated == 2) == (ran == 2), (path, value, validated, ran)
