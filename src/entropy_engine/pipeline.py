@@ -222,7 +222,7 @@ def load_pipeline_spec(path):
             value = read_json(os.path.join(base_dir, value))
         return loader(_object(value, what))
 
-    def section(name, empty=None):
+    def checked(name, empty=None):
         value = doc.get(name)
         if value is None:
             value = empty
@@ -237,11 +237,11 @@ def load_pipeline_spec(path):
     return PipelineSpec(
         stages=stages,
         seed=_field("integer", doc.get("seed", 0), "seed", models),
-        options=section("options", {}),
+        options=checked("options", {}),
         relation=load(doc.get("relation"), relation_from_json, "relation"),
-        entropy=section("entropy"),
-        simple_system=section("simple_system"),
-        thermal=section("thermal"),
+        entropy=checked("entropy"),
+        simple_system=checked("simple_system"),
+        thermal=checked("thermal"),
         calibration=load(doc.get("calibration"), graph_from_json, "calibration"),
     )
 

@@ -209,7 +209,7 @@ def model_from_spec(doc):
                 doc["u_grid"], doc["v_grid"],
                 doc["pressure_grid"], doc.get("entropy_grid"),
             )
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise InputFormatError("bad model spec: %s" % exc) from exc
     raise InputFormatError("unknown model type %r" % kind)
 

@@ -256,7 +256,9 @@ def test_cli_parse_error_reports_position(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc", [
     ["spaces"], {"spaces": {"a": 1}}, {"spaces": [5]}, {"spaces": "ab"},
-], ids=["list", "spaces-object", "spaces-of-numbers", "spaces-string"])
+    {"type": "tabulated", "u_grid": "ab", "v_grid": [1, 2], "pressure_grid": 5},
+], ids=["list", "spaces-object", "spaces-of-numbers", "spaces-string",
+        "tabulated-grid-of-letters"])
 def test_cli_validate_odd_document_is_input_error(tmp_path, doc):
     assert main(["validate", write_json(tmp_path / "odd.json", doc)]) == 2
 
