@@ -234,7 +234,7 @@ def load_pipeline_spec(path):
         for name, model in _object({} if declared is None else declared,
                                    "models").items()
     }
-    return PipelineSpec(
+    spec = PipelineSpec(
         stages=stages,
         seed=_field("integer", doc.get("seed", 0), "seed", models),
         options=checked("options", {}),
@@ -244,6 +244,24 @@ def load_pipeline_spec(path):
         thermal=checked("thermal"),
         calibration=load(doc.get("calibration"), graph_from_json, "calibration"),
     )
+    entropy, thermal = spec.entropy, spec.thermal
+    if entropy is not None and spec.relation is not None:
+        space = spec.relation.spaces.get(entropy["space"])
+        if space is None:
+            raise InputFormatError(
+                "entropy.space names an undeclared space %r" % entropy["space"])
+        for key in ("ref_low", "ref_high"):
+            if entropy[key] not in space.state_ids:
+                raise InputFormatError("entropy.%s %r is not a state of space %r"
+                                       % (key, entropy[key], space.space_id))
+    for i, exp in enumerate(thermal["experiments"] if thermal else ()):
+        for key, side in (("V1", "left"), ("V2", "right")):
+            if len(exp[key]) != thermal[side].n:
+                raise InputFormatError(
+                    "thermal.experiments[%d].%s has %d work coordinates, but "
+                    "model %s has %d" % (i, key, len(exp[key]),
+                                         thermal[side].name, thermal[side].n))
+    return spec
 
 
 def _jsonable(obj):

@@ -1,10 +1,11 @@
 """Simple systems: energy + work coordinates, adiabat surfaces, sectors.
 
 A model is an open box domain in (U, V1..Vn) with a pressure function and an
-optional entropy oracle.  Adiabats are integrated as U(V) along piecewise
-linear work-coordinate paths with classic fixed-step RK4, refined by halving
-until a Richardson check meets the tolerance.  Forward-sector queries compare
-a state against the integrated (or oracle) adiabat through another state.
+optional entropy oracle.  Adiabats of one-coordinate models are integrated as
+U(V) along piecewise linear paths by a scalar fixed-step RK4 kernel, refined
+by halving until a Richardson check meets the tolerance; a half-step pass is
+reused as the next coarse pass.  Forward-sector queries compare a state
+against the integrated (or oracle) adiabat through another state.
 """
 
 import math
@@ -19,6 +20,7 @@ EQUAL_SECTORS = "equal_sectors"
 X_INSIDE_Y = "X_inside_Y"
 Y_INSIDE_X = "Y_inside_X"
 CROSSING = "crossing"
+MIN_STEP = 1e-7  # default floor of the RK4 step in Richardson refinement
 
 
 @dataclass(frozen=True)
@@ -235,136 +237,134 @@ class AdiabatSurface:
         return True
 
 
-def _rk4_segment(model, u0, v_from, v_to, steps, check_domain=True):
-    """Integrate dU = -P . dV along one straight segment with `steps` RK4 steps."""
-    dv = tuple(b - a for a, b in zip(v_from, v_to))
-
-    def slope(t, u):
-        v = tuple(a + t * d for a, d in zip(v_from, dv))
-        p = model.pressure(u, v)
-        return -sum(pi * di for pi, di in zip(p, dv))
-
-    u = u0
+def _rk4_segment(model, u0, v_from, v_to, steps):
+    """Energies after each of `steps` RK4 steps of dU = -P dV from v_from to
+    v_to; the first step out of the open domain raises IntegrationError with
+    exit_energy set."""
+    pressure = model.pressure
+    (u_lo, v_lo), (u_hi, v_hi) = model.domain.lo[:2], model.domain.hi[:2]
+    d = v_to - v_from
     h = 1.0 / steps
-    t = 0.0
+    half, sixth = 0.5 * h, h / 6.0
+    u, t = u0, 0.0
+    v = (v_from + t * d,)
     out = []
     for _ in range(steps):
-        k1 = slope(t, u)
-        k2 = slope(t + 0.5 * h, u + 0.5 * h * k1)
-        k3 = slope(t + 0.5 * h, u + 0.5 * h * k2)
-        k4 = slope(t + h, u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # -(0.0 + p * d) is exactly the one-term -sum(p_i * d_i)
+        k1 = -(0.0 + pressure(u, v)[0] * d)
+        v_mid = (v_from + (t + half) * d,)
+        k2 = -(0.0 + pressure(u + half * k1, v_mid)[0] * d)
+        k3 = -(0.0 + pressure(u + half * k2, v_mid)[0] * d)
         t += h
-        v = tuple(a + t * d for a, d in zip(v_from, dv))
-        if check_domain and not model.domain.contains((u,) + v):
-            exc = IntegrationError(
-                "adiabat left the domain of %s at U=%g V=%s"
-                % (model.name, u, v)
-            )
+        v = (v_from + t * d,)
+        k4 = -(0.0 + pressure(u + h * k3, v)[0] * d)
+        u = u + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not (u_lo < u < u_hi and v_lo < v[0] < v_hi):
+            exc = IntegrationError("adiabat left the domain of %s at U=%g V=%s"
+                                   % (model.name, u, v))
             exc.exit_energy = u
-            exc.exit_v = v
             raise exc
-        out.append(StatePoint(u, v))
+        out.append(u)
     return out
 
 
-def integrate_adiabat(model, X, waypoints, step=None, tol=1e-8, min_step=1e-7):
+def _refined_segment(model, u0, v_from, v_to, step, tol, min_step):
+    """Step energies of the accepted RK4 pass from v_from to v_to; [] when the
+    segment has length 0.  When halving doubles the step count, the last
+    half-step pass is the new coarse pass."""
+    # a norm, not abs(): a gap under 1e-154 squares to 0 and is skipped
+    seg_len = math.sqrt((v_to - v_from) ** 2)
+    if seg_len == 0.0:
+        return []
+    h = min(step, seg_len)
+    fine = []
+    while True:
+        steps = max(1, math.ceil(seg_len / h))
+        path = fine if steps == len(fine) else _rk4_segment(
+            model, u0, v_from, v_to, steps)
+        if tol is None:
+            return path
+        fine = _rk4_segment(model, u0, v_from, v_to, steps * 2)
+        if abs(fine[-1] - path[-1]) <= tol * seg_len:
+            return fine
+        h /= 2.0
+        if h < min_step:
+            raise IntegrationError("step fell below %g before the tolerance "
+                                   "%g was met" % (min_step, tol))
+
+
+def _require_one_coordinate(model):
+    if model.n != 1:
+        raise DomainError("adiabats need one work coordinate; %s has %d"
+                          % (model.name, model.n))
+
+
+def integrate_adiabat(model, X, waypoints, step=None, tol=1e-8, min_step=MIN_STEP):
     """Integrate the adiabat through X along a piecewise-linear V path.
 
-    step is the RK4 step in work-coordinate length (default: 1/100 of the
-    domain span).  When tol is not None each segment is Richardson-checked
-    against a half-step run and the step halves until the difference is below
-    tol per unit path length; falling under min_step raises.
+    The model has one work coordinate; waypoints are 1-tuples.  step is the
+    RK4 step in work-coordinate length (default: 1/100 of the domain span).
+    When tol is not None each segment is Richardson-checked against a
+    half-step run, which is reused as the next coarse run, and the step halves
+    until the difference is below tol per unit path length; falling under
+    min_step raises.
     """
+    _require_one_coordinate(model)
     model.require_interior(X)
     if step is None:
         step = model.domain.span() / 100.0
     samples = [X]
-    u = X.U
-    v_prev = tuple(X.V)
+    u, v_prev = X.U, X.V[0]
     for wp in waypoints:
-        v_next = tuple(float(c) for c in wp)
-        seg_len = math.sqrt(sum((b - a) ** 2 for a, b in zip(v_prev, v_next)))
-        if seg_len == 0.0:
+        v_next = float(wp[0])
+        path = _refined_segment(model, u, v_prev, v_next, step, tol, min_step)
+        if not path:
             continue
-        h = min(step, seg_len)
-        while True:
-            steps = max(1, math.ceil(seg_len / h))
-            path = _rk4_segment(model, u, v_prev, v_next, steps)
-            if tol is None:
-                break
-            fine = _rk4_segment(model, u, v_prev, v_next, steps * 2)
-            if abs(fine[-1].U - path[-1].U) <= tol * seg_len:
-                path = fine
-                break
-            h /= 2.0
-            if h < min_step:
-                raise IntegrationError(
-                    "step fell below %g before the tolerance %g was met"
-                    % (min_step, tol)
-                )
-        samples.extend(path)
-        u = path[-1].U
-        v_prev = v_next
+        d, h, t = v_next - v_prev, 1.0 / len(path), 0.0
+        for energy in path:
+            t += h  # as the kernel accumulates t, so V matches it bit for bit
+            samples.append(StatePoint(energy, (v_prev + t * d,)))
+        u, v_prev = path[-1], v_next
     return AdiabatSurface(base=X, samples=samples, step=step, tolerance=tol or 0.0)
 
 
 def adiabat_energy_at(model, X, v_targets, step=None, tol=1e-8, clip=True):
     """Adiabat energies through X at each target V, one sweep per direction.
 
-    For a single work coordinate the targets are visited in two monotone
-    sweeps from X so each integration is reused; higher dimensions integrate
-    a straight path per target.  With clip=True a sweep that leaves the
-    domain through the energy floor or ceiling records -inf or +inf for the
-    remaining targets in that direction instead of raising.
+    The model has one work coordinate.  The targets are visited in two
+    monotone sweeps from X; each segment starts at the end energy of the last
+    and is refined as in integrate_adiabat, keeping only its end energy.  With
+    clip=True a sweep that leaves the domain through the energy floor or
+    ceiling records -inf or +inf for the remaining targets in that direction
+    instead of raising.
     """
+    _require_one_coordinate(model)
     targets = [tuple(float(c) for c in (t if not isinstance(t, (int, float)) else (t,)))
                for t in v_targets]
+    if step is None:
+        step = model.domain.span() / 100.0
     mid_u = 0.5 * (model.domain.lo[0] + model.domain.hi[0])
-
-    def exit_value(exc):
-        u = getattr(exc, "exit_energy", mid_u)
-        return math.inf if u >= mid_u else -math.inf
-
     result = {}
-    if model.n == 1:
-        base = X.V[0]
-        rights = sorted(t for t in targets if t[0] >= base)
-        lefts = sorted((t for t in targets if t[0] < base), reverse=True)
-        for chain in (rights, lefts):
-            u = X.U
-            v = (base,)
-            escaped = None
-            for t in chain:
-                if escaped is not None:
-                    result[t] = escaped
-                    continue
-                if t == v:
-                    result[t] = u
-                    continue
+    base = X.V[0]
+    rights = sorted(t for t in targets if t[0] >= base)
+    lefts = sorted((t for t in targets if t[0] < base), reverse=True)
+    for chain in (rights, lefts):
+        u, v = X.U, (base,)
+        escaped = None
+        for t in chain:
+            if escaped is None and t != v:
+                model.require_interior(StatePoint(u, v))
                 try:
-                    surface = integrate_adiabat(
-                        model, StatePoint(u, v), [t], step=step, tol=tol
-                    )
+                    path = _refined_segment(model, u, v[0], t[0], step, tol, MIN_STEP)
                 except IntegrationError as exc:
                     if not clip:
                         raise
-                    escaped = exit_value(exc)
-                    result[t] = escaped
-                    continue
-                u = surface.samples[-1].U
-                v = t
-                result[t] = u
-    else:
-        for t in targets:
-            try:
-                surface = integrate_adiabat(model, X, [t], step=step, tol=tol)
-            except IntegrationError as exc:
-                if not clip:
-                    raise
-                result[t] = exit_value(exc)
-                continue
-            result[t] = surface.samples[-1].U
+                    # the min_step error carries no exit energy
+                    exit_u = getattr(exc, "exit_energy", mid_u)
+                    escaped = math.inf if exit_u >= mid_u else -math.inf
+                else:
+                    u, v = (path[-1] if path else u), t
+            result[t] = u if escaped is None else escaped
     return [result[t] for t in targets]
 
 

@@ -399,6 +399,16 @@ BAD_SPECS = {
     "thermal-undeclared-model": (
         {"stages": ["thermal_suite"], "models": GASES,
          "thermal": dict(THERMAL, right="steam")}, {}),
+    "experiment-v1-two-coordinates": (
+        {"stages": ["thermal_suite"], "models": GASES,
+         "thermal": dict(THERMAL, experiments=[
+             {"U": 6.0, "V1": [1.0, 7.0], "V2": [1.0]}])}, {}),
+    "entropy-undeclared-space": (
+        {"stages": ["close", "construct_entropy"], "relation": CHAIN_RELATION,
+         "entropy": {"space": "Q", "ref_low": "x", "ref_high": "z"}}, {}),
+    "entropy-undeclared-state": (
+        {"stages": ["close", "construct_entropy"], "relation": CHAIN_RELATION,
+         "entropy": {"space": "G", "ref_low": "x", "ref_high": "w"}}, {}),
 }
 
 

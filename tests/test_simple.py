@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from entropy_engine.errors import DomainError, InputFormatError, IntegrationError
 from entropy_engine.simple import (
@@ -68,6 +69,18 @@ def test_unreachable_tolerance_raises_step_underflow():
     x = point(1.5, 1.0)
     with pytest.raises(IntegrationError):
         integrate_adiabat(GAS, x, [(2.0,)], step=0.5, tol=1e-18, min_step=1e-3)
+
+
+def test_adiabats_need_one_work_coordinate():
+    plane = SimpleSystemModel(
+        name="plane", n=2, domain=Box((0.5, 0.5, 0.5), (10.0, 5.0, 5.0)),
+        pressure=lambda U, V: (1.0, 1.0),
+    )
+    x = point(1.5, (1.0, 1.0))
+    with pytest.raises(DomainError, match="plane"):
+        integrate_adiabat(plane, x, [(2.0, 2.0)])
+    with pytest.raises(DomainError, match="plane"):
+        check_nesting(plane, x, point(2.0, (1.0, 1.0)), probes=[(2.0, 2.0)])
 
 
 def test_surface_samples_are_connected():
@@ -161,6 +174,30 @@ def test_lipschitz_models_never_report_crossing():
                 lo[1] + (0.1 + 0.8 * rng.random()) * (hi[1] - lo[1]),
             )
             assert not check_nesting(model, a, b).violation
+
+
+SWAPPED = {X_INSIDE_Y: Y_INSIDE_X, Y_INSIDE_X: X_INSIDE_Y,
+           EQUAL_SECTORS: EQUAL_SECTORS, CROSSING: CROSSING}
+UNIT = st.floats(0.05, 0.95)  # fractions of the domain's edges
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["gas", "vdw", "sqrt"]),
+       fx=st.tuples(UNIT, UNIT), fy=st.tuples(UNIT, UNIT))
+@example(kind="sqrt", fx=(0.5 / 7.5, 0.4 / 1.9), fy=(0.5001 / 7.5, 0.2 / 1.9))
+@example(kind="gas", fx=(0.5, 0.5), fy=(0.5, 0.5))
+def test_swapping_states_swaps_nesting(kind, fx, fy):
+    # each delta only changes sign, so the classification mirrors exactly;
+    # the examples are the sqrt model's crossing and an equal-sector pair
+    model = {"gas": GAS, "vdw": VDW, "sqrt": sqrt_singularity_model()}[kind]
+    lo, hi = model.domain.lo, model.domain.hi
+    x, y = (point(lo[0] + a * (hi[0] - lo[0]), lo[1] + b * (hi[1] - lo[1]))
+            for a, b in (fx, fy))
+    forward, backward = check_nesting(model, x, y), check_nesting(model, y, x)
+    assert backward.case == SWAPPED[forward.case]
+    assert backward.violation == forward.violation
+    assert backward.deltas == [-d for d in forward.deltas]
+    assert backward.probes == forward.probes
 
 
 def test_nesting_needs_probes():
