@@ -9,8 +9,10 @@ with shortest-path potentials; composite spaces carry the implied linear
 combination of their factors instead of a variable of their own.
 
 Every one-step cost comes from a table keyed by (left signature, right
-signature) that a StateSpaceGraph builds once, at construction; the graph
-caches it and the D matrices built from it, so it must not be mutated after.
+signature) that a StateSpaceGraph builds once, at construction.  Chains are
+bounded by the graph's own max_chain.  The graph caches the table, the D
+matrices built from it and every E and F value once computed, so it must not
+be mutated after construction; dataclasses.replace builds a fresh graph.
 """
 
 import math
@@ -49,8 +51,8 @@ class StateSpaceGraph:
     Construction builds `steps`, the one-step table: per (left signature,
     right signature) pair of the facts, the least side_entropy(right) -
     side_entropy(left), ties going to the first declared fact.  The graph
-    caches it and the D matrices built from it, so it must not be mutated
-    after construction.
+    caches it, the D matrices built from it and the E and F values per
+    (a, b) pair, so it must not be mutated after construction.
     """
 
     nodes: dict
@@ -61,6 +63,8 @@ class StateSpaceGraph:
     def __post_init__(self):
         self.steps = {}
         self._d_matrices = {}
+        self._e = {}
+        self._f = {}
         entropy = {}
         for left, right in self.facts:
             cl = self._side_composition(left)
@@ -163,7 +167,6 @@ def chain_min(d_matrix, node_ids, a, b, max_chain):
     """
     dist = {n: INF for n in node_ids}
     dist[a] = 0 if a == b else INF
-    best = 0 if a == b else INF
     frontier = {a: 0}
     for _ in range(max_chain - 1):
         new_frontier = {}
@@ -181,9 +184,7 @@ def chain_min(d_matrix, node_ids, a, b, max_chain):
         if not new_frontier:
             break
         frontier = new_frontier
-        if dist[b] < best:
-            best = dist[b]
-    return min(best, dist[b])
+    return dist[b]
 
 
 def _d_matrix(graph, node_ids):
@@ -222,34 +223,35 @@ def _signature_D(graph, sig_u, sig_v):
     return best
 
 
-def compute_E(graph, a, b, max_chain=4):
-    """Chained entropy difference over simple spaces, chain length bounded."""
-    nodes = [(s,) for s in graph.simple_ids()]
-    return chain_min(_d_matrix(graph, nodes), nodes, (a,), (b,), max_chain)
+def compute_E(graph, a, b):
+    """Chained entropy difference over simple spaces, chains of at most
+    graph.max_chain spaces; computed once per graph and pair."""
+    e = graph._e.get((a, b))
+    if e is None:
+        nodes = [(s,) for s in graph.simple_ids()]
+        e = graph._e[(a, b)] = chain_min(
+            _d_matrix(graph, nodes), nodes, (a,), (b,), graph.max_chain)
+    return e
 
 
-def chain_stability(graph, a, b, max_chain=4):
-    """E values for the last three chain bounds; stable when they agree."""
-    values = [
-        compute_E(graph, a, b, m)
-        for m in range(max(1, max_chain - 2), max_chain + 1)
-    ]
-    stable = len(set(values)) == 1
-    return values, stable
-
-
-def compute_F(graph, a, b, max_chain=4):
+def compute_F(graph, a, b):
     """Catalyzed chained difference: the plain chain value or any catalog
     catalyst run alongside the chain, whichever is cheaper.  Each catalyst
-    adds its composites with a and b to the chain's nodes for later ones."""
-    best = compute_E(graph, a, b, max_chain)
+    adds its composites with a and b to the chain's nodes for later ones.
+    Computed once per graph and pair."""
+    best = graph._f.get((a, b))
+    if best is not None:
+        return best
+    best = compute_E(graph, a, b)
     node_ids = graph.node_ids()
     for cat in graph.catalysts:
         src = tuple(sorted((a, cat)))
         dst = tuple(sorted((b, cat)))
         node_ids = sorted(set(node_ids) | {src, dst})
         matrix = _d_matrix(graph, node_ids)
-        best = min(best, chain_min(matrix, node_ids, src, dst, max_chain))
+        best = min(best, chain_min(matrix, node_ids, src, dst,
+                                   graph.max_chain))
+    graph._f[(a, b)] = best
     return best
 
 
@@ -292,7 +294,7 @@ class SinkReport:
     negative_cycle: object = None
 
 
-def check_no_sinks(graph, max_chain=4):
+def check_no_sinks(graph):
     """No space may be reachable without a way back.
 
     Verifies that finiteness of F is symmetric, that -F(b,a) <= F(a,b) on
@@ -300,7 +302,7 @@ def check_no_sinks(graph, max_chain=4):
     unbounded below.
     """
     ids = graph.simple_ids()
-    f = {(a, b): compute_F(graph, a, b, max_chain) for a in ids for b in ids}
+    f = {(a, b): compute_F(graph, a, b) for a in ids for b in ids}
     asymmetric = []
     bad_pairs = []
     for a in ids:
@@ -348,7 +350,7 @@ def _components(ids, finite_pairs):
     return comp
 
 
-def _collect_constraints(graph, max_chain):
+def _collect_constraints(graph):
     """All bounds as (coeffs, w): sum of coeff*B(space) <= w.
 
     Simple pairs contribute B(a) - B(b) <= F(a, b); signatures with composite
@@ -360,7 +362,7 @@ def _collect_constraints(graph, max_chain):
         for b in ids:
             if a == b:
                 continue
-            w = compute_F(graph, a, b, max_chain)
+            w = compute_F(graph, a, b)
             if w < INF:
                 constraints.append((((a, 1), (b, -1)), w))
     node_ids = graph.node_ids()
@@ -370,7 +372,7 @@ def _collect_constraints(graph, max_chain):
             for v in node_ids:
                 if u == v or (len(u) == 1 and len(v) == 1):
                     continue
-                w = chain_min(matrix, node_ids, u, v, max_chain)
+                w = chain_min(matrix, node_ids, u, v, graph.max_chain)
                 if math.isinf(w):
                     continue
                 coeffs = {}
@@ -386,7 +388,7 @@ def _collect_constraints(graph, max_chain):
     return constraints
 
 
-def solve_additive_constants(graph, max_chain=4):
+def solve_additive_constants(graph):
     """Choose B values satisfying every difference bound.
 
     Upper and lower bounds on each space are propagated to a fixpoint from a
@@ -396,7 +398,7 @@ def solve_additive_constants(graph, max_chain=4):
     of their own.  Infeasibility raises with a negative-cycle certificate.
     """
     ids = graph.simple_ids()
-    constraints = _collect_constraints(graph, max_chain)
+    constraints = _collect_constraints(graph)
     exact = all(
         isinstance(w, (int, Fraction)) for _c, w in constraints
     ) and all(
@@ -518,18 +520,18 @@ class GapResult:
     upper: float
 
 
-def detect_gap(graph, a, b, max_chain=4, tol=1e-12):
+def detect_gap(graph, a, b):
     """Is the difference B(a) - B(b) pinned exactly or only to an interval?
 
     The admissible interval is [-F(b,a), F(a,b)]; a strict gap leaves the
     additive constant difference under-determined by its width.
     """
-    fab = compute_F(graph, a, b, max_chain)
-    fba = compute_F(graph, b, a, max_chain)
+    fab = compute_F(graph, a, b)
+    fba = compute_F(graph, b, a)
     if math.isinf(fab) or math.isinf(fba):
         return GapResult(False, INF, -fba if fba < INF else -INF, fab)
     width = fab + fba
-    return GapResult(width > tol, float(width), float(-fba), float(fab))
+    return GapResult(width > 1e-12, float(width), float(-fba), float(fab))
 
 
 @dataclass
@@ -542,8 +544,7 @@ class OffsetCriterionReport:
         return not self.mismatches
 
 
-def check_entropy_offset_criterion(graph, accessible_fn, pairs=None,
-                                   max_chain=4, tol=0.0):
+def check_entropy_offset_criterion(graph, accessible_fn, pairs=None):
     """Cross-space accessibility must coincide with the entropy criterion
     S(x) + F(space_x, space_y) <= S(y).
 
@@ -559,24 +560,21 @@ def check_entropy_offset_criterion(graph, accessible_fn, pairs=None,
             for x in graph.nodes[a].entropy
             for y in graph.nodes[b].entropy
         ]
-    f_cache = {}
     mismatches = []
     checked = 0
     for a, x, b, y in pairs:
-        if (a, b) not in f_cache:
-            f_cache[(a, b)] = compute_F(graph, a, b, max_chain)
-        f = f_cache[(a, b)]
+        f = compute_F(graph, a, b)
         lhs = accessible_fn(a, x, b, y)
         s_x = graph.nodes[a].entropy[x]
         s_y = graph.nodes[b].entropy[y]
-        rhs = f < INF and s_x + f <= s_y + tol
+        rhs = f < INF and s_x + f <= s_y
         checked += 1
         if lhs != rhs:
             mismatches.append((a, x, b, y, lhs, rhs))
     return OffsetCriterionReport(checked, mismatches)
 
 
-def matrix_json(graph, max_chain=4):
+def matrix_json(graph):
     """D/E/F matrices as JSON-ready dicts; infinities become the string "inf"."""
     ids = graph.simple_ids()
 
@@ -590,6 +588,6 @@ def matrix_json(graph, max_chain=4):
         for b in ids:
             key = "%s->%s" % (a, b)
             out["D"][key] = render(compute_D(graph, a, b))
-            out["E"][key] = render(compute_E(graph, a, b, max_chain))
-            out["F"][key] = render(compute_F(graph, a, b, max_chain))
+            out["E"][key] = render(compute_E(graph, a, b))
+            out["F"][key] = render(compute_F(graph, a, b))
     return out

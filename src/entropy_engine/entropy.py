@@ -58,16 +58,16 @@ def construct_entropy(
     lambda_hi=Fraction(2),
     mode=None,
     allow_constant=False,
-    check_comparability=True,
 ):
     """Build the entropy table of a space from its closed relation.
 
     mode "grid" scans multiples of `resolution` in [lambda_lo, lambda_hi] and
-    keeps the largest admissible one; mode "bisect" bisects down to
-    `resolution`.  The default mode is the backend's `search_mode`: explicit
-    relations scan a 1/128 grid, oracle-backed relations bisect to 2^-20.  Negative fractions and
-    fractions above one are handled by moving the negative part to the other
-    side of the query.
+    keeps the largest admissible one, raising ComparabilityError when a
+    rejected fraction above it is not comparable the other way round; mode
+    "bisect" bisects down to `resolution`.  The default mode is the backend's
+    `search_mode`: explicit relations scan a 1/128 grid, oracle-backed
+    relations bisect to 2^-20.  Negative fractions and fractions above one are
+    handled by moving the negative part to the other side of the query.
     """
     if mode is None:
         mode = rel.search_mode
@@ -96,7 +96,6 @@ def construct_entropy(
             values[st] = _sup_on_grid(
                 rel, space_id, ref_low, ref_high, st,
                 resolution, Fraction(lambda_lo), Fraction(lambda_hi),
-                check_comparability,
             )
         else:
             values[st] = _sup_by_bisection(
@@ -106,7 +105,7 @@ def construct_entropy(
     return EntropyTable(space_id, values, ref_low, ref_high, resolution)
 
 
-def _sup_on_grid(rel, space_id, x0, x1, st, resolution, lo, hi, check_cmp):
+def _sup_on_grid(rel, space_id, x0, x1, st, resolution, lo, hi):
     best = None
     failed = []
     k = -int(-lo / resolution)  # ceil
@@ -128,19 +127,18 @@ def _sup_on_grid(rel, space_id, x0, x1, st, resolution, lo, hi, check_cmp):
             "no reference mixture in the lambda window [%s, %s]" % (lo, hi),
             "%s.%s" % (space_id, st),
         ))
-    if check_cmp:
-        for lam in failed:
-            if lam < best:
-                continue
-            # the mixture must at least be comparable the other way round
-            if not accessible_signed(
-                rel,
-                [(Fraction(1), space_id, st)],
-                [(1 - lam, space_id, x0), (lam, space_id, x1)],
-            ):
-                raise ComparabilityError(
-                    ("((1-%s)%s, %s %s)" % (lam, x0, lam, x1), st)
-                )
+    for lam in failed:
+        if lam < best:
+            continue
+        # the mixture must at least be comparable the other way round
+        if not accessible_signed(
+            rel,
+            [(Fraction(1), space_id, st)],
+            [(1 - lam, space_id, x0), (lam, space_id, x1)],
+        ):
+            raise ComparabilityError(
+                ("((1-%s)%s, %s %s)" % (lam, x0, lam, x1), st)
+            )
     return best
 
 

@@ -546,9 +546,8 @@ def _stage_thermal_suite(ctx):
 
 def _stage_calibration_suite(ctx):
     graph = ctx.spec.calibration
-    max_chain = graph.max_chain
-    out = {"max_chain": max_chain}
-    out["matrices"] = matrix_json(graph, max_chain)
+    out = {"max_chain": graph.max_chain}
+    out["matrices"] = matrix_json(graph)
     rows = ["from,to,D,E,F"]
     ids = graph.simple_ids()
     for a in ids:
@@ -562,7 +561,7 @@ def _stage_calibration_suite(ctx):
             ))
     ctx.csv_files["def_matrices.csv"] = "\n".join(rows) + "\n"
 
-    sinks = check_no_sinks(graph, max_chain)
+    sinks = check_no_sinks(graph)
     out["no_sinks"] = sinks.holds
     if not sinks.holds:
         ctx.violations.append(
@@ -572,7 +571,7 @@ def _stage_calibration_suite(ctx):
         )
         return out
 
-    constants = solve_additive_constants(graph, max_chain)
+    constants = solve_additive_constants(graph)
     out["B"] = {k: _jsonable(v) for k, v in sorted(constants.B.items())}
     out["component_id"] = constants.component_id
     out["gauges"] = constants.gauges
@@ -582,7 +581,7 @@ def _stage_calibration_suite(ctx):
     for a in ids:
         for b in ids:
             if a < b:
-                gap = detect_gap(graph, a, b, max_chain)
+                gap = detect_gap(graph, a, b)
                 if gap.has_gap:
                     gaps["%s|%s" % (a, b)] = gap.width
     out["gaps"] = gaps

@@ -226,16 +226,6 @@ class AdiabatSurface:
     step: float
     tolerance: float
 
-    def is_connected(self, gap_factor=10.0):
-        """Consecutive samples stay within gap_factor of the step size."""
-        for a, b in zip(self.samples, self.samples[1:]):
-            dist = max(
-                abs(ca - cb) for ca, cb in zip(a.coords(), b.coords())
-            )
-            if dist > gap_factor * max(self.step, 1e-12) + abs(a.U) * 1e-6:
-                return False
-        return True
-
 
 def _rk4_segment(model, u0, v_from, v_to, steps):
     """Energies after each of `steps` RK4 steps of dU = -P dV from v_from to
@@ -333,14 +323,20 @@ def adiabat_energy_at(model, X, v_targets, step=None, tol=1e-8, clip=True):
 
     The model has one work coordinate.  The targets are visited in two
     monotone sweeps from X; each segment starts at the end energy of the last
-    and is refined as in integrate_adiabat, keeping only its end energy.  With
-    clip=True a sweep that leaves the domain through the energy floor or
-    ceiling records -inf or +inf for the remaining targets in that direction
-    instead of raising.
+    and is refined as in integrate_adiabat, keeping only its end energy.  A
+    target on or outside the open V range raises DomainError before anything
+    is integrated.  With clip=True a sweep that leaves the domain through the
+    energy floor or ceiling records -inf or +inf for the remaining targets in
+    that direction instead of raising.
     """
     _require_one_coordinate(model)
     targets = [tuple(float(c) for c in (t if not isinstance(t, (int, float)) else (t,)))
                for t in v_targets]
+    v_lo, v_hi = model.domain.lo[1], model.domain.hi[1]
+    for t in targets:
+        if not v_lo < t[0] < v_hi:
+            raise DomainError("target V=%r is outside the open V range "
+                              "(%r, %r) of %s" % (t[0], v_lo, v_hi, model.name))
     if step is None:
         step = model.domain.span() / 100.0
     mid_u = 0.5 * (model.domain.lo[0] + model.domain.hi[0])
@@ -393,15 +389,16 @@ class NestingResult:
     probes: list
 
 
-def check_nesting(model, X, Y, probes=None, step=None, tol=1e-8,
-                  eq_tol=None, touch_ratio=100.0):
+def check_nesting(model, X, Y, probes=None, step=None, tol=1e-8):
     """Classify the forward sectors of X and Y as equal or strictly nested.
 
     The adiabats through X and Y are integrated to a common probe grid and
-    compared.  Sign-mixed differences, or differences that both vanish and
-    are large on the same grid (touching sheets), are a foliation defect and
-    come back flagged as a violation with case "crossing"; sound models always
-    land in exactly one of the three nesting cases.
+    compared.  A difference counts as zero up to max(1e-6 * scale, 50 * tol),
+    scale being the largest finite energy seen (at least 1).  Sign-mixed
+    differences, or differences that both vanish and reach 100 times that on
+    the same grid (touching sheets), are a foliation defect and come back
+    flagged as a violation with case "crossing"; sound models always land in
+    exactly one of the three nesting cases.
     """
     model.require_interior(X)
     model.require_interior(Y)
@@ -430,13 +427,12 @@ def check_nesting(model, X, Y, probes=None, step=None, tol=1e-8,
         )
     finite = [abs(u) for u in ux + uy if math.isfinite(u)]
     scale = max(1.0, max(finite)) if finite else 1.0
-    if eq_tol is None:
-        eq_tol = max(1e-6 * scale, 50.0 * tol)
+    eq_tol = max(1e-6 * scale, 50.0 * tol)
     pos = any(d > eq_tol for d in deltas)
     neg = any(d < -eq_tol for d in deltas)
     near_zero = any(abs(d) <= eq_tol for d in deltas)
     finite_deltas = [abs(d) for d in deltas if math.isfinite(d)]
-    big = bool(finite_deltas) and max(finite_deltas) >= touch_ratio * eq_tol
+    big = bool(finite_deltas) and max(finite_deltas) >= 100.0 * eq_tol
     if pos and neg:
         return NestingResult(CROSSING, True, deltas, probes)
     if not pos and not neg:

@@ -14,6 +14,8 @@ from .errors import DomainError, SplitBoundaryError, TemperatureSignError
 from .simple import StatePoint, point
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+SCAN_POINTS = 33  # thermal_split's coarse scan for maximizer brackets
+N_PROBES = 17  # isotherm states check_transversality visits
 
 
 @dataclass
@@ -97,12 +99,12 @@ def _golden_max(f, a, b, tol):
     return 0.5 * (a + b)
 
 
-def thermal_split(join, U, V1, V2, tol_rel=1e-10, scan_points=33):
+def thermal_split(join, U, V1, V2):
     """Split the joined state (U, V1, V2) into the entropy-maximizing pair.
 
     A coarse scan brackets every local maximizer; each bracket is refined by
     golden-section search and polished by bisecting the derivative sign.  The
-    partition tolerance is tol_rel relative to the total energy.  A maximizer
+    partition tolerance is 1e-10 relative to the total energy.  A maximizer
     pressed against the admissible boundary raises SplitBoundaryError.
     """
     m1, m2 = join.left, join.right
@@ -114,13 +116,13 @@ def thermal_split(join, U, V1, V2, tol_rel=1e-10, scan_points=33):
     width = hi - lo
     edge = 1e-9 * width
     lo, hi = lo + edge, hi - edge
-    tol = tol_rel * max(abs(U), 1.0)
+    tol = 1e-10 * max(abs(U), 1.0)
 
     def total(u1):
         return m1.entropy(u1, V1) + m2.entropy(U - u1, V2)
 
     # coarse scan for local maxima brackets
-    grid = [lo + k * (hi - lo) / (scan_points - 1) for k in range(scan_points)]
+    grid = [lo + k * (hi - lo) / (SCAN_POINTS - 1) for k in range(SCAN_POINTS)]
     values = [total(u) for u in grid]
     brackets = []
     for k in range(len(grid)):
@@ -310,22 +312,21 @@ class TransversalityReport:
     probes: int = 0
 
 
-def check_transversality(model, X, T_probe=None, n_probes=17, margin=1e-9,
-                         v_window=None):
+def check_transversality(model, X, v_window=None):
     """Find isothermal states strictly on both sides of X's adiabat.
 
-    Walks the isotherm through the probe temperature (X's own by default)
-    across the work-coordinate window (the whole domain by default) and looks
-    for entropies strictly below and strictly above the entropy of X.  Not
-    finding a pair is reported, not raised: it is evidence of a state space
-    splitting into pieces, or of too small a probe window.
+    Walks the isotherm through X's own temperature across the work-coordinate
+    window (the whole domain by default) and looks for entropies below and
+    above the entropy of X by more than 1e-9 relative.  Not finding a pair is
+    reported, not raised: it is evidence of a state space splitting into
+    pieces, or of too small a probe window.
     """
     if model.entropy is None:
         raise DomainError("transversality check needs an entropy oracle")
     model.require_interior(X)
-    if T_probe is None:
-        T_probe = temperature(model, X).T
+    T_probe = temperature(model, X).T
     s_x = model.entropy(X.U, X.V)
+    gap = 1e-9 * max(1.0, abs(s_x))
     if v_window is not None:
         lo, hi = v_window
     else:
@@ -333,14 +334,13 @@ def check_transversality(model, X, T_probe=None, n_probes=17, margin=1e-9,
     pad = 1e-3 * (hi - lo)
     below = above = None
     probes = 0
-    for k in range(n_probes):
-        v = lo + pad + k * (hi - lo - 2 * pad) / (n_probes - 1)
+    for k in range(N_PROBES):
+        v = lo + pad + k * (hi - lo - 2 * pad) / (N_PROBES - 1)
         state = isotherm_state(model, (v,), T_probe)
         if state is None:
             continue
         probes += 1
         s = model.entropy(state.U, state.V)
-        gap = margin * max(1.0, abs(s_x))
         if s < s_x - gap and below is None:
             below = state
         elif s > s_x + gap and above is None:

@@ -1,14 +1,15 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from entropy_engine import constants
 from entropy_engine.constants import (
     SpaceNode,
     StateSpaceGraph,
     chain_min,
-    chain_stability,
     check_entropy_offset_criterion,
     check_no_sinks,
     composite_B,
@@ -97,7 +98,7 @@ def test_triangle_prefers_two_step_chain():
     ]
     g = StateSpaceGraph({"A": na, "B": nb, "C": nc}, facts)
     assert compute_D(g, "A", "C") == 3
-    assert compute_E(g, "A", "C", max_chain=3) == 2
+    assert compute_E(replace(g, max_chain=3), "A", "C") == 2
 
 
 def test_chain_min_agrees_with_brute_force_enumeration():
@@ -135,13 +136,6 @@ def test_chain_min_agrees_with_brute_force_enumeration():
                 assert chain_min(matrix, names, a, b, max_chain) == brute(a, b)
 
 
-def test_chain_stability_reports_converged_bound():
-    g = gap_graph()
-    values, stable = chain_stability(g, "s1", "s2", max_chain=4)
-    assert stable
-    assert set(values) == {5}
-
-
 def test_unbounded_chain_shows_up_as_negative_cycle():
     nx = node("X", {"x": 0, "y": 1})
     ny = node("Y", {"x": 0, "y": 1})
@@ -156,7 +150,46 @@ def test_unbounded_chain_shows_up_as_negative_cycle():
     cycle, total = cert
     assert total < 0
     # longer chain bounds keep digging deeper
-    assert compute_E(g, "X", "Y", max_chain=6) < compute_E(g, "X", "Y", max_chain=2)
+    assert (compute_E(replace(g, max_chain=6), "X", "Y")
+            < compute_E(replace(g, max_chain=2), "X", "Y"))
+
+
+def chain_of_six(max_chain):
+    """Spaces A..F with every entropy 0, linked A -> B -> ... -> F -> A."""
+    names = "ABCDEF"
+    spaces = {nm: node(nm, {"x": 0}) for nm in names}
+    facts = [fact((a, "x"), (b, "x")) for a, b in zip(names, names[1:] + "A")]
+    return StateSpaceGraph(spaces, facts, max_chain=max_chain)
+
+
+def test_every_calibration_call_uses_the_graph_chain_bound():
+    # the chain A..F has six spaces, so only a bound of 6 reaches F from A
+    g = chain_of_six(6)
+    assert compute_E(g, "A", "F") == 0
+    assert matrix_json(g)["E"]["A->F"] == 0.0
+    assert detect_gap(g, "A", "F").width == 0.0
+    short = replace(g, max_chain=5)
+    assert compute_E(short, "A", "F") == INF
+    assert matrix_json(short)["E"]["A->F"] == "inf"
+
+
+def test_e_and_f_are_computed_once_per_pair(monkeypatch):
+    calls = []
+    real = constants.chain_min
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(constants, "chain_min", counted)
+    g = chain_of_six(6)
+    first = matrix_json(g)
+    assert len(calls) == 36  # one E per ordered pair; no catalysts
+    assert check_no_sinks(g).holds
+    solve_additive_constants(g)
+    detect_gap(g, "A", "F")
+    assert matrix_json(g) == first
+    assert len(calls) == 36
 
 
 # --------------------------------------------------------------------- F
@@ -212,10 +245,10 @@ def test_infima_are_monotone_f_below_e_below_d():
 
 
 def test_chain_subadditivity_when_terms_finite():
-    g = gap_graph()
-    e12 = compute_E(g, "s1", "s2", max_chain=6)
-    e21 = compute_E(g, "s2", "s1", max_chain=6)
-    e11 = compute_E(g, "s1", "s1", max_chain=6)
+    g = replace(gap_graph(), max_chain=6)
+    e12 = compute_E(g, "s1", "s2")
+    e21 = compute_E(g, "s2", "s1")
+    e11 = compute_E(g, "s1", "s1")
     assert e11 <= e12 + e21
 
 

@@ -87,19 +87,19 @@ def test_table_matches_fact_scanning_reference(seed):
             for b in ids:
                 assert repr(constants.compute_D(g, a, b)) == repr(
                     ref.compute_D(g, a, b))
-                assert repr(constants.compute_E(g, a, b, m)) == repr(
+                assert repr(constants.compute_E(g, a, b)) == repr(
                     ref.compute_E(g, a, b, m))
-                assert repr(constants.compute_F(g, a, b, m)) == repr(
+                assert repr(constants.compute_F(g, a, b)) == repr(
                     ref.compute_F(g, a, b, m))
-                assert outcome(constants.detect_gap, g, a, b, m) == outcome(
+                assert outcome(constants.detect_gap, g, a, b) == outcome(
                     ref.detect_gap, g, a, b, m)
-        assert outcome(constants.check_no_sinks, g, m) == outcome(
+        assert outcome(constants.check_no_sinks, g) == outcome(
             ref.check_no_sinks, g, m)
-        assert outcome(constants._collect_constraints, g, m) == outcome(
+        assert outcome(constants._collect_constraints, g) == outcome(
             ref._collect_constraints, g, m)
-        assert json.dumps(constants.matrix_json(g, m)) == json.dumps(
+        assert json.dumps(constants.matrix_json(g)) == json.dumps(
             ref.matrix_json(g, m))
-        got = outcome(constants.solve_additive_constants, g, m)
+        got = outcome(constants.solve_additive_constants, g)
         assert got == outcome(ref.solve_additive_constants, g, m)
         raised += got[0] == "raised"
     # the sample must reach both the composite and the infeasible paths
@@ -128,7 +128,7 @@ def test_catalyst_nodes_accumulate_across_catalysts():
     assert constants.compute_F(g, "A", "B") == ref.compute_F(g, "A", "B") == -3
 
 
-def catalyst_spec_doc(rng, n_spaces=3, n_states=5):
+def catalyst_spec_doc(rng, n_spaces=3, n_states=5, max_chain=4):
     """Tight calibration instance with a catalyst and two-part facts."""
     names = ["g%d" % k for k in range(n_spaces)]
     b_true = {nm: rng.randint(-2, 2) for nm in names}
@@ -153,28 +153,46 @@ def catalyst_spec_doc(rng, n_spaces=3, n_states=5):
         if x[0] != cat and y[0] != cat and x[0] != y[0] and vx < vy
     ][:6]
     return {"spaces": spaces, "facts": facts, "catalysts": [cat],
-            "max_chain": 4}
+            "max_chain": max_chain}
+
+
+# the oracle's functions as the pipeline calls them, given each graph's
+# declared bound explicitly instead of the oracle's default of 4
+ORACLE_STAGE_CALLS = {
+    "matrix_json": lambda g: ref.matrix_json(g, g.max_chain),
+    "check_no_sinks": lambda g: ref.check_no_sinks(g, g.max_chain),
+    "solve_additive_constants":
+        lambda g: ref.solve_additive_constants(g, g.max_chain),
+    "detect_gap": lambda g, a, b: ref.detect_gap(g, a, b, g.max_chain),
+}
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_catalyst_spec_report_bytes_match_reference(tmp_path, monkeypatch,
                                                     seed):
-    spec = {
-        "schema": "entropy-engine/1",
-        "seed": seed,
-        "stages": ["calibration_suite"],
-        "calibration": catalyst_spec_doc(random.Random(seed)),
-    }
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
-    run_pipeline(load_pipeline_spec(str(spec_path)), str(tmp_path / "new"))
-    for name in ("matrix_json", "check_no_sinks", "solve_additive_constants",
-                 "detect_gap"):
-        monkeypatch.setattr("entropy_engine.pipeline." + name,
-                            getattr(ref, name))
-    run_pipeline(load_pipeline_spec(str(spec_path)), str(tmp_path / "ref"))
-    for name in ("report.json", "def_matrices.csv"):
-        new = (tmp_path / "new" / name).read_bytes()
-        assert new == (tmp_path / "ref" / name).read_bytes()
-    report = json.loads((tmp_path / "new" / "report.json").read_text())
-    assert report["reports"]["calibration_suite"]["no_sinks"] is True
+    # on these tight instances every bound of 2 or more gives the same
+    # values, so a bound of 1 is the case that shows the declared bound
+    # reaching every calibration call
+    for max_chain in (4, 1):
+        spec = {
+            "schema": "entropy-engine/1",
+            "seed": seed,
+            "stages": ["calibration_suite"],
+            "calibration": catalyst_spec_doc(random.Random(seed),
+                                             max_chain=max_chain),
+        }
+        spec_path = tmp_path / ("spec%d.json" % max_chain)
+        spec_path.write_text(json.dumps(spec))
+        new_dir = tmp_path / ("new%d" % max_chain)
+        ref_dir = tmp_path / ("ref%d" % max_chain)
+        run_pipeline(load_pipeline_spec(str(spec_path)), str(new_dir))
+        with monkeypatch.context() as patched:
+            for name, call in ORACLE_STAGE_CALLS.items():
+                patched.setattr("entropy_engine.pipeline." + name, call)
+            run_pipeline(load_pipeline_spec(str(spec_path)), str(ref_dir))
+        for name in ("report.json", "def_matrices.csv"):
+            assert (new_dir / name).read_bytes() == (ref_dir / name).read_bytes()
+        report = json.loads((new_dir / "report.json").read_text())
+        calibration = report["reports"]["calibration_suite"]
+        assert calibration["max_chain"] == max_chain
+        assert calibration["no_sinks"] is True

@@ -83,12 +83,6 @@ def test_adiabats_need_one_work_coordinate():
         check_nesting(plane, x, point(2.0, (1.0, 1.0)), probes=[(2.0, 2.0)])
 
 
-def test_surface_samples_are_connected():
-    x = point(1.5, 1.0)
-    surface = integrate_adiabat(GAS, x, [(2.0,)], step=1e-2)
-    assert surface.is_connected()
-
-
 # --------------------------------------------------------- forward sector
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import reference_simple as ref
 from entropy_engine import simple
-from entropy_engine.errors import EngineError
+from entropy_engine.errors import DomainError, EngineError
 from entropy_engine.simple import (
     SimpleSystemModel,
     monatomic_ideal_gas,
@@ -107,17 +107,34 @@ def test_escaping_sweeps_match_reference(name, clip):
         point(u_lo + 0.5 * (u_hi - u_lo), v_lo + 0.5 * (v_hi - v_lo)),
     ]
     grid = [(v_lo + (k + 0.5) * (v_hi - v_lo) / 9.0,) for k in range(9)]
-    # targets on and past the edge: a sweep that reaches the edge starts its
-    # next segment on the boundary
-    edge = [(v_hi - 1e-9,), (v_hi,), (v_hi + 1.0,), (v_lo,)]
     for x in states:
-        for probes in (grid, edge):
+        for probes in (grid, [(v_hi - 1e-9,)]):
             for tol in (1e-8, None):
                 got = outcome(simple.adiabat_energy_at, model, x, probes,
                               tol=tol, clip=clip)
                 want = outcome(ref.adiabat_energy_at, model, x, probes,
                                tol=tol, clip=clip)
                 assert got == want
+        # a deliberate divergence from the reference, which clips a target
+        # on or past the V edge to +-inf as if the sweep had left through
+        # the energy floor or ceiling: such a target is bad input
+        for target in ((v_hi,), (v_hi + 1.0,), (v_lo,)):
+            with pytest.raises(DomainError, match=repr(target[0])):
+                simple.adiabat_energy_at(model, x, grid + [target], clip=clip)
+
+
+def test_target_on_the_v_edge_raises_before_integrating():
+    calls = []
+    x = point(5.25, 2.75)
+    # the reference gives [3.5247..., -inf, inf]: the targets on the edges
+    # read as exits through the energy floor and ceiling
+    assert ref.adiabat_energy_at(GAS, x, [(4.999,), (5.0,), (0.5,)])[1:] == [
+        -math.inf, math.inf]
+    assert simple.adiabat_energy_at(GAS, x, [(4.999,)]) == [3.524728537577623]
+    for target in (5.0, 0.5):
+        with pytest.raises(DomainError, match="V=%r" % target):
+            simple.adiabat_energy_at(counted_gas(calls), x, [(4.999,), target])
+    assert calls == []
 
 
 def test_exterior_base_matches_reference():
