@@ -524,7 +524,9 @@ def detect_gap(graph, a, b):
     """Is the difference B(a) - B(b) pinned exactly or only to an interval?
 
     The admissible interval is [-F(b,a), F(a,b)]; a strict gap leaves the
-    additive constant difference under-determined by its width.
+    additive constant difference under-determined by its width.  has_gap
+    means a finite width above 1e-12: when either F is infinite the difference
+    is not bounded at all, and has_gap is False with an infinite width.
     """
     fab = compute_F(graph, a, b)
     fba = compute_F(graph, b, a)

@@ -582,7 +582,7 @@ def _stage_calibration_suite(ctx):
         for b in ids:
             if a < b:
                 gap = detect_gap(graph, a, b)
-                if gap.has_gap:
+                if gap.has_gap or math.isinf(gap.width):  # not pinned
                     gaps["%s|%s" % (a, b)] = gap.width
     out["gaps"] = gaps
     return out

@@ -7,7 +7,7 @@ over a finite rational grid, splitting/recombination of parts, and the
 cancellation law.  Closure is bounded by the grid and by a maximum part count,
 which keeps it decidable; a fact budget guards against blow-up.
 
-close() and the axiom scanners apply the rules on a private fact store
+close() and the axiom scan apply the rules on a private fact store
 (_FactStore).  It gives each distinct compound state an integer id, keyed by
 its parts with every scale written as an integer numerator over the least
 common denominator of the grid and of the scales in the input facts.  The
@@ -15,8 +15,9 @@ facts are held as Python-int bitset rows of successors and predecessors, so
 transitivity is a row OR as in Warshall/Purdom closure, and each rule
 (scaling, side-by-side combination, split/merge variants, cancellation
 remainders) is a map memoized per id.  close() converts back to one canonical
-CompoundState per id at the end; each scanner builds its own store from
-rel.facts when called, so hand-built relations are scanned as they stand.
+CompoundState per id at the end.  run_axiom_scan() interns rel.facts once and
+checks every structural rule on that one store, so hand-built relations are
+still scanned as they stand.
 
 OracleRelation is the second backend: it answers the same queries lazily from
 a per-state entropy assignment and is used to generate ground-truth relations
@@ -361,7 +362,7 @@ def _store_of(rel, max_parts=None):
 
 
 def _scan_store(rel, max_parts=None):
-    """_store_of with rel's facts added: what the axiom scanners read."""
+    """_store_of with rel's facts added: what the axiom checks read."""
     store, pairs, universe = _store_of(rel, max_parts)
     for left, right in pairs:
         store.add(left, right)
@@ -513,23 +514,15 @@ class CHResult:
     universe_size: int = 0
 
 
-def check_comparison_hypothesis(rel, space_ids=None, universe=None):
+def check_comparison_hypothesis(rel, universe=None):
     """Scan a universe of compound states for an incomparable pair.
 
-    Only pairs with equal per-space scale totals are required to be
-    comparable (states of different total content never are).  Returns the
-    first incomparable pair as a witness on failure.
+    The universe defaults to rel's own, in string order.  Only pairs with
+    equal per-space scale totals are required to be comparable (states of
+    different total content never are).  Returns the first incomparable pair
+    as a witness on failure.
     """
-    if universe is None:
-        universe = sorted(rel.universe, key=str)
-        if space_ids is not None:
-            wanted = set(space_ids)
-            universe = [
-                s for s in universe
-                if all(sp in wanted for sp, _st, _lam in s.parts)
-            ]
-    else:
-        universe = list(universe)
+    universe = sorted(rel.universe, key=str) if universe is None else list(universe)
     by_signature = {}
     for state in universe:
         sig = tuple(sorted(state.total_scale_by_space().items()))
@@ -554,13 +547,12 @@ class AxiomReport:
         return not self.violations
 
 
-def check_reflexivity(rel):
-    viol = [s for s in rel.universe if (s, s) not in rel.facts]
-    return AxiomReport("reflexivity", len(rel.universe), viol)
+def _reflexivity(store, universe):
+    viol = [store.state(sid) for sid in universe if not store.has(sid, sid)]
+    return AxiomReport("reflexivity", len(universe), viol)
 
 
-def check_transitivity(rel):
-    store, pairs, _universe = _scan_store(rel)
+def _transitivity(store, pairs):
     succ, state = store.succ, store.state
     viol = []
     checked = 0
@@ -572,8 +564,7 @@ def check_transitivity(rel):
     return AxiomReport("transitivity", checked, viol)
 
 
-def check_consistency(rel, max_parts=3, universe_only=False):
-    store, pairs, universe = _scan_store(rel)
+def _consistency(store, pairs, universe, max_parts, universe_only):
     has, keys, combine, state = store.has, store.keys, store.combine, store.state
     viol = []
     checked = 0
@@ -595,8 +586,7 @@ def check_consistency(rel, max_parts=3, universe_only=False):
     return AxiomReport("consistency", checked, viol)
 
 
-def check_scaling_invariance(rel, universe_only=False):
-    store, pairs, universe = _scan_store(rel)
+def _scaling_invariance(store, pairs, universe, universe_only):
     has, scaled, state = store.has, store.scaled, store.state
     lams = [lam for lam, _num in store.factors]
     viol = []
@@ -613,8 +603,8 @@ def check_scaling_invariance(rel, universe_only=False):
     return AxiomReport("scaling_invariance", checked, viol)
 
 
-def check_splitting(rel, max_parts=3, universe_only=False):
-    store, _pairs, universe = _scan_store(rel, max_parts)
+def _splitting(store, universe, universe_only):
+    """Split/merge variants within the store's max_parts."""
     has, state = store.has, store.state
     viol = []
     checked = 0
@@ -628,9 +618,7 @@ def check_splitting(rel, max_parts=3, universe_only=False):
     return AxiomReport("splitting_recombination", checked, viol)
 
 
-def check_cancellation(rel, universe_only=False):
-    """Verify the cancellation law on every fact with a shared part bundle."""
-    store, pairs, universe = _scan_store(rel)
+def _cancellation(store, pairs, universe, universe_only):
     has, state = store.has, store.state
     viol = []
     checked = 0
@@ -642,6 +630,11 @@ def check_cancellation(rel, universe_only=False):
             if not has(x, y):
                 viol.append(((state(a), state(b)), (state(x), state(y))))
     return AxiomReport("cancellation", checked, viol)
+
+
+def check_cancellation(rel, universe_only=False):
+    """Verify the cancellation law on every fact with a shared part bundle."""
+    return _cancellation(*_scan_store(rel), universe_only)
 
 
 def check_stability(rel, families=None):
@@ -671,24 +664,24 @@ def check_stability(rel, families=None):
 
 
 def run_axiom_scan(rel, max_parts=3, universe_only=False):
-    """Run every structural scanner plus stability; returns reports by name.
+    """Run every structural check plus stability; returns reports by name.
 
-    With universe_only=True, rule results falling outside the relation's own
-    universe are skipped; use it for relations materialized on a hand-picked
-    universe rather than produced by close().
+    rel is interned once; the six structural rules are checked on that one
+    store.  With universe_only=True, rule results falling outside the
+    relation's own universe are skipped; use it for relations materialized on
+    a hand-picked universe rather than produced by close().
     """
-    reports = {}
-    reports["reflexivity"] = check_reflexivity(rel)
-    reports["transitivity"] = check_transitivity(rel)
-    reports["consistency"] = check_consistency(rel, max_parts, universe_only)
-    reports["scaling_invariance"] = check_scaling_invariance(rel, universe_only)
-    reports["splitting_recombination"] = check_splitting(
-        rel, max_parts, universe_only
-    )
-    reports["cancellation"] = check_cancellation(rel, universe_only)
-    rep = check_stability(rel)
-    reports[rep.name] = rep
-    return reports
+    store, pairs, universe = _scan_store(rel, max_parts)
+    reports = [
+        _reflexivity(store, universe),
+        _transitivity(store, pairs),
+        _consistency(store, pairs, universe, max_parts, universe_only),
+        _scaling_invariance(store, pairs, universe, universe_only),
+        _splitting(store, universe, universe_only),
+        _cancellation(store, pairs, universe, universe_only),
+        check_stability(rel),
+    ]
+    return {rep.name: rep for rep in reports}
 
 
 class OracleRelation:

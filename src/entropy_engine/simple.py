@@ -73,8 +73,8 @@ class SimpleSystemModel:
     moles: Fraction = Fraction(1)
     lipschitz_bound: float = None
 
-    def require_interior(self, state, margin=0.0):
-        if not self.domain.contains(state.coords(), margin):
+    def require_interior(self, state):
+        if not self.domain.contains(state.coords()):
             raise DomainError(
                 "state %s is outside the open domain of %s" % (state, self.name)
             )
@@ -183,35 +183,72 @@ def tabulated_model(u_grid, v_grid, p_values, s_values=None, name="tabulated"):
     )
 
 
+def _floats(values, what, increasing=False):
+    """A nonempty JSON list of finite numbers, as floats; with `increasing`,
+    at least 2 of them in strictly increasing order."""
+    out = [float(parse_number(x)) for x in values] if isinstance(values, list) else []
+    if not out or not all(map(math.isfinite, out)):
+        raise InputFormatError("%s must be a nonempty list of finite numbers, "
+                               "got %r" % (what, values))
+    if increasing and (len(out) < 2 or any(a >= b for a, b in zip(out, out[1:]))):
+        raise InputFormatError("%s must be at least 2 strictly increasing "
+                               "numbers, got %r" % (what, values))
+    return out
+
+
+def _table(rows, u_grid, v_grid, what):
+    """A len(u_grid) x len(v_grid) JSON array of finite numbers, as floats."""
+    out = [_floats(row, what) for row in rows] if isinstance(rows, list) else []
+    if [len(row) for row in out] != [len(v_grid)] * len(u_grid):
+        raise InputFormatError("%s must be a %d x %d array, got %r"
+                               % (what, len(u_grid), len(v_grid), rows))
+    return out
+
+
 def model_from_spec(doc):
-    """Build a model from its JSON description."""
+    """Build a model from its JSON description.
+
+    A model that cannot be evaluated on its whole open domain raises
+    InputFormatError; README's instance formats list the conditions.
+    """
     try:
         kind = doc["type"]
         if kind in ("ideal_gas", "van_der_waals"):
             dom = doc.get("domain")
             kwargs = {}
             if dom is not None:
-                kwargs["domain"] = (
-                    tuple(float(parse_number(x)) for x in dom["U"]),
-                    tuple(float(parse_number(x)) for x in dom["V"][0]),
-                )
+                u_lo, u_hi = _floats(dom["U"], "domain U", increasing=True)
+                v_lo, v_hi = _floats(dom["V"][0], "domain V", increasing=True)
+                kwargs["domain"] = ((u_lo, u_hi), (v_lo, v_hi))
             moles = Fraction(parse_number(doc.get("moles", 1)))
             if moles <= 0:
                 raise InputFormatError("moles must be positive, got %s" % moles)
             if kind == "ideal_gas":
-                return monatomic_ideal_gas(moles, **kwargs)
-            for key in ("a", "b"):
-                if key in doc:
-                    kwargs[key] = float(parse_number(doc[key]))
-            return van_der_waals_gas(moles, **kwargs)
+                a = b = 0.0  # a van der Waals gas with a = b = 0
+                model = monatomic_ideal_gas(moles, **kwargs)
+            else:
+                # absent a and b take van_der_waals_gas's defaults
+                a, b = _floats([doc.get("a", 0.2), doc.get("b", 0.02)], "a and b")
+                model = van_der_waals_gas(moles, a, b, **kwargs)
+            u_lo, v_lo = model.domain.lo
+            if min(a, b, u_lo) < 0 or v_lo < float(moles) * b:
+                raise InputFormatError(
+                    "%s needs a, b, U_lo >= 0 and V_lo >= moles * b, got a=%r, "
+                    "b=%r, U_lo=%r, V_lo=%r" % (model.name, a, b, u_lo, v_lo))
+            return model
         if kind == "sqrt_singularity":
             return sqrt_singularity_model()
         if kind == "tabulated":
+            u_grid = _floats(doc["u_grid"], "u_grid", increasing=True)
+            v_grid = _floats(doc["v_grid"], "v_grid", increasing=True)
+            s_values = doc.get("entropy_grid")
             return tabulated_model(
-                doc["u_grid"], doc["v_grid"],
-                doc["pressure_grid"], doc.get("entropy_grid"),
+                u_grid, v_grid,
+                _table(doc["pressure_grid"], u_grid, v_grid, "pressure_grid"),
+                None if s_values is None
+                else _table(s_values, u_grid, v_grid, "entropy_grid"),
             )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError("bad model spec: %s" % exc) from exc
     raise InputFormatError("unknown model type %r" % kind)
 

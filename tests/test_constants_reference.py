@@ -196,3 +196,7 @@ def test_catalyst_spec_report_bytes_match_reference(tmp_path, monkeypatch,
         calibration = report["reports"]["calibration_suite"]
         assert calibration["max_chain"] == max_chain
         assert calibration["no_sinks"] is True
+        if max_chain == 1:
+            # every off-diagonal F is inf: no difference is bounded at all
+            assert calibration["gaps"] == {
+                "g0|g1": "inf", "g0|g2": "inf", "g1|g2": "inf"}

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -410,6 +411,31 @@ BAD_SPECS = {
         {"stages": ["close", "construct_entropy"], "relation": CHAIN_RELATION,
          "entropy": {"space": "G", "ref_low": "x", "ref_high": "w"}}, {}),
 }
+TABULATED = {"type": "tabulated", "u_grid": [1, 2, 3], "v_grid": [1, 2],
+             "pressure_grid": [[1, 1], [1, 1], [1, 1]]}
+# models that cannot be evaluated on their whole domain
+BAD_MODELS = {
+    "vdw-b-above-v-floor": {"type": "van_der_waals", "b": 5},
+    "vdw-negative-a": {"type": "van_der_waals", "a": -50},
+    "gas-u-bounds-reversed": {"type": "ideal_gas",
+                              "domain": {"U": [10, 0.5], "V": [[5, 0.5]]}},
+    "gas-infinite-u-bound": {"type": "ideal_gas",
+                             "domain": {"U": [0.5, math.inf], "V": [[0.5, 5]]}},
+    "gas-negative-v-floor": {"type": "ideal_gas",
+                             "domain": {"U": [0.5, 10], "V": [[-1, 5]]}},
+    "gas-infinite-moles": {"type": "ideal_gas", "moles": math.inf},
+    "tabulated-ragged-pressure": dict(TABULATED, pressure_grid=[[1, 1], [1]]),
+    "tabulated-word-in-entropy": dict(
+        TABULATED, entropy_grid=[[1, 1], [1, "hot"], [1, 1]]),
+    "tabulated-one-point-v-grid": dict(
+        TABULATED, v_grid=[1], pressure_grid=[[1], [1], [1]]),
+    "tabulated-u-grid-not-increasing": dict(TABULATED, u_grid=[1, 3, 2]),
+}
+for name, model in BAD_MODELS.items():
+    BAD_SPECS["model-" + name] = (
+        {"stages": ["simple_system_suite"], "models": {"m": model},
+         "simple_system": {"model": "m", "pairs": 1, "lipschitz_samples": 2}},
+        {})
 
 
 @pytest.mark.parametrize("case", sorted(BAD_SPECS))

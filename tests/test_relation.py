@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entropy_engine import relation
 from entropy_engine.errors import (
     ClosureBudgetError,
     CompositionMismatchError,
@@ -325,6 +326,27 @@ def test_stability_skips_families_with_missing_premises():
     rel = build_relation([g], [], [HALF, Fraction(1)])
     report = check_stability(rel, [family])
     assert report.holds and report.checked == 0
+
+
+# ------------------------------------------------------------- axiom scan
+
+
+def test_axiom_scan_interns_the_relation_once(monkeypatch):
+    built = []
+
+    class CountingStore(relation._FactStore):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    closed = close(build_relation(
+        [space("wxyz")], [fact("w", "x"), fact("x", "y"), fact("y", "z")], GRID
+    ), max_parts=2)
+    monkeypatch.setattr(relation, "_FactStore", CountingStore)
+    reports = run_axiom_scan(closed, max_parts=2)
+    assert len(built) == 1
+    assert all(rep.holds for rep in reports.values())
+    assert reports["reflexivity"].checked == len(closed.universe)
 
 
 # ------------------------------------------------------------- properties

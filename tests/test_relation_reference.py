@@ -81,19 +81,17 @@ def hand_built(source, rng):
     return rel
 
 
+STRUCTURAL = ("reflexivity", "transitivity", "consistency", "scaling_invariance",
+              "splitting_recombination", "cancellation")
+
+
 def scan_outcome(module, rel, max_parts, universe_only=False):
-    """Checked counts and violation multisets of each structural scanner."""
+    """Checked counts and violation multisets of each structural report of
+    module.run_axiom_scan."""
+    reports = module.run_axiom_scan(rel, max_parts, universe_only)
     out = {}
-    reports = {
-        "reflexivity": module.check_reflexivity(rel),
-        "transitivity": module.check_transitivity(rel),
-        "consistency": module.check_consistency(rel, max_parts, universe_only),
-        "scaling_invariance": module.check_scaling_invariance(rel, universe_only),
-        "splitting_recombination": module.check_splitting(
-            rel, max_parts, universe_only),
-        "cancellation": module.check_cancellation(rel, universe_only),
-    }
-    for name, rep in reports.items():
+    for name in STRUCTURAL:
+        rep = reports[name]
         assert rep.name == name
         out[name] = (rep.checked, Counter(rep.violations))
     return out
