@@ -261,7 +261,20 @@ def load_pipeline_spec(path):
                     "thermal.experiments[%d].%s has %d work coordinates, but "
                     "model %s has %d" % (i, key, len(exp[key]),
                                          thermal[side].name, thermal[side].n))
+            _require_v_range(thermal[side], exp[key],
+                             "thermal.experiments[%d].%s" % (i, key))
+    iso = thermal["isotherm"] if thermal else None
+    if iso:
+        for v in iso["v_grid"]:
+            _require_v_range(iso["model"], [v], "thermal.isotherm.v_grid")
     return spec
+
+
+def _require_v_range(model, V, what):
+    try:
+        model.require_work_coordinates(V)
+    except DomainError as exc:
+        raise InputFormatError("%s: %s" % (what, exc)) from exc
 
 
 def _jsonable(obj):

@@ -79,6 +79,12 @@ class SimpleSystemModel:
                 "state %s is outside the open domain of %s" % (state, self.name)
             )
 
+    def require_work_coordinates(self, V):
+        box = self.domain
+        if not all(l < v < h for v, l, h in zip(V, box.lo[1:], box.hi[1:])):
+            raise DomainError("work coordinates %s lie outside the open V "
+                              "range of %s" % (tuple(V), self.name))
+
 
 def monatomic_ideal_gas(moles=1, domain=((0.5, 10.0), (0.5, 5.0))):
     """Monatomic ideal gas in natural units: P = 2U/(3V)."""

@@ -26,7 +26,13 @@ class ThermalJoin:
     right: object
 
     def energy_interval(self, U, V1, V2):
-        """Open admissible interval for the left share of the total energy."""
+        """Open admissible interval for the left share of the total energy.
+
+        Raises DomainError when V1 or V2 leaves its model's open V range or
+        no partition of U is admissible.
+        """
+        self.left.require_work_coordinates(V1)
+        self.right.require_work_coordinates(V2)
         lo = max(self.left.domain.lo[0], U - self.right.domain.hi[0])
         hi = min(self.left.domain.hi[0], U - self.right.domain.lo[0])
         if lo >= hi:
@@ -99,12 +105,56 @@ def _golden_max(f, a, b, tol):
     return 0.5 * (a + b)
 
 
+def _brent_root(f, a, b, fa, fb, tol):
+    """A point within tol (plus a few ulps) of a sign change of f in [a, b],
+    given fa = f(a) and fb = f(b) of opposite signs or zero.
+
+    Brent's zeroin (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4): inverse quadratic or secant steps, and a bisection step whenever
+    the interpolated step would not shrink the bracket fast enough.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 4e-16 * abs(b) + 0.5 * tol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:  # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = f(b)
+
+
 def thermal_split(join, U, V1, V2):
     """Split the joined state (U, V1, V2) into the entropy-maximizing pair.
 
-    A coarse scan brackets every local maximizer; each bracket is refined by
-    golden-section search and polished by bisecting the derivative sign.  The
-    partition tolerance is 1e-10 relative to the total energy.  A maximizer
+    A coarse scan brackets every local maximizer; each bracket is polished by
+    Brent's method on the sign change of the central-difference derivative,
+    or by golden-section search where the derivative shows no sign change.
+    The partition tolerance is 1e-10 relative to the total energy.  A maximizer
     pressed against the admissible boundary raises SplitBoundaryError.
     """
     m1, m2 = join.left, join.right
@@ -134,7 +184,7 @@ def thermal_split(join, U, V1, V2):
             brackets.append((a, b))
 
     # the derivative stencil must stay well above the float noise floor of
-    # the entropy values, or the sign bisection dissolves into noise
+    # the entropy values, or its sign change dissolves into noise
     h = max(1e-5 * width, 1e3 * tol)
 
     def deriv(u):
@@ -144,15 +194,8 @@ def thermal_split(join, U, V1, V2):
     for a, b in brackets:
         da = max(a, lo + h)
         db = min(b, hi - h)
-        if da < db and deriv(da) > 0.0 > deriv(db):
-            x_lo, x_hi = da, db
-            while x_hi - x_lo > tol:
-                mid = 0.5 * (x_lo + x_hi)
-                if deriv(mid) > 0.0:
-                    x_lo = mid
-                else:
-                    x_hi = mid
-            u_star = 0.5 * (x_lo + x_hi)
+        if da < db and (f_da := deriv(da)) > 0.0 > (f_db := deriv(db)):
+            u_star = _brent_root(deriv, da, db, f_da, f_db, tol)
         else:
             u_star = _golden_max(total, a, b, max(tol, 1e-13))
         candidates.append((total(u_star), u_star))
@@ -271,7 +314,8 @@ def check_zeroth_law(triples, tol=1e-9):
 def isotherm_state(model, V, T_target, tol=1e-12):
     """State of the model with work coordinates V and temperature T_target.
 
-    Bisects the energy; returns None when the temperature range at V does not
+    Solves T(U) = T_target for the energy by Brent's method to within
+    tol * max(1, |U|); returns None when the temperature range at V does not
     bracket the target (the model cannot reach it there).
     """
     V = tuple(float(v) for v in V)
@@ -279,22 +323,15 @@ def isotherm_state(model, V, T_target, tol=1e-12):
     pad = 1e-4 * (hi - lo) + 2e-6 * max(1.0, abs(hi))
     lo, hi = lo + pad, hi - pad
 
-    def t_at(u):
-        return temperature(model, StatePoint(u, V)).T
+    def excess(u):
+        return temperature(model, StatePoint(u, V)).T - T_target
 
-    t_lo, t_hi = t_at(lo), t_at(hi)
-    if not (min(t_lo, t_hi) <= T_target <= max(t_lo, t_hi)):
+    f_lo, f_hi = excess(lo), excess(hi)
+    if not min(f_lo, f_hi) <= 0.0 <= max(f_lo, f_hi):
         return None
-    increasing = t_hi >= t_lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * max(1.0, abs(mid)):
-            break
-        if (t_at(mid) < T_target) == increasing:
-            lo = mid
-        else:
-            hi = mid
-    return StatePoint(0.5 * (lo + hi), V)
+    # the smallest max(1, |U|) over the bracket
+    scale = max(1.0, 0.0 if lo < 0.0 < hi else min(abs(lo), abs(hi)))
+    return StatePoint(_brent_root(excess, lo, hi, f_lo, f_hi, tol * scale), V)
 
 
 def isotherm_samples(model, T_target, v_grid):

@@ -404,6 +404,23 @@ BAD_SPECS = {
         {"stages": ["thermal_suite"], "models": GASES,
          "thermal": dict(THERMAL, experiments=[
              {"U": 6.0, "V1": [1.0, 7.0], "V2": [1.0]}])}, {}),
+    # work coordinates outside the named model's open V range
+    "experiment-v1-below-vdw-range": (
+        {"stages": ["thermal_suite"],
+         "models": {"vdw": {"type": "van_der_waals"}, "gas": GASES["gas"]},
+         "thermal": {"left": "vdw", "right": "gas",
+                     "experiments": [{"U": 6.0, "V1": [0.01], "V2": [1.0]}]}},
+        {}),
+    "experiment-v2-above-gas-range": (
+        {"stages": ["thermal_suite"],
+         "models": {"vdw": {"type": "van_der_waals"}, "gas": GASES["gas"]},
+         "thermal": {"left": "vdw", "right": "gas",
+                     "experiments": [{"U": 6.0, "V1": [1.0], "V2": [50.0]}]}},
+        {}),
+    "isotherm-v-grid-above-gas-range": (
+        {"stages": ["thermal_suite"], "models": GASES,
+         "thermal": dict(THERMAL, isotherm={"model": "gas", "T": 2.0,
+                                            "v_grid": [1.0, 7.0]})}, {}),
     "entropy-undeclared-space": (
         {"stages": ["close", "construct_entropy"], "relation": CHAIN_RELATION,
          "entropy": {"space": "Q", "ref_low": "x", "ref_high": "z"}}, {}),

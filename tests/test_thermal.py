@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from entropy_engine import thermal
 from entropy_engine.errors import (
     DomainError,
     SplitBoundaryError,
@@ -9,8 +10,10 @@ from entropy_engine.errors import (
 )
 from entropy_engine.simple import (
     SimpleSystemModel,
+    StatePoint,
     monatomic_ideal_gas,
     point,
+    tabulated_model,
     van_der_waals_gas,
 )
 from entropy_engine.thermal import (
@@ -61,6 +64,36 @@ def test_split_boundary_maximizer_raises():
     # the mole ratio wants U1 ~ U/101, far below the admissible floor
     with pytest.raises(SplitBoundaryError):
         thermal_split(ThermalJoin(narrow, heavy), 2.5, (1.0,), (1.0,))
+
+
+def counting(model, calls):
+    """The model with an entropy oracle that records each call in calls."""
+    entropy = model.entropy
+    model.entropy = lambda u, v: calls.append(u) or entropy(u, v)
+    return model
+
+
+def test_split_work_coordinate_outside_v_range_raises_before_any_entropy():
+    calls = []
+    gas = counting(monatomic_ideal_gas(1), calls)
+    vdw = counting(van_der_waals_gas(), calls)
+    for left, right, v1, v2 in ((vdw, gas, (0.01,), (1.0,)),
+                                (vdw, gas, (1.0,), (50.0,)),
+                                (gas, vdw, (1.0,), (4.0,))):
+        with pytest.raises(DomainError):
+            thermal_split(ThermalJoin(left, right), 6.0, v1, v2)
+    assert calls == []
+
+
+def test_split_entropy_evaluation_budget():
+    calls = []
+    join = ThermalJoin(counting(monatomic_ideal_gas(1), calls),
+                       counting(monatomic_ideal_gas(2), calls))
+    # 66 for the scan, 8 for the bracket ends and 2 for the final value
+    # leave 24, six derivative evaluations, for the polish
+    split = thermal_split(join, 6.0, (1.0,), (1.0,))
+    assert abs(split.X1.U - 2.0) <= 1e-9 * 6.0
+    assert len(calls) <= 100
 
 
 def test_split_perturbation_decreases_total_entropy():
@@ -246,3 +279,43 @@ def test_every_work_coordinate_reaches_any_temperature():
 
 def test_isotherm_state_returns_none_outside_range():
     assert isotherm_state(G1, (1.0,), 1e6) is None
+
+
+@pytest.mark.parametrize("model, V, T", [
+    (G1, 1.0, 2.0), (G1, 3.0, 1.0), (G1, 0.7, 5.0),
+    (VDW, 0.8, 1.2), (VDW, 1.5, 1.2), (VDW, 3.0, 1.2),
+])
+def test_isotherm_state_temperature_budget(monkeypatch, model, V, T):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return temperature(*args)
+
+    monkeypatch.setattr(thermal, "temperature", counted)
+    state = isotherm_state(model, (V,), T)
+    monkeypatch.undo()
+    assert abs(temperature(model, state).T - T) <= 1e-9 * T
+    assert len(calls) <= 20
+
+
+def test_isotherm_state_where_temperature_falls_with_energy():
+    # S = U^2/100 is convex in U, so T = 50/U falls as U rises; the bilinear
+    # table makes T a staircase whose steps meet at the grid nodes
+    us = [1.0 + k for k in range(10)]
+    model = tabulated_model(us, [1.0, 2.0], [[1.0, 1.0]] * 10,
+                            [[u * u / 100.0] * 2 for u in us])
+    for target, node in ((10.0, 5.0), (9.0, 6.0), (7.0, 7.0), (5.5, 9.0)):
+        state = isotherm_state(model, (1.5,), target)
+        assert abs(state.U - node) <= 1e-5
+        assert abs(temperature(model, state).T - target) <= 1e-6 * target
+    assert isotherm_state(model, (1.5,), 40.0) is None
+    assert isotherm_state(model, (1.5,), 5.0) is None
+
+
+def test_isotherm_state_target_at_padded_end_returns_that_end():
+    lo, hi = G1.domain.lo[0], G1.domain.hi[0]
+    pad = 1e-4 * (hi - lo) + 2e-6 * max(1.0, abs(hi))
+    for u in (lo + pad, hi - pad):
+        target = temperature(G1, StatePoint(u, (1.0,))).T
+        assert isotherm_state(G1, (1.0,), target).U == u
