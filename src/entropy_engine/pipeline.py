@@ -254,25 +254,22 @@ def load_pipeline_spec(path):
             if entropy[key] not in space.state_ids:
                 raise InputFormatError("entropy.%s %r is not a state of space %r"
                                        % (key, entropy[key], space.space_id))
-    for i, exp in enumerate(thermal["experiments"] if thermal else ()):
-        for key, side in (("V1", "left"), ("V2", "right")):
-            if len(exp[key]) != thermal[side].n:
-                raise InputFormatError(
-                    "thermal.experiments[%d].%s has %d work coordinates, but "
-                    "model %s has %d" % (i, key, len(exp[key]),
-                                         thermal[side].name, thermal[side].n))
-            _require_v_range(thermal[side], exp[key],
-                             "thermal.experiments[%d].%s" % (i, key))
-    iso = thermal["isotherm"] if thermal else None
-    if iso:
-        for v in iso["v_grid"]:
-            _require_v_range(iso["model"], [v], "thermal.isotherm.v_grid")
+    if thermal:
+        join = ThermalJoin(thermal["left"], thermal["right"])
+        for i, exp in enumerate(thermal["experiments"]):
+            _input_checked("thermal.experiments[%d]" % i, join.energy_interval,
+                           exp["U"], exp["V1"], exp["V2"])
+        iso = thermal["isotherm"]
+        for v in iso["v_grid"] if iso else ():
+            _input_checked("thermal.isotherm.v_grid",
+                           iso["model"].require_work_coordinates, [v])
     return spec
 
 
-def _require_v_range(model, V, what):
+def _input_checked(what, check, *args):
+    """Run a domain check on loaded input; its DomainError is bad input."""
     try:
-        model.require_work_coordinates(V)
+        check(*args)
     except DomainError as exc:
         raise InputFormatError("%s: %s" % (what, exc)) from exc
 
@@ -474,9 +471,15 @@ def _stage_thermal_suite(ctx):
 
     experiments = []
     for exp in cfg["experiments"]:
-        split = thermal_split(join, exp["U"], exp["V1"], exp["V2"])
-        t1 = temperature(left, split.X1).T
-        t2 = temperature(right, split.X2).T
+        try:
+            split = thermal_split(join, exp["U"], exp["V1"], exp["V2"])
+            t1 = temperature(left, split.X1).T
+            t2 = temperature(right, split.X2).T
+        except EngineError as exc:
+            # one failed split must not hide the rest of the suite
+            experiments.append({"U": exp["U"], "error": str(exc)})
+            ctx.violations.append("thermal experiment at U=%g: %s" % (exp["U"], exc))
+            continue
         experiments.append({
             "U": exp["U"],
             "U1": split.X1.U,

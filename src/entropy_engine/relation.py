@@ -1,23 +1,25 @@
 """Finite adiabatic-accessibility relations and their closure.
 
-The engine stores a relation as an explicit set of ordered fact pairs between
-compound states and saturates it under the structural rules: reflexivity,
-transitivity, consistency (facts compose side by side), scaling invariance
-over a finite rational grid, splitting/recombination of parts, and the
-cancellation law.  Closure is bounded by the grid and by a maximum part count,
-which keeps it decidable; a fact budget guards against blow-up.
+A Relation holds its facts once, in a successor map from each state of its
+universe to the states it reaches; add_fact adds a fact and rel.facts is a
+read-only view of the map as pairs.  close() saturates a relation under the
+structural rules: reflexivity, transitivity, consistency (facts compose side
+by side), scaling invariance over a finite rational grid,
+splitting/recombination of parts, and the cancellation law.  Closure is
+bounded by the grid and by a maximum part count, which keeps it decidable; a
+fact budget guards against blow-up.
 
 close() and the axiom scan apply the rules on a private fact store
-(_FactStore).  It gives each distinct compound state an integer id, keyed by
-its parts with every scale written as an integer numerator over the least
-common denominator of the grid and of the scales in the input facts.  The
-facts are held as Python-int bitset rows of successors and predecessors, so
-transitivity is a row OR as in Warshall/Purdom closure, and each rule
-(scaling, side-by-side combination, split/merge variants, cancellation
-remainders) is a map memoized per id.  close() converts back to one canonical
-CompoundState per id at the end.  run_axiom_scan() interns rel.facts once and
-checks every structural rule on that one store, so hand-built relations are
-still scanned as they stand.
+(_FactStore).  It numbers the states in successor-map order, keyed by their
+parts with every scale written as an integer numerator over the least common
+denominator of the grid and of the scales in the input facts.  The facts are
+held as Python-int bitset rows, forward and backward, so transitivity is a
+row OR as in Warshall/Purdom closure, and each rule (scaling, side-by-side
+combination, split/merge variants, cancellation remainders) is a map
+memoized per id.  close() writes one canonical CompoundState per id into its
+result's successor map.  run_axiom_scan() interns a relation once and checks
+every structural rule on that one store, so hand-built relations are still
+scanned as they stand.
 
 OracleRelation is the second backend: it answers the same queries lazily from
 a per-state entropy assignment and is used to generate ground-truth relations
@@ -26,6 +28,7 @@ rel.accessible(x, y).
 """
 
 from collections import deque
+from collections.abc import Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -85,23 +88,46 @@ class EpsilonFamily:
     epsilons: tuple
 
 
+class _FactView(Set):
+    """A successor map read as a set of (left, right) pairs, without add."""
+
+    _from_iterable = set  # so & | - ^ return plain sets
+
+    def __init__(self, successors):
+        self._successors = successors
+
+    def __len__(self):
+        return sum(map(len, self._successors.values()))
+
+    def __iter__(self):
+        for left, reach in self._successors.items():
+            for right in reach:
+                yield left, right
+
+    def __contains__(self, pair):
+        left, right = pair
+        return right in self._successors.get(left, ())
+
+
 @dataclass
 class Relation:
     """An accessibility relation over declared state spaces.
 
-    facts is a set of ordered (CompoundState, CompoundState) pairs; universe
-    is the set of compound states appearing in them.  After close() the
-    relation is immutable by convention and all queries are pure.
+    successors maps each state of the universe to the set of states it
+    reaches; facts is a read-only view of it as ordered pairs.  After close()
+    the relation is immutable by convention and all queries are pure.
     """
 
     search_mode = "grid"  # construct_entropy's default for this backend
     spaces: dict
-    facts: set
     lambda_grid: frozenset
     closed: bool = False
     epsilon_families: tuple = ()
     successors: dict = field(default_factory=dict, repr=False)
-    predecessors: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def facts(self):
+        return _FactView(self.successors)
 
     @property
     def universe(self):
@@ -110,6 +136,11 @@ class Relation:
     def in_universe(self, state):
         return state in self.successors
 
+    def add_fact(self, left, right):
+        """Record left -> right; both states join the universe."""
+        self.successors.setdefault(left, set()).add(right)
+        self.successors.setdefault(right, set())
+
     def accessible(self, x, y):
         """Is (x, y) a fact?  Raises UnclosedRelationError before close()."""
         if not self.closed:
@@ -117,14 +148,6 @@ class Relation:
                 "accessible() on an unclosed relation would give false negatives"
             )
         return y in self.successors.get(x, ())
-
-
-def _index_fact(rel, pair):
-    left, right = pair
-    rel.successors.setdefault(left, set()).add(right)
-    rel.successors.setdefault(right, set())
-    rel.predecessors.setdefault(right, set()).add(left)
-    rel.predecessors.setdefault(left, set())
 
 
 def build_relation(spaces, facts, lambda_grid=None):
@@ -156,12 +179,11 @@ def build_relation(spaces, facts, lambda_grid=None):
     if Fraction(1) not in grid:
         raise RelationSpecError("lambda grid must contain 1")
 
-    rel = Relation(spaces=space_map, facts=set(), lambda_grid=grid)
+    rel = Relation(spaces=space_map, lambda_grid=grid)
     for sp in space_map.values():
         for st in sp.state_ids:
             x = single(sp.space_id, st)
-            rel.facts.add((x, x))
-            _index_fact(rel, (x, x))
+            rel.add_fact(x, x)
     for left, right in facts:
         check_membership(space_map, left)
         check_membership(space_map, right)
@@ -170,12 +192,9 @@ def build_relation(spaces, facts, lambda_grid=None):
                 "fact %s -> %s does not conserve element content"
                 % (left, right)
             )
-        for state in (left, right):
-            if not rel.in_universe(state):
-                rel.facts.add((state, state))
-                _index_fact(rel, (state, state))
-        rel.facts.add((left, right))
-        _index_fact(rel, (left, right))
+        rel.add_fact(left, left)
+        rel.add_fact(right, right)
+        rel.add_fact(left, right)
     return rel
 
 
@@ -194,8 +213,8 @@ class _FactStore:
     numerator over `den`, the least common denominator of the grid and of
     every scale the store was built from.  No rule makes a scale outside
     that set, and the numerators sort like the Fractions they stand for.
-    The facts are held once, as Python-int bitset rows of successors and
-    of predecessors indexed by id.  Each rule map is memoized per id.
+    The facts are held once, as Python-int bitset rows indexed by id: succ
+    forward and pred backward.  Each rule map is memoized per id.
     """
 
     def __init__(self, grid, states, max_parts=None):
@@ -336,29 +355,16 @@ class _FactStore:
 
 
 def _store_of(rel, max_parts=None):
-    """A fresh store interning every state of rel's facts and universe.
+    """A fresh store interning the states of rel's successor map in map order.
 
-    Returns the store, rel.facts as id pairs (not yet added to the store)
-    and the set of universe ids.  One dict lookup per fact side; the
-    CompoundState objects of rel are kept as the states of their ids.
+    Returns the store, the facts as id pairs (not yet added to the store),
+    each row by ascending id so that no order depends on string hashing, and
+    the range of universe ids.  rel's CompoundStates are kept as the states.
     """
-    index = {}
-    pairs = []
-    for left, right in rel.facts:
-        lid = index.get(left)
-        if lid is None:
-            lid = index[left] = len(index)
-        rid = index.get(right)
-        if rid is None:
-            rid = index[right] = len(index)
-        pairs.append((lid, rid))
-    universe = set()
-    for state in rel.successors:
-        sid = index.get(state)
-        if sid is None:
-            sid = index[state] = len(index)
-        universe.add(sid)
-    return _FactStore(rel.lambda_grid, list(index), max_parts), pairs, universe
+    index = {state: sid for sid, state in enumerate(rel.successors)}
+    pairs = [(sid, rid) for sid, reach in enumerate(rel.successors.values())
+             for rid in sorted(index[y] for y in reach)]
+    return _FactStore(rel.lambda_grid, list(index), max_parts), pairs, range(len(index))
 
 
 def _scan_store(rel, max_parts=None):
@@ -433,7 +439,6 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
 
     out = Relation(
         spaces=dict(rel.spaces),
-        facts=set(),
         lambda_grid=rel.lambda_grid,
         closed=True,
         epsilon_families=tuple(rel.epsilon_families),
@@ -443,10 +448,7 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
     size_buckets.clear()
     state = store.state
     for sid in sorted(seen):
-        x = state(sid)
-        out.successors[x] = reach = {state(n) for n in _bits(succ[sid])}
-        out.predecessors[x] = {state(p) for p in _bits(pred[sid])}
-        out.facts.update((x, y) for y in reach)
+        out.successors[state(sid)] = {state(n) for n in _bits(succ[sid])}
     return out
 
 
@@ -688,17 +690,16 @@ class OracleRelation:
     """Accessibility decided lazily from a per-state entropy assignment.
 
     A pair is a fact when per-space scale totals agree on both sides and the
-    scale-weighted entropy sum does not decrease.  The relation is closed by
-    construction; atol > 0 admits float-valued oracles.
+    scale-weighted entropy sum does not decrease, compared exactly.  The
+    relation is closed by construction.
     """
 
     search_mode = "bisect"
 
-    def __init__(self, spaces, sigma, lambda_grid=(Fraction(1),), atol=0):
+    def __init__(self, spaces, sigma, lambda_grid=(Fraction(1),)):
         self.spaces = {sp.space_id: sp for sp in spaces}
         self.sigma = dict(sigma)
         self.lambda_grid = frozenset(Fraction(g) for g in lambda_grid)
-        self.atol = atol
         self.closed = True
         self._memo = {}
 
@@ -707,9 +708,9 @@ class OracleRelation:
         if cached is not None:
             return cached
         totals = state.total_scale_by_space()
-        value = 0.0 if self.atol else Fraction(0)
+        value = Fraction(0)
         for sp, st, lam in state.parts:
-            value += (float(lam) if self.atol else lam) * self.sigma[(sp, st)]
+            value += lam * self.sigma[(sp, st)]
         cached = (tuple(sorted(totals.items())), value)
         self._memo[state] = cached
         return cached
@@ -722,28 +723,23 @@ class OracleRelation:
         ty, vy = self._weights(y)
         if tx != ty:
             return False
-        return vx <= vy + self.atol
+        return vx <= vy
 
 
-def relation_from_oracle(spaces, sigma, universe, lambda_grid=(Fraction(1),), atol=0):
+def relation_from_oracle(spaces, sigma, universe, lambda_grid=(Fraction(1),)):
     """Materialize the oracle relation on an explicit universe of states.
 
     Every ordered pair inside `universe` that the entropy assignment admits
     becomes a fact; the result is closed under the structural rules restricted
     to that universe, so it is returned with the closed flag set.
     """
-    oracle = OracleRelation(spaces, sigma, lambda_grid, atol)
-    rel = Relation(
-        spaces=dict(oracle.spaces),
-        facts=set(),
-        lambda_grid=frozenset(Fraction(g) for g in lambda_grid),
-    )
+    oracle = OracleRelation(spaces, sigma, lambda_grid)
+    rel = Relation(spaces=dict(oracle.spaces), lambda_grid=oracle.lambda_grid)
     universe = list(universe)
     for x in universe:
         for y in universe:
             if oracle.accessible(x, y):
-                rel.facts.add((x, y))
-                _index_fact(rel, (x, y))
+                rel.add_fact(x, y)
     rel.closed = True
     return rel
 

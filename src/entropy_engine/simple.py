@@ -81,9 +81,10 @@ class SimpleSystemModel:
 
     def require_work_coordinates(self, V):
         box = self.domain
-        if not all(l < v < h for v, l, h in zip(V, box.lo[1:], box.hi[1:])):
-            raise DomainError("work coordinates %s lie outside the open V "
-                              "range of %s" % (tuple(V), self.name))
+        if len(V) != self.n or not all(
+                l < v < h for v, l, h in zip(V, box.lo[1:], box.hi[1:])):
+            raise DomainError("work coordinates %s are not %d values inside the "
+                              "open V range of %s" % (tuple(V), self.n, self.name))
 
 
 def monatomic_ideal_gas(moles=1, domain=((0.5, 10.0), (0.5, 5.0))):
@@ -407,7 +408,7 @@ def adiabat_energy_at(model, X, v_targets, step=None, tol=1e-8, clip=True):
     return [result[t] for t in targets]
 
 
-def forward_sector_contains(model, X, Y, step=None, tol=1e-8, atol=0.0):
+def forward_sector_contains(model, X, Y, step=None, tol=1e-8):
     """Is Y in the forward sector of X (on or above the adiabat through X)?
 
     Uses the entropy oracle when the model has one, otherwise integrates the
@@ -417,11 +418,11 @@ def forward_sector_contains(model, X, Y, step=None, tol=1e-8, atol=0.0):
     model.require_interior(X)
     model.require_interior(Y)
     if model.entropy is not None:
-        return model.entropy(Y.U, Y.V) >= model.entropy(X.U, X.V) - atol
+        return model.entropy(Y.U, Y.V) >= model.entropy(X.U, X.V)
     u_on = adiabat_energy_at(
         model, X, [tuple(Y.V)], step=step, tol=tol, clip=False
     )[0]
-    return Y.U >= u_on - atol
+    return Y.U >= u_on
 
 
 @dataclass

@@ -9,13 +9,52 @@ compare the package against them.  Do not optimise this module.
 """
 
 from collections import deque
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
 from entropy_engine.entropy import PrincipleReport, PrincipleViolation
-from entropy_engine.errors import ClosureBudgetError, DegenerateTableError
-from entropy_engine.relation import AxiomReport, Relation
+from entropy_engine.errors import (
+    ClosureBudgetError,
+    DegenerateTableError,
+    UnclosedRelationError,
+)
+from entropy_engine.relation import AxiomReport
 from entropy_engine.states import CompoundState
+
+
+@dataclass
+class Relation:
+    """An accessibility relation over declared state spaces.
+
+    facts is a set of ordered (CompoundState, CompoundState) pairs; universe
+    is the set of compound states appearing in them.  After close() the
+    relation is immutable by convention and all queries are pure.
+    """
+
+    search_mode = "grid"  # construct_entropy's default for this backend
+    spaces: dict
+    facts: set
+    lambda_grid: frozenset
+    closed: bool = False
+    epsilon_families: tuple = ()
+    successors: dict = field(default_factory=dict, repr=False)
+    predecessors: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def universe(self):
+        return set(self.successors)
+
+    def in_universe(self, state):
+        return state in self.successors
+
+    def accessible(self, x, y):
+        """Is (x, y) a fact?  Raises UnclosedRelationError before close()."""
+        if not self.closed:
+            raise UnclosedRelationError(
+                "accessible() on an unclosed relation would give false negatives"
+            )
+        return y in self.successors.get(x, ())
 
 
 def _index_fact(rel, pair):

@@ -139,6 +139,31 @@ def test_simple_and_thermal_suites_run_clean(tmp_path):
     assert os.path.exists(tmp_path / "out" / "isotherm_samples.csv")
 
 
+def test_failed_split_keeps_the_rest_of_the_thermal_suite(tmp_path):
+    # the maximizer of this split lies on the admissible boundary
+    doc = base_spec(
+        stages=["thermal_suite"],
+        models={"gas3": {"type": "ideal_gas", "moles": "3"},
+                "gas2": GASES["gas2"]},
+        thermal={"left": "gas3", "right": "gas2",
+                 "experiments": [{"U": 16.79, "V1": [1.0], "V2": [1.0]},
+                                 {"U": 6.0, "V1": [1.0], "V2": [1.0]}],
+                 "flow_checks": 3, "zeroth_triples": 2,
+                 "isotherm": {"model": "gas2", "T": 2.0, "v_grid": [1.0]}},
+    )
+    spec_path = write_json(tmp_path / "spec.json", doc)
+    result = run_pipeline(load_pipeline_spec(spec_path), str(tmp_path / "out"))
+    assert result.exit_code == 1
+    suite = result.report["reports"]["thermal_suite"]
+    failed, split = suite["experiments"]
+    assert failed["U"] == 16.79 and "boundary" in failed["error"]
+    assert abs(split["U1"] - 3.6) < 1e-8
+    assert suite["flow_checks"] == 3 and suite["zeroth_law"]["checked"] > 0
+    assert suite["transversality_found"] and suite["isotherm_samples"] == 1
+    assert result.report["violations"] == [
+        "thermal experiment at U=16.79: %s" % failed["error"]]
+
+
 def test_adversarial_model_fails_the_simple_suite(tmp_path):
     doc = base_spec(
         stages=["simple_system_suite"],
@@ -416,6 +441,12 @@ BAD_SPECS = {
          "models": {"vdw": {"type": "van_der_waals"}, "gas": GASES["gas"]},
          "thermal": {"left": "vdw", "right": "gas",
                      "experiments": [{"U": 6.0, "V1": [1.0], "V2": [50.0]}]}},
+        {}),
+    "experiment-u-without-admissible-partition": (
+        {"stages": ["thermal_suite"],
+         "models": {"vdw": {"type": "van_der_waals"}, "gas": GASES["gas"]},
+         "thermal": {"left": "gas", "right": "vdw",
+                     "experiments": [{"U": 18.95, "V1": [1.0], "V2": [1.0]}]}},
         {}),
     "isotherm-v-grid-above-gas-range": (
         {"stages": ["thermal_suite"], "models": GASES,

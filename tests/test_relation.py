@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,7 +35,7 @@ from entropy_engine.relation import (
     relation_from_oracle,
     run_axiom_scan,
 )
-from entropy_engine.relation import Relation, _index_fact
+from entropy_engine.relation import Relation
 from entropy_engine.states import compound, make_space, single
 
 HALF = Fraction(1, 2)
@@ -60,6 +63,18 @@ def test_build_adds_reflexive_pairs_for_generators():
     rel = build_relation([space("xy")], [fact("x", "y")], [Fraction(1)])
     x, y = single("G", "x"), single("G", "y")
     assert rel.facts == {(x, x), (y, y), (x, y)}
+
+
+def test_facts_is_a_read_only_view_of_successors():
+    rel = build_relation([space("xy")], [fact("x", "y")], [Fraction(1)])
+    x, y = single("G", "x"), single("G", "y")
+    assert len(rel.facts) == 3 and (x, y) in rel.facts and (y, x) not in rel.facts
+    with pytest.raises(AttributeError):
+        rel.facts.add((y, x))
+    z = single("G", "z")
+    rel.add_fact(y, z)
+    assert rel.successors == {x: {x, y}, y: {y, z}, z: set()}
+    assert (y, z) in rel.facts and len(rel.facts) == 4
 
 
 def test_build_duplicate_facts_stored_once():
@@ -138,6 +153,40 @@ def test_close_budget_exceeded_raises():
                         "scaling", "consistency", "cancellation")
     assert len(exc.parts) == 2 and all(1 <= n <= 3 for n in exc.parts)
     assert "%s fact with %d -> %d parts" % ((exc.rule,) + exc.parts) in str(exc)
+
+
+BUDGET_MESSAGES = """
+from entropy_engine.errors import ClosureBudgetError
+from entropy_engine.relation import build_relation, close
+from entropy_engine.states import compound, make_space, single
+
+chain = ["x0", "x1", "x2", "x3"]
+facts = [(single("G", a), single("G", b)) for a, b in zip(chain, chain[1:])]
+for lo, mid, hi in zip(chain, chain[1:], chain[2:]):
+    mix = compound([("1/2", "G", lo), ("1/2", "G", hi)])
+    facts += [(mix, single("G", mid)), (single("G", mid), mix)]
+rel = build_relation([make_space("G", [1], chain)], facts, ["1/2", "1"])
+for budget in (40, 200, 1000):
+    try:
+        close(rel, max_parts=3, budget=budget)
+    except ClosureBudgetError as exc:
+        print(exc)
+"""
+
+
+def test_close_budget_message_does_not_depend_on_string_hashing():
+    src = os.path.dirname(os.path.dirname(relation.__file__))
+    outputs = set()
+    for hash_seed in ("1", "2", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-c", BUDGET_MESSAGES], capture_output=True,
+            text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("closure exceeded the fact budget") == 3
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
 
 
 # ---------------------------------------------------------------- queries
@@ -274,11 +323,10 @@ def test_cancellation_holds_after_closing_single_fact():
 
 def test_cancellation_fails_on_hand_built_unclosed_relation():
     g = space()
-    rel = Relation(spaces={g.space_id: g}, facts=set(), lambda_grid=frozenset(GRID))
+    rel = Relation(spaces={g.space_id: g}, lambda_grid=frozenset(GRID))
     xz = compound([(1, "G", "x"), (1, "G", "z")])
     yz = compound([(1, "G", "y"), (1, "G", "z")])
-    rel.facts.add((xz, yz))
-    _index_fact(rel, (xz, yz))
+    rel.add_fact(xz, yz)
     report = check_cancellation(rel)
     assert not report.holds
     (pair, reduced) = report.violations[0]

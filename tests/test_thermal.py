@@ -79,7 +79,9 @@ def test_split_work_coordinate_outside_v_range_raises_before_any_entropy():
     vdw = counting(van_der_waals_gas(), calls)
     for left, right, v1, v2 in ((vdw, gas, (0.01,), (1.0,)),
                                 (vdw, gas, (1.0,), (50.0,)),
-                                (gas, vdw, (1.0,), (4.0,))):
+                                (gas, vdw, (1.0,), (4.0,)),
+                                # one work coordinate too many
+                                (gas, vdw, (1.0, 7.0), (1.0,))):
         with pytest.raises(DomainError):
             thermal_split(ThermalJoin(left, right), 6.0, v1, v2)
     assert calls == []
