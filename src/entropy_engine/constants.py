@@ -172,10 +172,8 @@ def chain_min(d_matrix, node_ids, a, b, max_chain):
         new_frontier = {}
         for u, du in frontier.items():
             for v in node_ids:
-                w = d_matrix.get((u, v), INF)
-                if w == INF or du == INF:
-                    continue
-                cand = du + w
+                # an infinite step gives an infinite cand, which is never kept
+                cand = du + d_matrix.get((u, v), INF)
                 if cand < new_frontier.get(v, INF) and cand < dist.get(v, INF):
                     new_frontier[v] = cand
         for v, dv in new_frontier.items():

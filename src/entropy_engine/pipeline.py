@@ -473,8 +473,8 @@ def _stage_thermal_suite(ctx):
     for exp in cfg["experiments"]:
         try:
             split = thermal_split(join, exp["U"], exp["V1"], exp["V2"])
-            t1 = temperature(left, split.X1).T
-            t2 = temperature(right, split.X2).T
+            t1 = temperature(left, split.X1)
+            t2 = temperature(right, split.X2)
         except EngineError as exc:
             # one failed split must not hide the rest of the suite
             experiments.append({"U": exp["U"], "error": str(exc)})
@@ -519,7 +519,7 @@ def _stage_thermal_suite(ctx):
         if len(triples) >= n_triples:
             break
         probe = _random_interior(rng, left, margin=0.3)
-        t = temperature(left, probe).T
+        t = temperature(left, probe)
         v_r = _random_interior(rng, right, margin=0.3).V
         v_l = _random_interior(rng, left, margin=0.3).V
         y = isotherm_state(right, v_r, t)
@@ -553,7 +553,7 @@ def _stage_thermal_suite(ctx):
         model = iso["model"]
         samples = isotherm_samples(model, iso["T"], iso["v_grid"])
         rows = ["U,V,T"] + [
-            "%r,%r,%r" % (s.U, s.V[0], temperature(model, s).T) for s in samples
+            "%r,%r,%r" % (s.U, s.V[0], temperature(model, s)) for s in samples
         ]
         ctx.csv_files["isotherm_samples.csv"] = "\n".join(rows) + "\n"
         out["isotherm_samples"] = len(samples)
@@ -608,7 +608,7 @@ def _stage_calibration_suite(ctx):
 STAGE_TABLE = {
     "close": (_stage_close, (), ("relation",)),
     "check_axioms": (_stage_check_axioms, (), ("relation",)),
-    "check_ch": (_stage_check_ch, (), ("relation",)),
+    "check_ch": (_stage_check_ch, ("close",), ("relation",)),
     "construct_entropy": (_stage_construct_entropy, ("close",),
                           ("relation", "entropy")),
     "verify_principle": (_stage_verify_principle, ("close", "construct_entropy"),

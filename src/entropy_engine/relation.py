@@ -60,8 +60,8 @@ INCOMPARABLE = "incomparable"
 DEFAULT_BUDGET = 10 ** 6
 
 
-def dyadic_grid(max_denominator=128, upper=Fraction(1)):
-    """All dyadic rationals p/2^k in (0, upper] with 2^k <= max_denominator.
+def dyadic_grid(max_denominator=128):
+    """All dyadic rationals p/2^k in (0, 1] with 2^k <= max_denominator.
 
     The default scale grid: exact, decidable, and fine enough for 1/128
     resolution entropy sweeps.
@@ -69,10 +69,7 @@ def dyadic_grid(max_denominator=128, upper=Fraction(1)):
     grid = set()
     q = 1
     while q <= max_denominator:
-        p = 1
-        while Fraction(p, q) <= upper:
-            grid.add(Fraction(p, q))
-            p += 1
+        grid.update(Fraction(p, q) for p in range(1, q + 1))
         q *= 2
     return frozenset(grid)
 
@@ -634,9 +631,9 @@ def _cancellation(store, pairs, universe, universe_only):
     return AxiomReport("cancellation", checked, viol)
 
 
-def check_cancellation(rel, universe_only=False):
+def check_cancellation(rel):
     """Verify the cancellation law on every fact with a shared part bundle."""
-    return _cancellation(*_scan_store(rel), universe_only)
+    return _cancellation(*_scan_store(rel), False)
 
 
 def check_stability(rel, families=None):

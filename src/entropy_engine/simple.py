@@ -21,6 +21,7 @@ X_INSIDE_Y = "X_inside_Y"
 Y_INSIDE_X = "Y_inside_X"
 CROSSING = "crossing"
 MIN_STEP = 1e-7  # default floor of the RK4 step in Richardson refinement
+SECTOR_TOL = 1e-8  # Richardson tolerance of nesting and sector adiabats
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,7 @@ def van_der_waals_gas(moles=1, a=0.2, b=0.02, domain=((1.0, 8.0), (0.6, 4.0))):
     )
 
 
-def sqrt_singularity_model(domain=((0.5, 8.0), (0.1, 2.0))):
+def sqrt_singularity_model():
     """Adversarial model: pressure with a square-root kink along U = 1.
 
     The slope field 2*sqrt(U-1) is not Lipschitz at U = 1, so adiabats
@@ -149,7 +150,7 @@ def sqrt_singularity_model(domain=((0.5, 8.0), (0.1, 2.0))):
     return SimpleSystemModel(
         name="sqrt_singularity",
         n=1,
-        domain=Box((domain[0][0], domain[1][0]), (domain[0][1], domain[1][1])),
+        domain=Box((0.5, 0.1), (8.0, 2.0)),
         pressure=pressure,
         entropy=None,
         lipschitz_bound=10.0,
@@ -362,16 +363,16 @@ def integrate_adiabat(model, X, waypoints, step=None, tol=1e-8, min_step=MIN_STE
     return AdiabatSurface(base=X, samples=samples, step=step, tolerance=tol or 0.0)
 
 
-def adiabat_energy_at(model, X, v_targets, step=None, tol=1e-8, clip=True):
+def adiabat_energy_at(model, X, v_targets, tol=SECTOR_TOL, clip=True):
     """Adiabat energies through X at each target V, one sweep per direction.
 
     The model has one work coordinate.  The targets are visited in two
     monotone sweeps from X; each segment starts at the end energy of the last
-    and is refined as in integrate_adiabat, keeping only its end energy.  A
-    target on or outside the open V range raises DomainError before anything
-    is integrated.  With clip=True a sweep that leaves the domain through the
-    energy floor or ceiling records -inf or +inf for the remaining targets in
-    that direction instead of raising.
+    and is refined as in integrate_adiabat with its default step, keeping only
+    its end energy.  A target on or outside the open V range raises
+    DomainError before anything is integrated.  With clip=True a sweep that
+    leaves the domain through the energy floor or ceiling records -inf or +inf
+    for the remaining targets in that direction instead of raising.
     """
     _require_one_coordinate(model)
     targets = [tuple(float(c) for c in (t if not isinstance(t, (int, float)) else (t,)))
@@ -381,8 +382,7 @@ def adiabat_energy_at(model, X, v_targets, step=None, tol=1e-8, clip=True):
         if not v_lo < t[0] < v_hi:
             raise DomainError("target V=%r is outside the open V range "
                               "(%r, %r) of %s" % (t[0], v_lo, v_hi, model.name))
-    if step is None:
-        step = model.domain.span() / 100.0
+    step = model.domain.span() / 100.0
     mid_u = 0.5 * (model.domain.lo[0] + model.domain.hi[0])
     result = {}
     base = X.V[0]
@@ -408,20 +408,18 @@ def adiabat_energy_at(model, X, v_targets, step=None, tol=1e-8, clip=True):
     return [result[t] for t in targets]
 
 
-def forward_sector_contains(model, X, Y, step=None, tol=1e-8):
+def forward_sector_contains(model, X, Y):
     """Is Y in the forward sector of X (on or above the adiabat through X)?
 
     Uses the entropy oracle when the model has one, otherwise integrates the
-    adiabat through X to Y's work coordinates; an adiabat that cannot be
-    integrated that far raises IntegrationError.
+    adiabat through X to Y's work coordinates with tolerance SECTOR_TOL; an
+    adiabat that cannot be integrated that far raises IntegrationError.
     """
     model.require_interior(X)
     model.require_interior(Y)
     if model.entropy is not None:
         return model.entropy(Y.U, Y.V) >= model.entropy(X.U, X.V)
-    u_on = adiabat_energy_at(
-        model, X, [tuple(Y.V)], step=step, tol=tol, clip=False
-    )[0]
+    u_on = adiabat_energy_at(model, X, [tuple(Y.V)], clip=False)[0]
     return Y.U >= u_on
 
 
@@ -433,16 +431,17 @@ class NestingResult:
     probes: list
 
 
-def check_nesting(model, X, Y, probes=None, step=None, tol=1e-8):
+def check_nesting(model, X, Y, probes=None):
     """Classify the forward sectors of X and Y as equal or strictly nested.
 
-    The adiabats through X and Y are integrated to a common probe grid and
-    compared.  A difference counts as zero up to max(1e-6 * scale, 50 * tol),
-    scale being the largest finite energy seen (at least 1).  Sign-mixed
-    differences, or differences that both vanish and reach 100 times that on
-    the same grid (touching sheets), are a foliation defect and come back
-    flagged as a violation with case "crossing"; sound models always land in
-    exactly one of the three nesting cases.
+    The adiabats through X and Y are integrated to a common probe grid with
+    tolerance SECTOR_TOL and compared.  A difference counts as zero up to
+    max(1e-6 * scale, 50 * SECTOR_TOL), scale being the largest finite
+    energy seen (at least 1).  Sign-mixed differences, or differences that
+    both vanish and reach 100 times that on the same grid (touching sheets),
+    are a foliation defect and come back flagged as a violation with case
+    "crossing"; sound models always land in exactly one of the three nesting
+    cases.
     """
     model.require_interior(X)
     model.require_interior(Y)
@@ -456,8 +455,8 @@ def check_nesting(model, X, Y, probes=None, step=None, tol=1e-8):
               for p in probes]
     if not probes:
         raise DomainError("nesting check needs a non-empty probe grid")
-    ux = adiabat_energy_at(model, X, probes, step=step, tol=tol)
-    uy = adiabat_energy_at(model, Y, probes, step=step, tol=tol)
+    ux = adiabat_energy_at(model, X, probes)
+    uy = adiabat_energy_at(model, Y, probes)
     deltas, kept = [], []
     for p, a, b in zip(probes, ux, uy):
         if not math.isfinite(a) and not math.isfinite(b):
@@ -471,7 +470,7 @@ def check_nesting(model, X, Y, probes=None, step=None, tol=1e-8):
         )
     finite = [abs(u) for u in ux + uy if math.isfinite(u)]
     scale = max(1.0, max(finite)) if finite else 1.0
-    eq_tol = max(1e-6 * scale, 50.0 * tol)
+    eq_tol = max(1e-6 * scale, 50.0 * SECTOR_TOL)
     pos = any(d > eq_tol for d in deltas)
     neg = any(d < -eq_tol for d in deltas)
     near_zero = any(abs(d) <= eq_tol for d in deltas)
@@ -500,8 +499,9 @@ class CheckReport:
         return not self.violations
 
 
-def check_convexity(model, X, Y, t_grid=(0.0, 0.25, 0.5, 0.75, 1.0), tol=1e-12):
-    """Entropy of a convex combination must dominate the combined entropies."""
+def check_convexity(model, X, Y, t_grid=(0.0, 0.25, 0.5, 0.75, 1.0)):
+    """Entropy of a convex combination must dominate the combined entropies,
+    up to 1e-12 relative."""
     if model.entropy is None:
         raise DomainError("convexity check needs an entropy oracle")
     model.require_interior(X)
@@ -517,14 +517,14 @@ def check_convexity(model, X, Y, t_grid=(0.0, 0.25, 0.5, 0.75, 1.0), tol=1e-12):
         rhs = model.entropy(mix.U, mix.V)
         checked += 1
         scale = max(1.0, abs(lhs), abs(rhs))
-        if rhs < lhs - tol * scale:
+        if rhs < lhs - 1e-12 * scale:
             violations.append((t, rhs - lhs))
     return CheckReport("convexity", checked, violations)
 
 
-def check_caratheodory(model, X, radius, samples=64, seed=0):
+def check_caratheodory(model, X, radius, seed=0):
     """In every ball around X there must be unreachable states, and some
-    state must be strictly above X's adiabat."""
+    state must be strictly above X's adiabat; 64 random points are drawn."""
     import random
 
     model.require_interior(X)
@@ -540,7 +540,7 @@ def check_caratheodory(model, X, radius, samples=64, seed=0):
     dim = len(coords)
     unreachable = None
     strictly_above = None
-    for _ in range(samples):
+    for _ in range(64):
         vec = [rng.gauss(0.0, 1.0) for _ in range(dim)]
         norm = math.sqrt(sum(c * c for c in vec)) or 1.0
         r = radius * rng.random() ** (1.0 / dim)
@@ -559,7 +559,7 @@ def check_caratheodory(model, X, radius, samples=64, seed=0):
     if strictly_above is None:
         violations.append("no strictly accessible state found in the ball")
     return CheckReport(
-        "caratheodory", samples, violations,
+        "caratheodory", 64, violations,
         details={"unreachable": unreachable, "strictly_above": strictly_above},
     )
 
@@ -570,17 +570,18 @@ def pressure_at(model, X):
     return tuple(model.pressure(X.U, X.V))
 
 
-def pressure_consistency(model, X, h_rel=1e-5):
+def pressure_consistency(model, X):
     """Largest gap between the pressure and the oracle's tangent-plane slope.
 
     The slope is (dS/dV_i)/(dS/dU) by central differences with a step of
-    h_rel per coordinate scale; the stencil must stay inside the domain.
+    1e-5 * max(1, |c|) per coordinate c; the stencil must stay inside the
+    domain.
     """
     if model.entropy is None:
         raise DomainError("consistency check needs an entropy oracle")
     model.require_interior(X)
     coords = X.coords()
-    hs = [h_rel * max(1.0, abs(c)) for c in coords]
+    hs = [1e-5 * max(1.0, abs(c)) for c in coords]
     for i, h in enumerate(hs):
         for sign in (-1, 1):
             shifted = list(coords)
@@ -607,18 +608,18 @@ def pressure_consistency(model, X, h_rel=1e-5):
     return worst
 
 
-def check_lipschitz(model, samples=200, seed=0, bound=None, h=1e-4,
-                    refinements=4):
-    """Sampled difference quotients of the pressure against a declared bound.
+def check_lipschitz(model, samples=200, seed=0):
+    """Sampled difference quotients of the pressure against the model's
+    lipschitz_bound.
 
-    The worst sampled pairs are re-tested with geometrically shrinking
-    offsets: around a kink the quotient keeps growing and crosses any fixed
-    bound, while a genuinely Lipschitz pressure stays flat under shrinking.
+    Random pairs lie 1e-4 of the domain apart per axis.  Each axis is then
+    swept five times with a window tightening around its worst quotient:
+    around a kink the quotient keeps growing and crosses any fixed bound,
+    while a genuinely Lipschitz pressure stays flat under shrinking.
     """
     import random
 
-    if bound is None:
-        bound = model.lipschitz_bound
+    bound = model.lipschitz_bound
     if bound is None:
         raise DomainError("no Lipschitz bound declared for %s" % model.name)
     rng = random.Random(seed)
@@ -639,7 +640,7 @@ def check_lipschitz(model, samples=200, seed=0, bound=None, h=1e-4,
 
     for _ in range(samples):
         base = [l + (0.05 + 0.9 * rng.random()) * (u - l) for l, u in zip(lo, hi)]
-        step = [(rng.random() - 0.5) * 2.0 * h * (u - l) for l, u in zip(lo, hi)]
+        step = [(rng.random() - 0.5) * 2.0 * 1e-4 * (u - l) for l, u in zip(lo, hi)]
         quot = quotient(base, step)
         if quot is None:
             continue
@@ -655,7 +656,7 @@ def check_lipschitz(model, samples=200, seed=0, bound=None, h=1e-4,
         a, b = lo[axis], hi[axis]
         span = b - a
         win_lo, win_hi = a + 0.02 * span, b - 0.02 * span
-        for _ in range(refinements + 1):
+        for _ in range(5):
             n_pts = 33
             spacing = (win_hi - win_lo) / (n_pts - 1)
             offset = spacing / 8.0

@@ -55,9 +55,6 @@ class CompoundState:
     def __eq__(self, other):
         return isinstance(other, CompoundState) and self.parts == other.parts
 
-    def __lt__(self, other):
-        return self.parts < other.parts
-
     def __len__(self):
         return len(self.parts)
 

@@ -43,21 +43,16 @@ class ThermalJoin:
         return lo, hi
 
 
-@dataclass
-class TemperatureValue:
-    T: float
-    step: float
-
-
-def temperature(model, X, h_rel=1e-6):
-    """1/T as the energy derivative of the entropy oracle, central differences.
+def temperature(model, X):
+    """T from 1/T = dS/dU of the entropy oracle, by central differences with
+    a step of 1e-6 * max(1, |U|).
 
     Raises when the stencil leaves the domain or the result is not positive.
     """
     if model.entropy is None:
         raise DomainError("temperature needs an entropy oracle")
     model.require_interior(X)
-    h = h_rel * max(1.0, abs(X.U))
+    h = 1e-6 * max(1.0, abs(X.U))
     for u in (X.U - h, X.U + h):
         if not model.domain.contains((u,) + tuple(X.V)):
             raise DomainError(
@@ -68,7 +63,7 @@ def temperature(model, X, h_rel=1e-6):
         raise TemperatureSignError(
             "non-positive temperature at %s in %s" % (X, model.name)
         )
-    return TemperatureValue(T=1.0 / ds_du, step=h)
+    return 1.0 / ds_du
 
 
 @dataclass
@@ -84,9 +79,6 @@ class SplitResult:
     @property
     def degenerate(self):
         return bool(self.alternatives)
-
-    def __iter__(self):
-        return iter((self.X1, self.X2))
 
 
 def _golden_max(f, a, b, tol):
@@ -239,15 +231,16 @@ class FlowReport:
     note: str = ""
 
 
-def check_energy_flow(model1, X1, model2, X2, tol=1e-9):
+def check_energy_flow(model1, X1, model2, X2):
     """Energy must flow from the hotter system to the colder one.
 
     Splits the join of the two states and compares each side's energy change
-    against the initial temperature ordering; equal temperatures must move
-    essentially no energy.
+    against the initial temperature ordering, both up to 1e-9 relative; equal
+    temperatures must move essentially no energy.
     """
-    t1 = temperature(model1, X1).T
-    t2 = temperature(model2, X2).T
+    tol = 1e-9
+    t1 = temperature(model1, X1)
+    t2 = temperature(model2, X2)
     U = X1.U + X2.U
     split = thermal_split(ThermalJoin(model1, model2), U, X1.V, X2.V)
     du1 = split.X1.U - X1.U
@@ -311,11 +304,11 @@ def check_zeroth_law(triples, tol=1e-9):
     return ZerothLawReport(checked, non_eq, violations, undecided)
 
 
-def isotherm_state(model, V, T_target, tol=1e-12):
+def isotherm_state(model, V, T_target):
     """State of the model with work coordinates V and temperature T_target.
 
     Solves T(U) = T_target for the energy by Brent's method to within
-    tol * max(1, |U|); returns None when the temperature range at V does not
+    1e-12 * max(1, |U|); returns None when the temperature range at V does not
     bracket the target (the model cannot reach it there).
     """
     V = tuple(float(v) for v in V)
@@ -324,14 +317,14 @@ def isotherm_state(model, V, T_target, tol=1e-12):
     lo, hi = lo + pad, hi - pad
 
     def excess(u):
-        return temperature(model, StatePoint(u, V)).T - T_target
+        return temperature(model, StatePoint(u, V)) - T_target
 
     f_lo, f_hi = excess(lo), excess(hi)
     if not min(f_lo, f_hi) <= 0.0 <= max(f_lo, f_hi):
         return None
     # the smallest max(1, |U|) over the bracket
     scale = max(1.0, 0.0 if lo < 0.0 < hi else min(abs(lo), abs(hi)))
-    return StatePoint(_brent_root(excess, lo, hi, f_lo, f_hi, tol * scale), V)
+    return StatePoint(_brent_root(excess, lo, hi, f_lo, f_hi, 1e-12 * scale), V)
 
 
 def isotherm_samples(model, T_target, v_grid):
@@ -361,7 +354,7 @@ def check_transversality(model, X, v_window=None):
     if model.entropy is None:
         raise DomainError("transversality check needs an entropy oracle")
     model.require_interior(X)
-    T_probe = temperature(model, X).T
+    T_probe = temperature(model, X)
     s_x = model.entropy(X.U, X.V)
     gap = 1e-9 * max(1.0, abs(s_x))
     if v_window is not None:

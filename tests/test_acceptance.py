@@ -182,8 +182,8 @@ def test_criterion_06_thermal_split_and_flow():
     g2 = monatomic_ideal_gas(2)
     split = thermal_split(ThermalJoin(g1, g2), 6.0, (1.0,), (1.0,))
     ratio_err = max(abs(split.X1.U - 2.0) / 2.0, abs(split.X2.U - 4.0) / 4.0)
-    t1 = temperature(g1, split.X1).T
-    t2 = temperature(g2, split.X2).T
+    t1 = temperature(g1, split.X1)
+    t2 = temperature(g2, split.X2)
     t_err = abs(t1 - t2) / max(t1, t2)
     rng = random.Random(6)
     sign_violations = 0

@@ -96,6 +96,31 @@ def test_closed_chain_passes_axioms_and_entropy(tmp_path):
     assert len(csv_text.strip().splitlines()) == 4
 
 
+def _chain_entropy_with_oracle(tmp_path, oracle_values):
+    doc = base_spec(
+        stages=["close", "construct_entropy"], relation=CHAIN_RELATION,
+        entropy={"space": "G", "ref_low": "x", "ref_high": "z",
+                 "resolution": "1", "oracle_values": oracle_values},
+    )
+    spec_path = write_json(tmp_path / "spec.json", doc)
+    return run_pipeline(load_pipeline_spec(spec_path), str(tmp_path / "out"))
+
+
+def test_entropy_table_fits_its_own_values_as_oracle(tmp_path):
+    result = _chain_entropy_with_oracle(tmp_path, {"x": "0", "y": "0", "z": "1"})
+    assert result.exit_code == 0
+    fit = result.report["reports"]["construct_entropy"]["oracle_fit"]
+    assert (fit["a"], fit["max_residual"]) == (1, 0)
+
+
+def test_reversed_oracle_is_a_violation(tmp_path):
+    result = _chain_entropy_with_oracle(tmp_path, {"x": "1", "y": "0", "z": "0"})
+    assert result.exit_code == 1
+    assert result.report["reports"]["construct_entropy"]["oracle_fit"]["a"] <= 0
+    assert any(v.startswith("entropy table deviates from its oracle")
+               for v in result.report["violations"])
+
+
 def test_ch_stage_reports_witness_for_split_chains(tmp_path):
     doc = base_spec(stages=["close", "check_ch"], relation={
         "spaces": [{"id": "G", "composition": ["1"],
@@ -452,6 +477,12 @@ BAD_SPECS = {
         {"stages": ["thermal_suite"], "models": GASES,
          "thermal": dict(THERMAL, isotherm={"model": "gas", "T": 2.0,
                                             "v_grid": [1.0, 7.0]})}, {}),
+    # the CH scan queries accessible(), which refuses an unclosed relation
+    "ch-without-close": (
+        {"stages": ["check_ch"], "relation": dict(
+            CHAIN_RELATION, facts=CHAIN_RELATION["facts"][:1], spaces=[
+                {"id": "G", "composition": ["1"], "states": ["x", "y"]}])},
+        {}),
     "entropy-undeclared-space": (
         {"stages": ["close", "construct_entropy"], "relation": CHAIN_RELATION,
          "entropy": {"space": "Q", "ref_low": "x", "ref_high": "z"}}, {}),

@@ -108,7 +108,7 @@ def test_isotherm_state_matches_reference(case):
         return
     assert new.V == old.V
     assert abs(new.U - old.U) <= 1e-9 * max(1.0, abs(old.U))
-    assert abs(temperature(model, new).T - T) <= 1e-9 * T
+    assert abs(temperature(model, new) - T) <= 1e-9 * T
 
 
 THERMAL_SPEC = {
