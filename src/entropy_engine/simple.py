@@ -1,27 +1,32 @@
 """Simple systems: energy + work coordinates, adiabat surfaces, sectors.
 
 A model is an open box domain in (U, V1..Vn) with a pressure function and an
-optional entropy oracle.  Adiabats of one-coordinate models are integrated as
-U(V) along piecewise linear paths by a scalar fixed-step RK4 kernel, refined
-by halving until a Richardson check meets the tolerance; a half-step pass is
-reused as the next coarse pass.  Forward-sector queries compare a state
-against the integrated (or oracle) adiabat through another state.
+optional entropy oracle.  Adiabats of one-coordinate models, dU/dV = -P(U, V),
+are integrated along piecewise linear V paths by one Dormand-Prince 5(4)
+stepper with an error check on every step: a step is accepted when its error
+estimate is at most tol per unit step length.  One run carries its step and
+its last slope from waypoint to waypoint, or from target to target, so each
+attempted step costs six pressure calls.  No step spans a kink a model
+declares, such as a table's grid lines: steps land on them.  Forward-sector
+queries compare a state against the integrated (or oracle) adiabat through
+another state.
 """
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, IntegrationError, InputFormatError
 from .rational import parse_number
+from .roots import brent_root
 
 EQUAL_SECTORS = "equal_sectors"
 X_INSIDE_Y = "X_inside_Y"
 Y_INSIDE_X = "Y_inside_X"
 CROSSING = "crossing"
-MIN_STEP = 1e-7  # default floor of the RK4 step in Richardson refinement
-SECTOR_TOL = 1e-8  # Richardson tolerance of nesting and sector adiabats
+MIN_STEP = 1e-7  # default floor of a rejected step's successor
+SECTOR_TOL = 1e-8  # per-step tolerance of nesting and sector adiabats
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,9 @@ class SimpleSystemModel:
     pressure(U, V) returns the generalized pressure vector; entropy(U, V), if
     present, is the oracle used for sector queries and thermal operations.
     lipschitz_bound is the declared bound for sampled difference-quotient
-    checks.
+    checks.  kinks holds the sorted U lines and V lines of a one-coordinate
+    model on which the pressure's derivatives may jump, such as a table's
+    inner grid lines; no adiabat step spans one.
     """
 
     name: str
@@ -73,6 +80,7 @@ class SimpleSystemModel:
     entropy: object = None
     moles: Fraction = Fraction(1)
     lipschitz_bound: float = None
+    kinks: tuple = ((), ())
 
     def require_interior(self, state):
         if not self.domain.contains(state.coords()):
@@ -188,6 +196,7 @@ def tabulated_model(u_grid, v_grid, p_values, s_values=None, name="tabulated"):
         domain=Box((u_grid[0], v_grid[0]), (u_grid[-1], v_grid[-1])),
         pressure=pressure,
         entropy=entropy,
+        kinks=(tuple(u_grid[1:-1]), tuple(v_grid[1:-1])),
     )
 
 
@@ -263,8 +272,9 @@ def model_from_spec(doc):
 
 @dataclass
 class AdiabatSurface:
-    """Sampled adiabat through `base`: (U, V) samples along the integration
-    path plus the step size and tolerance that produced them."""
+    """Sampled adiabat through `base`: the base and every accepted step's
+    (U, V) along the integration path, plus the initial step and the
+    tolerance that produced them."""
 
     base: StatePoint
     samples: list
@@ -272,60 +282,119 @@ class AdiabatSurface:
     tolerance: float
 
 
-def _rk4_segment(model, u0, v_from, v_to, steps):
-    """Energies after each of `steps` RK4 steps of dU = -P dV from v_from to
-    v_to; the first step out of the open domain raises IntegrationError with
-    exit_energy set."""
+def _dp_step(pressure, u, k1, v, dv, v_end):
+    """One Dormand-Prince 5(4) step of dU/dV = -P(U, V) from (u, v), where
+    the slope is k1, to v_end = v + dv: the energy and slope at v_end and
+    the error estimate."""
+    # the tableau of Dormand & Prince, J. Comput. Appl. Math. 6 (1980)
+    # 19-26; the fifth-order weights are the last stage's row, so k7 is the
+    # next step's k1, and the error weights are the fifth- minus the
+    # fourth-order weights
+    k2 = -pressure(u + dv * (1 / 5 * k1), (v + 1 / 5 * dv,))[0]
+    k3 = -pressure(u + dv * (3 / 40 * k1 + 9 / 40 * k2), (v + 3 / 10 * dv,))[0]
+    k4 = -pressure(u + dv * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3),
+                   (v + 4 / 5 * dv,))[0]
+    k5 = -pressure(u + dv * (19372 / 6561 * k1 - 25360 / 2187 * k2
+                             + 64448 / 6561 * k3 - 212 / 729 * k4),
+                   (v + 8 / 9 * dv,))[0]
+    k6 = -pressure(u + dv * (9017 / 3168 * k1 - 355 / 33 * k2
+                             + 46732 / 5247 * k3 + 49 / 176 * k4
+                             - 5103 / 18656 * k5), (v_end,))[0]
+    u_end = u + dv * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
+                      - 2187 / 6784 * k5 + 11 / 84 * k6)
+    k7 = -pressure(u_end, (v_end,))[0]
+    err = abs(dv * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
+                    - 17253 / 339200 * k5 + 22 / 525 * k6 - 1 / 40 * k7))
+    return u_end, k7, err
+
+
+def _line_crossed(lines, u, u_end, margin):
+    """The first of the sorted lines strictly between u and u_end, passing
+    over one within margin of u, where the last step landed; or None."""
+    if u_end > u:
+        i = bisect_right(lines, u + margin)
+        return lines[i] if i < len(lines) and lines[i] < u_end else None
+    i = bisect_left(lines, u - margin) - 1
+    return lines[i] if i >= 0 and lines[i] > u_end else None
+
+
+def _dp_segment(model, u, k1, v, v_to, h, tol, min_step, samples=None):
+    """Dormand-Prince 5(4) steps of dU/dV = -P(U, V) from (u, v) to v_to.
+
+    k1 is the slope at (u, v), or None; h is the step proposal.  Returns the
+    energy and slope at v_to, where the last step lands exactly, and the
+    proposal to carry on.  Accepted points are appended to samples when it
+    is given.  The step rules are in README's "Numerical tolerances"; tol
+    None takes ceil(|v_to - v| / h) equal steps.  Otherwise no step spans a
+    line of model.kinks: a step lands on each V line on the way, and a step
+    whose end energy lies past a U line is cut to end on it, at the zero
+    Brent's method finds.  A step cut to land leaves the proposal as it
+    was.  A rejected step whose successor falls under min_step raises
+    IntegrationError, and so does an accepted point outside the open
+    domain, with exit_energy set.
+    """
     pressure = model.pressure
-    (u_lo, v_lo), (u_hi, v_hi) = model.domain.lo[:2], model.domain.hi[:2]
-    d = v_to - v_from
-    h = 1.0 / steps
-    half, sixth = 0.5 * h, h / 6.0
-    u, t = u0, 0.0
-    v = (v_from + t * d,)
-    out = []
-    for _ in range(steps):
-        # -(0.0 + p * d) is exactly the one-term -sum(p_i * d_i)
-        k1 = -(0.0 + pressure(u, v)[0] * d)
-        v_mid = (v_from + (t + half) * d,)
-        k2 = -(0.0 + pressure(u + half * k1, v_mid)[0] * d)
-        k3 = -(0.0 + pressure(u + half * k2, v_mid)[0] * d)
-        t += h
-        v = (v_from + t * d,)
-        k4 = -(0.0 + pressure(u + h * k3, v)[0] * d)
-        u = u + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not (u_lo < u < u_hi and v_lo < v[0] < v_hi):
-            exc = IntegrationError("adiabat left the domain of %s at U=%g V=%s"
-                                   % (model.name, u, v))
-            exc.exit_energy = u
-            raise exc
-        out.append(u)
-    return out
-
-
-def _refined_segment(model, u0, v_from, v_to, step, tol, min_step):
-    """Step energies of the accepted RK4 pass from v_from to v_to; [] when the
-    segment has length 0.  When halving doubles the step count, the last
-    half-step pass is the new coarse pass."""
-    # a norm, not abs(): a gap under 1e-154 squares to 0 and is skipped
-    seg_len = math.sqrt((v_to - v_from) ** 2)
-    if seg_len == 0.0:
-        return []
-    h = min(step, seg_len)
-    fine = []
+    (u_lo, v_lo), (u_hi, v_hi) = model.domain.lo, model.domain.hi
+    u_lines, v_lines = model.kinks
+    if k1 is None:
+        k1 = -pressure(u, (v,))[0]
+    if tol is None:
+        steps = max(1, math.ceil(abs(v_to - v) / h))
+        fixed = (v_to - v) / steps
+    else:
+        stops = sorted((x for x in v_lines if min(v, v_to) < x < max(v, v_to)),
+                       reverse=v_to < v) + [v_to]
     while True:
-        steps = max(1, math.ceil(seg_len / h))
-        path = fine if steps == len(fine) else _rk4_segment(
-            model, u0, v_from, v_to, steps)
         if tol is None:
-            return path
-        fine = _rk4_segment(model, u0, v_from, v_to, steps * 2)
-        if abs(fine[-1] - path[-1]) <= tol * seg_len:
-            return fine
-        h /= 2.0
-        if h < min_step:
-            raise IntegrationError("step fell below %g before the tolerance "
-                                   "%g was met" % (min_step, tol))
+            steps -= 1
+            land, dv = steps == 0, fixed
+            v_end = v_to if land else v + dv
+        else:
+            rest = stops[0] - v
+            land = abs(rest) <= h
+            dv = rest if land else math.copysign(h, rest)
+            v_end = stops[0] if land else v + dv
+        u_end, k7, err = _dp_step(pressure, u, k1, v, dv, v_end)
+        line = None
+        if tol is not None and u_lines:
+            # a line within 64 ulps of u, or of the energy 64 ulps of V
+            # ahead, is the one the last step landed on: a step cut to it
+            # might not move v at all
+            margin = 64.0 * (math.ulp(u) + abs(k1) * math.ulp(v))
+            line = _line_crossed(u_lines, u, u_end, margin)
+        if line is not None:
+            def gap(s):
+                return _dp_step(pressure, u, k1, v, s, v + s)[0] - line
+
+            dv = brent_root(gap, 0.0, dv, u - line, u_end - line,
+                            1e-15 * abs(dv))
+            land, v_end = False, v + dv
+            u_end, k7, err = _dp_step(pressure, u, k1, v, dv, v_end)
+        if tol is not None:
+            bound = tol * abs(dv)
+            ratio = bound / err if err else math.inf
+            if not err <= bound:  # a NaN estimate is never accepted
+                # a NaN, zero or negative ratio shrinks by the full 1/5
+                h = abs(dv) * (max(0.2, 0.9 * ratio ** 0.2)
+                               if 0.0 < ratio < 1.0 else 0.2)
+                if h < min_step:
+                    raise IntegrationError("step fell below %g before the "
+                                           "tolerance %g was met" % (min_step, tol))
+                continue
+            if not land and line is None:
+                h = abs(dv) * min(5.0, 0.9 * ratio ** 0.2)
+        if not (u_lo < u_end < u_hi and v_lo < v_end < v_hi):
+            exc = IntegrationError("adiabat left the domain of %s at U=%g V=%s"
+                                   % (model.name, u_end, (v_end,)))
+            exc.exit_energy = u_end
+            raise exc
+        if samples is not None:
+            samples.append(StatePoint(u_end, (v_end,)))
+        u, v, k1 = u_end, v_end, k7
+        if land:
+            if v == v_to:
+                return u, k1, h
+            stops.pop(0)
 
 
 def _require_one_coordinate(model):
@@ -337,29 +406,28 @@ def _require_one_coordinate(model):
 def integrate_adiabat(model, X, waypoints, step=None, tol=1e-8, min_step=MIN_STEP):
     """Integrate the adiabat through X along a piecewise-linear V path.
 
-    The model has one work coordinate; waypoints are 1-tuples.  step is the
-    RK4 step in work-coordinate length (default: 1/100 of the domain span).
-    When tol is not None each segment is Richardson-checked against a
-    half-step run, which is reused as the next coarse run, and the step halves
-    until the difference is below tol per unit path length; falling under
-    min_step raises.
+    The model has one work coordinate; waypoints are 1-tuples.  The path is
+    one Dormand-Prince 5(4) run that carries its step proposal and its last
+    slope from one waypoint to the next.  step is the initial step in
+    work-coordinate length (default: 1/100 of the domain span).  When tol
+    is not None each step's error estimate must be at most tol per unit
+    step length, and a step that falls under min_step raises; with tol None
+    each segment takes ceil(length / step) equal steps.  The samples are X
+    and every accepted step's end point, each waypoint among them, and with
+    tol each kink crossed.
     """
     _require_one_coordinate(model)
     model.require_interior(X)
     if step is None:
         step = model.domain.span() / 100.0
     samples = [X]
-    u, v_prev = X.U, X.V[0]
+    u, k, v, h = X.U, None, X.V[0], step
     for wp in waypoints:
         v_next = float(wp[0])
-        path = _refined_segment(model, u, v_prev, v_next, step, tol, min_step)
-        if not path:
-            continue
-        d, h, t = v_next - v_prev, 1.0 / len(path), 0.0
-        for energy in path:
-            t += h  # as the kernel accumulates t, so V matches it bit for bit
-            samples.append(StatePoint(energy, (v_prev + t * d,)))
-        u, v_prev = path[-1], v_next
+        if v_next != v:
+            u, k, h = _dp_segment(model, u, k, v, v_next, h, tol, min_step,
+                                  samples)
+            v = v_next
     return AdiabatSurface(base=X, samples=samples, step=step, tolerance=tol or 0.0)
 
 
@@ -367,12 +435,14 @@ def adiabat_energy_at(model, X, v_targets, tol=SECTOR_TOL, clip=True):
     """Adiabat energies through X at each target V, one sweep per direction.
 
     The model has one work coordinate.  The targets are visited in two
-    monotone sweeps from X; each segment starts at the end energy of the last
-    and is refined as in integrate_adiabat with its default step, keeping only
-    its end energy.  A target on or outside the open V range raises
+    monotone sweeps from X; each sweep is one Dormand-Prince 5(4) run as in
+    integrate_adiabat, from an initial step of 1/100 of the domain span,
+    carrying its step proposal and slope from target to target and keeping
+    only the energy at each.  A target on or outside the open V range raises
     DomainError before anything is integrated.  With clip=True a sweep that
     leaves the domain through the energy floor or ceiling records -inf or +inf
-    for the remaining targets in that direction instead of raising.
+    for the remaining targets in that direction instead of raising; a step
+    that falls under min_step raises either way.
     """
     _require_one_coordinate(model)
     targets = [tuple(float(c) for c in (t if not isinstance(t, (int, float)) else (t,)))
@@ -389,21 +459,21 @@ def adiabat_energy_at(model, X, v_targets, tol=SECTOR_TOL, clip=True):
     rights = sorted(t for t in targets if t[0] >= base)
     lefts = sorted((t for t in targets if t[0] < base), reverse=True)
     for chain in (rights, lefts):
-        u, v = X.U, (base,)
+        u, k, v, h = X.U, None, base, step
         escaped = None
         for t in chain:
-            if escaped is None and t != v:
-                model.require_interior(StatePoint(u, v))
+            if escaped is None and t[0] != v:
+                model.require_interior(StatePoint(u, (v,)))
                 try:
-                    path = _refined_segment(model, u, v[0], t[0], step, tol, MIN_STEP)
+                    u, k, h = _dp_segment(model, u, k, v, t[0], h, tol, MIN_STEP)
                 except IntegrationError as exc:
-                    if not clip:
-                        raise
                     # the min_step error carries no exit energy
-                    exit_u = getattr(exc, "exit_energy", mid_u)
+                    exit_u = getattr(exc, "exit_energy", None)
+                    if not clip or exit_u is None:
+                        raise
                     escaped = math.inf if exit_u >= mid_u else -math.inf
                 else:
-                    u, v = (path[-1] if path else u), t
+                    v = t[0]
             result[t] = u if escaped is None else escaped
     return [result[t] for t in targets]
 
@@ -524,7 +594,8 @@ def check_convexity(model, X, Y, t_grid=(0.0, 0.25, 0.5, 0.75, 1.0)):
 
 def check_caratheodory(model, X, radius, seed=0):
     """In every ball around X there must be unreachable states, and some
-    state must be strictly above X's adiabat; 64 random points are drawn."""
+    state must be strictly above X's adiabat.  Up to 64 random points are
+    drawn, stopping once both are found; `checked` counts the points drawn."""
     import random
 
     model.require_interior(X)
@@ -540,7 +611,7 @@ def check_caratheodory(model, X, radius, seed=0):
     dim = len(coords)
     unreachable = None
     strictly_above = None
-    for _ in range(64):
+    for checked in range(1, 65):
         vec = [rng.gauss(0.0, 1.0) for _ in range(dim)]
         norm = math.sqrt(sum(c * c for c in vec)) or 1.0
         r = radius * rng.random() ** (1.0 / dim)
@@ -559,7 +630,7 @@ def check_caratheodory(model, X, radius, seed=0):
     if strictly_above is None:
         violations.append("no strictly accessible state found in the ball")
     return CheckReport(
-        "caratheodory", 64, violations,
+        "caratheodory", checked, violations,
         details={"unreachable": unreachable, "strictly_above": strictly_above},
     )
 

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, SplitBoundaryError, TemperatureSignError
+from .roots import brent_root
 from .simple import StatePoint, point
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -97,49 +98,6 @@ def _golden_max(f, a, b, tol):
     return 0.5 * (a + b)
 
 
-def _brent_root(f, a, b, fa, fb, tol):
-    """A point within tol (plus a few ulps) of a sign change of f in [a, b],
-    given fa = f(a) and fb = f(b) of opposite signs or zero.
-
-    Brent's zeroin (Algorithms for Minimization without Derivatives, 1973,
-    ch. 4): inverse quadratic or secant steps, and a bisection step whenever
-    the interpolated step would not shrink the bracket fast enough.
-    """
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 4e-16 * abs(b) + 0.5 * tol
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * xm * s, 1.0 - s
-            else:  # inverse quadratic
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = xm
-        else:
-            d = e = xm
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = f(b)
-
-
 def thermal_split(join, U, V1, V2):
     """Split the joined state (U, V1, V2) into the entropy-maximizing pair.
 
@@ -187,7 +145,7 @@ def thermal_split(join, U, V1, V2):
         da = max(a, lo + h)
         db = min(b, hi - h)
         if da < db and (f_da := deriv(da)) > 0.0 > (f_db := deriv(db)):
-            u_star = _brent_root(deriv, da, db, f_da, f_db, tol)
+            u_star = brent_root(deriv, da, db, f_da, f_db, tol)
         else:
             u_star = _golden_max(total, a, b, max(tol, 1e-13))
         candidates.append((total(u_star), u_star))
@@ -324,7 +282,7 @@ def isotherm_state(model, V, T_target):
         return None
     # the smallest max(1, |U|) over the bracket
     scale = max(1.0, 0.0 if lo < 0.0 < hi else min(abs(lo), abs(hi)))
-    return StatePoint(_brent_root(excess, lo, hi, f_lo, f_hi, 1e-12 * scale), V)
+    return StatePoint(brent_root(excess, lo, hi, f_lo, f_hi, 1e-12 * scale), V)
 
 
 def isotherm_samples(model, T_target, v_grid):

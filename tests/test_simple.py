@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -69,6 +71,65 @@ def test_unreachable_tolerance_raises_step_underflow():
     x = point(1.5, 1.0)
     with pytest.raises(IntegrationError):
         integrate_adiabat(GAS, x, [(2.0,)], step=0.5, tol=1e-18, min_step=1e-3)
+
+
+def _kinked_table(pressure):
+    # bilinear interpolation of a curved pressure: dP/dV jumps at every inner
+    # V grid line, and dP/dU at every inner U grid line unless P is linear
+    # in U
+    us = [0.5 + 0.25 * k for k in range(40)]
+    vs = [0.5 + 0.25 * k for k in range(20)]
+    return tabulated_model(us, vs, [[pressure(u, v) for v in vs] for u in us])
+
+
+KINKED = {
+    "linear_in_u": _kinked_table(lambda u, v: 2.0 * u / (3.0 * v) + 0.01 * u * v),
+    "curved_in_u": _kinked_table(
+        lambda u, v: 2.0 * u / (3.0 * v) + 0.05 * u * u / v + 0.01 * u * v),
+}
+
+
+def _kinked_runs(model, tol):
+    """Four adiabats, each along 3 random waypoints and back to its start."""
+    rng = random.Random(7)
+    lo, hi = model.domain.lo, model.domain.hi
+    runs = []
+    for _ in range(4):
+        x = point(*(l + (0.1 + 0.8 * rng.random()) * (h - l)
+                    for l, h in zip(lo, hi)))
+        path = [(lo[1] + (0.1 + 0.8 * rng.random()) * (hi[1] - lo[1]),)
+                for _ in range(3)] + [x.V]
+        runs.append((path, integrate_adiabat(model, x, path, tol=tol)))
+    return runs
+
+
+@pytest.mark.parametrize("name", sorted(KINKED))
+def test_kinked_table_spends_small_steps_only_at_kinks(name):
+    # whole-segment step halving took 25,812 and 812,948 samples on
+    # linear_in_u at tol 1e-8 and 1e-11
+    model = KINKED[name]
+    u_lines, v_lines = model.kinks
+    loose, tight = (_kinked_runs(model, tol) for tol in (1e-8, 1e-11))
+    assert sum(len(surface.samples) for _, surface in tight) < 5000
+    for _, surface in loose + tight:
+        for a, b in zip(surface.samples, surface.samples[1:]):
+            # no step spans a grid line; a step may start a hair short of
+            # the U line the last one landed on
+            v_lo, v_hi = sorted((a.V[0], b.V[0]))
+            assert not [v for v in v_lines if v_lo < v < v_hi]
+            u_lo, u_hi = sorted((a.U, b.U))
+            assert all(abs(u - a.U) <= 1e-12 for u in u_lines if u_lo < u < u_hi)
+    # a step across a kink has an error estimate far under its error, so
+    # only kink-free steps keep the waypoints within README's bound
+    for (path, coarse), (_, fine) in zip(loose, tight):
+        at_coarse, at_fine = iter(coarse.samples[1:]), iter(fine.samples[1:])
+        v, length = coarse.base.V[0], 0.0
+        for wp in path:
+            length += abs(wp[0] - v)
+            v = wp[0]
+            u_coarse = next(s.U for s in at_coarse if s.V[0] == v)
+            u_fine = next(s.U for s in at_fine if s.V[0] == v)
+            assert abs(u_coarse - u_fine) <= 0.5 * 1e-8 * length
 
 
 def test_adiabats_need_one_work_coordinate():
@@ -153,8 +214,6 @@ def test_adversarial_model_reports_crossing():
 
 
 def test_lipschitz_models_never_report_crossing():
-    import random
-
     rng = random.Random(11)
     for model in (GAS, VDW):
         lo, hi = model.domain.lo, model.domain.hi
@@ -168,6 +227,26 @@ def test_lipschitz_models_never_report_crossing():
                 lo[1] + (0.1 + 0.8 * rng.random()) * (hi[1] - lo[1]),
             )
             assert not check_nesting(model, a, b).violation
+
+
+def test_nesting_averages_at_most_400_pressure_calls():
+    # whole-segment step halving took about 1,640 a check
+    calls = []
+
+    def pressure(U, V):
+        calls.append(1)
+        return VDW.pressure(U, V)
+
+    model = SimpleSystemModel(name="counted_vdw", n=1, domain=VDW.domain,
+                              pressure=pressure)
+    rng = random.Random(1)
+    lo, hi = model.domain.lo, model.domain.hi
+    pairs = 100
+    for _ in range(pairs):
+        x, y = (point(*(l + (0.1 + 0.8 * rng.random()) * (h - l)
+                        for l, h in zip(lo, hi))) for _ in range(2))
+        check_nesting(model, x, y)
+    assert len(calls) <= 400 * pairs
 
 
 SWAPPED = {X_INSIDE_Y: Y_INSIDE_X, Y_INSIDE_X: X_INSIDE_Y,
@@ -263,6 +342,20 @@ def test_caratheodory_finds_unreachable_and_irreversible():
     assert report.holds
     assert report.details["unreachable"] is not None
     assert report.details["strictly_above"] is not None
+
+
+def test_caratheodory_counts_the_points_it_draws():
+    drawn = []
+
+    def entropy(U, V):
+        drawn.append(1)
+        return GAS.entropy(U, V)
+
+    model = SimpleSystemModel(name="counted", n=1, domain=GAS.domain,
+                              pressure=GAS.pressure, entropy=entropy)
+    report = check_caratheodory(model, point(2.0, 2.0), radius=0.3, seed=5)
+    assert report.holds
+    assert report.checked == len(drawn) - 1 == 2  # one call is X's entropy
 
 
 def test_caratheodory_radius_must_fit_in_domain():
