@@ -50,14 +50,13 @@ def cmd_validate(args):
 
 def cmd_run(args):
     try:
-        spec = load_pipeline_spec(args.spec)
+        spec = load_pipeline_spec(args.spec, only_stages=args.stage)
     except EngineError as exc:
         print("%s: %s" % (args.spec, exc), file=sys.stderr)
         return EXIT_INPUT
     out_dir = args.out or os.environ.get("ENTROPY_ENGINE_OUT") or "out"
-    only = set(args.stage) if args.stage else None
     try:
-        result = run_pipeline(spec, out_dir, seed=args.seed, only_stages=only)
+        result = run_pipeline(spec, out_dir, seed=args.seed)
     except OSError as exc:
         print("pipeline failed: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
@@ -82,7 +81,9 @@ def main(argv=None):
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the spec's random seed")
     run_p.add_argument("--stage", action="append",
-                       help="run only the named stage (repeatable)")
+                       help="run only the named stage of the spec "
+                            "(repeatable); the stages it needs must be "
+                            "named too")
     run_p.set_defaults(func=cmd_run)
 
     val_p = sub.add_parser("validate", help="parse and lint an instance file")

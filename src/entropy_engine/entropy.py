@@ -11,6 +11,8 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 
 from .errors import (
     CalibratorError,
@@ -204,62 +206,81 @@ class PrincipleReport:
         }
 
 
-def verify_entropy_principle(rel, tables, multipliers=None, resolution=None):
+def verify_entropy_principle(rel, tables, multipliers=None):
     """Check monotonicity of weighted entropy sums over all facts.
 
     Facts whose per-space scale totals differ on the two sides are outside
     the additivity contract and are skipped (counted in the report).  A fact
-    violates when the entropy sum drops by more than the grid tolerance; an
-    equivalence violates when the sums differ by more than it.  The report
-    keeps every checked inequality with its margin.
+    violates when the entropy sum drops by more than the tolerance, the
+    coarsest table resolution times max|a| times the summed scales of both
+    sides; an equivalence violates when the sums differ by more than it.  The
+    report keeps every checked inequality with its margin, sorted by the text
+    of its two sides.
+
+    Each state of the universe is summarized once: its weighted entropy sum
+    (compound_entropy, exact on Fractions, a float on float tables or
+    multipliers) and its scale sum become integers over common denominators
+    through as_integer_ratio, which is exact on both.  Each fact then costs
+    integer subtractions and comparisons, and a reported margin is the
+    correctly rounded float of the exact difference of the two sums.
     """
-    if resolution is None:
-        resolution = max(
-            (t.lambda_resolution for t in tables.values()), default=Fraction(0)
-        )
     for sp in rel.spaces:
         if sp not in tables:
             raise DegenerateTableError("no entropy table for space %r" % sp)
+    resolution = max(
+        (t.lambda_resolution for t in tables.values()), default=Fraction(0)
+    )
     amax = 1 if multipliers is None else max(abs(a) for a in multipliers.values())
-    # per distinct state: sort text, per-space totals, entropy sum, scale sum
-    cache = {}
+    succ = rel.successors
+    sums = {state: compound_entropy(tables, state, multipliers).as_integer_ratio()
+            for state in succ}
+    # entropy sums are integers over den, scales integers over sden
+    den = lcm(*(d for _n, d in sums.values()))
+    sden = lcm(*(lam.denominator for state in succ for _sp, _st, lam in state.parts))
+    # |m| / den > tol * c / sden with tol = tn / td, for margin m and scale c
+    tn, td = (Fraction(resolution) * Fraction(amax)).as_integer_ratio()
+    margin_weight, scale_weight = sden * td, den * tn
 
-    def summary(state):
-        entry = cache.get(state)
-        if entry is None:
-            entry = cache[state] = (
-                str(state),
-                state.total_scale_by_space(),
-                compound_entropy(tables, state, multipliers),
-                sum(lam for _sp, _st, lam in state.parts),
-            )
-        return entry
+    texts = {state: str(state) for state in succ}
+    rank = {text: i for i, text in enumerate(sorted(set(texts.values())))}
+    # per state: sort rank, per-space totals, entropy sum, scale sum, parts
+    summary = {}
+    for state, text in texts.items():
+        totals = {}
+        for sp, _st, lam in state.parts:
+            totals[sp] = totals.get(sp, 0) + lam.numerator * (sden // lam.denominator)
+        num, d = sums[state]
+        summary[state] = (rank[text], totals, num * (den // d),
+                          sum(totals.values()), len(state.parts))
+
+    width = len(rank)
+    rows = []
+    for left, reach in succ.items():
+        key = summary[left][0] * width
+        rows.extend((key + summary[right][0], left, right) for right in reach)
+    rows.sort(key=itemgetter(0))
 
     report = PrincipleReport()
-    for left, right in sorted(
-        rel.facts, key=lambda p: (summary(p[0])[0], summary(p[1])[0])
-    ):
-        _text, totals_left, s_left, scale_left = summary(left)
-        _text, totals_right, s_right, scale_right = summary(right)
+    for _key, left, right in rows:
+        _rank, totals_left, s_left, scale_left, len_left = summary[left]
+        _rank, totals_right, s_right, scale_right, len_right = summary[right]
         if totals_left != totals_right:
             report.skipped_scale_mismatch += 1
             continue
-        report.max_parts_seen = max(report.max_parts_seen, len(left), len(right))
-        margin = s_right - s_left
-        tol = resolution * (scale_left + scale_right) * amax
+        report.max_parts_seen = max(report.max_parts_seen, len_left, len_right)
         report.facts_checked += 1
-        equivalent = (right, left) in rel.facts
-        kind = "equivalence" if equivalent else "monotonicity"
-        report.entries.append((left, right, kind, float(margin)))
-        if equivalent:
-            if abs(margin) > tol:
-                report.violations.append(
-                    PrincipleViolation("equivalence", left, right, float(margin))
-                )
-        elif margin < -tol:
-            report.violations.append(
-                PrincipleViolation("monotonicity", left, right, float(margin))
-            )
+        m = s_right - s_left
+        bound = scale_weight * (scale_left + scale_right)
+        margin = m / den
+        if left in succ[right]:
+            kind = "equivalence"
+            violated = abs(m) * margin_weight > bound
+        else:
+            kind = "monotonicity"
+            violated = -m * margin_weight > bound
+        report.entries.append((left, right, kind, margin))
+        if violated:
+            report.violations.append(PrincipleViolation(kind, left, right, margin))
     return report
 
 

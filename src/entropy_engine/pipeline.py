@@ -189,9 +189,14 @@ class PipelineSpec:
     calibration: object
 
 
-def load_pipeline_spec(path):
+def load_pipeline_spec(path, only_stages=None):
     """Read a spec and load every instance it names, inline or as a file name
-    relative to the spec; any problem raises an EngineError."""
+    relative to the spec; any problem raises an EngineError.
+
+    With `only_stages`, the spec's stages are narrowed to those named, in
+    spec order.  Each name must be a stage of the spec, and every stage a
+    chosen one needs must be chosen too.
+    """
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise InputFormatError("a pipeline spec must be a JSON object")
@@ -212,6 +217,17 @@ def load_pipeline_spec(path):
         for section in sections:
             if doc.get(section) is None:
                 raise InputFormatError("stage %r needs a %s section" % (st, section))
+    if only_stages is not None:
+        for name in only_stages:
+            if name not in stages:
+                raise InputFormatError("selected stage %r is not a stage of the spec"
+                                       % (name,))
+        stages = [st for st in stages if st in only_stages]
+        for st in stages:
+            for need in STAGE_TABLE[st][1]:
+                if need not in stages:
+                    raise InputFormatError("selected stage %r requires %r, which "
+                                           "is not selected" % (st, need))
     base_dir = os.path.dirname(os.path.abspath(path))
 
     def load(value, loader, what):
@@ -627,7 +643,7 @@ class PipelineResult:
     files: list
 
 
-def run_pipeline(spec, out_dir, seed=None, only_stages=None):
+def run_pipeline(spec, out_dir, seed=None):
     """Execute the spec's stages in order and write the report bundle.
 
     Exit code 0 means every executed stage was violation-free, 1 means at
@@ -635,10 +651,7 @@ def run_pipeline(spec, out_dir, seed=None, only_stages=None):
     """
     seed = spec.seed if seed is None else seed
     ctx = PipelineContext(spec, seed)
-    stages = [
-        s for s in spec.stages if only_stages is None or s in only_stages
-    ]
-    for name in stages:
+    for name in spec.stages:
         try:
             ctx.reports[name] = STAGE_FUNCS[name](ctx)
         except EngineError as exc:
@@ -647,7 +660,7 @@ def run_pipeline(spec, out_dir, seed=None, only_stages=None):
     report = {
         "schema": SCHEMA,
         "seed": seed,
-        "stages": stages,
+        "stages": spec.stages,
         "reports": _jsonable(ctx.reports),
         "violations": ctx.violations,
         "exit_code": 1 if ctx.violations else 0,

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from entropy_engine.entropy import (
+    EntropyTable,
     calibrate_multiplicative,
     compound_entropy,
     construct_entropy,
@@ -163,6 +164,47 @@ def test_principle_report_lists_each_inequality_with_margin():
     assert all("margin" in entry for entry in doc["inequalities"])
     kinds = {entry["kind"] for entry in doc["inequalities"]}
     assert kinds == {"equivalence", "monotonicity"}
+
+
+def test_principle_tolerance_boundary():
+    # one-part facts of scale 1 at resolution 1/64: tol = 1/64 * (1 + 1) * max|a|
+    tol, step = Fraction(1, 32), Fraction(1, 128)
+    cases = [  # margin, equivalence, violates alone, violates with max|a| = 2
+        (-tol, False, False, False),
+        (-tol - step, False, True, False),
+        (-2 * tol, False, True, False),
+        (-2 * tol - step, False, True, True),
+        (tol, True, False, False),
+        (tol + step, True, True, False),
+        (2 * tol, True, True, False),
+        (2 * tol + step, True, True, True),
+    ]
+    names = ["%s%d" % (side, i) for i in range(len(cases)) for side in "lr"]
+    g, h = make_space("G", [1], names), make_space("H", [1], ["h"])
+    rel = build_relation([g, h], [], [Fraction(1)])
+    values = {name: Fraction(0) for name in names}
+    for i, (margin, equivalence, _alone, _scaled) in enumerate(cases):
+        values["r%d" % i] = margin
+        rel.add_fact(single("G", "l%d" % i), single("G", "r%d" % i))
+        if equivalence:
+            rel.add_fact(single("G", "r%d" % i), single("G", "l%d" % i))
+    tables = {
+        "G": EntropyTable("G", values, "l0", "r0", Fraction(1, 64)),
+        "H": EntropyTable("H", {"h": Fraction(0)}, "h", "h", Fraction(1, 64)),
+    }
+    for multipliers, column in [(None, 2), ({"G": Fraction(1), "H": Fraction(2)}, 3)]:
+        report = verify_entropy_principle(rel, tables, multipliers=multipliers)
+        flagged = {(v.kind, v.left.parts[0][1]) for v in report.violations}
+        expected = set()
+        for i, case in enumerate(cases):
+            if case[column]:
+                kind = "equivalence" if case[1] else "monotonicity"
+                expected.add((kind, "l%d" % i))
+                if case[1]:
+                    expected.add((kind, "r%d" % i))
+        assert flagged == expected
+        margins = {(str(l), str(r)): m for l, r, _k, m in report.entries}
+        assert margins["(1 G.l1)", "(1 G.r1)"] == float(-tol - step)
 
 
 def test_compound_entropy_is_scale_weighted():

@@ -318,16 +318,46 @@ def test_cli_run_missing_file_is_input_error(tmp_path):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
 
 
-def test_cli_stage_filter(tmp_path):
+def test_cli_stage_filter(tmp_path, capsys):
     rel_path = write_json(tmp_path / "rel.json", CHAIN_RELATION)
-    doc = base_spec(stages=["close", "check_axioms"], relation="rel.json")
+    doc = base_spec(stages=["close", "check_axioms", "check_ch",
+                            "construct_entropy", "verify_principle"],
+                    relation="rel.json",
+                    entropy={"space": "G", "ref_low": "x", "ref_high": "z"})
     spec_path = write_json(tmp_path / "spec.json", doc)
-    code = main([
-        "run", spec_path, "--out", str(tmp_path / "out"), "--stage", "close",
-    ])
+
+    def run(*names):
+        out = tmp_path / ("out-" + "-".join(names))
+        argv = ["run", spec_path, "--out", str(out)]
+        for name in names:
+            argv += ["--stage", name]
+        return main(argv), out / "report.json"
+
+    code, path = run("close")
     assert code == 0
-    report = json.load(open(tmp_path / "out" / "report.json"))
-    assert report["stages"] == ["close"]
+    assert json.load(open(path))["stages"] == ["close"]
+    # chosen stages run in spec order; the chain has no midpoint facts, so
+    # the comparison hypothesis fails on the closed relation
+    code, path = run("check_ch", "close")
+    report = json.load(open(path))
+    assert code == 1
+    assert report["stages"] == ["close", "check_ch"]
+    assert report["violations"][0].startswith("comparison hypothesis fails")
+    # a name outside the spec, or a stage without the stages it needs, is
+    # bad input: exit 2 and no bundle
+    for names, message in [
+        (["bogus"], "'bogus' is not a stage of the spec"),
+        (["check_axioms", "bogus"], "'bogus' is not a stage of the spec"),
+        (["check_ch"], "'check_ch' requires 'close'"),
+        (["verify_principle"], "'verify_principle' requires 'close'"),
+        (["close", "verify_principle"],
+         "'verify_principle' requires 'construct_entropy'"),
+    ]:
+        capsys.readouterr()
+        code, path = run(*names)
+        assert code == 2, names
+        assert message in capsys.readouterr().err
+        assert not path.parent.exists()
 
 
 def test_cli_out_dir_from_environment(tmp_path, monkeypatch):

@@ -119,6 +119,7 @@ def random_tables(rng, spaces):
 @pytest.mark.parametrize("seed", range(5))
 def test_close_and_scanners_match_reference(seed):
     rng = random.Random(7000 + seed)
+    multiplier_rng = random.Random(9000 + seed)  # leaves rng's draws as they were
     closed_cases = raised = off_grid = two_spaces = 0
 
     for _ in range(20):
@@ -148,6 +149,14 @@ def test_close_and_scanners_match_reference(seed):
         tables = random_tables(rng, list(rel.spaces.values()))
         assert verify_entropy_principle(closed, tables).to_json() == \
             ref.verify_entropy_principle(expected, tables).to_json()
+        for draw in (lambda: F(multiplier_rng.randint(1, 8), multiplier_rng.randint(1, 5)),
+                     lambda: multiplier_rng.uniform(0.1, 4)):
+            multipliers = {sp: draw() for sp in rel.spaces}
+            got_report = verify_entropy_principle(closed, tables, multipliers=multipliers)
+            want_report = ref.verify_entropy_principle(expected, tables,
+                                                       multipliers=multipliers)
+            assert got_report.to_json() == want_report.to_json()
+            assert got_report.violations == want_report.violations
     assert closed_cases and raised and off_grid and two_spaces
 
 
