@@ -4,11 +4,7 @@ import argparse
 import os
 import sys
 
-from .constants import graph_from_json
-from .errors import EngineError, InputFormatError
-from .pipeline import load_pipeline_spec, read_json, run_pipeline
-from .relation import relation_from_json
-from .simple import model_from_spec
+from .errors import EngineError, InputFormatError, read_json
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -31,16 +27,38 @@ def _detect_kind(doc):
     raise InputFormatError("cannot tell what kind of instance this file is")
 
 
+# Each loader imports only its own layer, so `validate` on an instance file
+# compiles that layer and no other.
+def _load_model(path, doc):
+    from .simple import model_from_spec
+    model_from_spec(doc)
+
+
+def _load_relation(path, doc):
+    from .relation import relation_from_json
+    relation_from_json(doc)
+
+
+def _load_graph(path, doc):
+    from .constants import graph_from_json
+    graph_from_json(doc)
+
+
+def _load_spec(path, doc):
+    from .pipeline import load_pipeline_spec
+    load_pipeline_spec(path)
+
+
+LOADERS = {"model": _load_model, "relation": _load_relation,
+           "graph": _load_graph, "pipeline": _load_spec}
+
+
 def cmd_validate(args):
     kind = "instance"
     try:
         doc = read_json(args.file)
         kind = _detect_kind(doc)
-        if kind == "pipeline":
-            load_pipeline_spec(args.file)
-        else:
-            {"model": model_from_spec, "graph": graph_from_json,
-             "relation": relation_from_json}[kind](doc)
+        LOADERS[kind](args.file, doc)
     except EngineError as exc:
         print("%s: invalid %s: %s" % (args.file, kind, exc), file=sys.stderr)
         return EXIT_INPUT
@@ -49,6 +67,8 @@ def cmd_validate(args):
 
 
 def cmd_run(args):
+    from .pipeline import load_pipeline_spec, run_pipeline
+
     try:
         spec = load_pipeline_spec(args.spec, only_stages=args.stage)
     except EngineError as exc:

@@ -1,4 +1,7 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the JSON file reader that
+raises InputFormatError; this module imports no layer."""
+
+import json
 
 
 class EngineError(Exception):
@@ -93,3 +96,17 @@ class InfeasibleConstantsError(EngineError):
 
 class InputFormatError(EngineError):
     """An instance file does not parse or does not match its schema."""
+
+
+def read_json(path):
+    """Parse a JSON file; an unreadable or malformed file is an InputFormatError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(
+            "%s: parse error at line %d column %d: %s"
+            % (path, exc.lineno, exc.colno, exc.msg)
+        ) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFormatError("cannot read %s: %s" % (path, exc)) from exc

@@ -32,6 +32,7 @@ from .errors import (
     EngineError,
     InputFormatError,
     SplitBoundaryError,
+    read_json,
 )
 from .rational import format_rational, parse_rational
 from .relation import (
@@ -62,20 +63,6 @@ from .thermal import (
 )
 
 SCHEMA = "entropy-engine/1"
-
-
-def read_json(path):
-    """Parse a JSON file; an unreadable or malformed file is an InputFormatError."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(
-            "%s: parse error at line %d column %d: %s"
-            % (path, exc.lineno, exc.colno, exc.msg)
-        ) from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputFormatError("cannot read %s: %s" % (path, exc)) from exc
 
 
 def _object(value, what):
@@ -210,6 +197,8 @@ def load_pipeline_spec(path, only_stages=None):
     for i, st in enumerate(stages):
         if not isinstance(st, str) or st not in STAGE_TABLE:
             raise InputFormatError("unknown stage %r" % (st,))
+        if st in stages[:i]:
+            raise InputFormatError("stage %r is listed twice" % (st,))
         _func, needs, sections = STAGE_TABLE[st]
         for need in needs:
             if need not in stages[:i]:

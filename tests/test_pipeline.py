@@ -68,6 +68,19 @@ def test_stage_dependency_order_enforced(tmp_path):
         load_pipeline_spec(spec_path)
 
 
+def test_stage_listed_twice_rejected(tmp_path):
+    rel_path = write_json(tmp_path / "rel.json", CHAIN_RELATION)
+    doc = base_spec(stages=["close", "check_axioms", "check_axioms"],
+                    relation="rel.json")
+    spec_path = write_json(tmp_path / "spec.json", doc)
+    with pytest.raises(InputFormatError, match="'check_axioms' is listed twice"):
+        load_pipeline_spec(spec_path)
+    assert main(["validate", spec_path]) == 2
+    out = tmp_path / "out"
+    assert main(["run", spec_path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ stages
 
 
@@ -561,6 +574,52 @@ def test_cli_bad_spec_is_input_error(tmp_path, case):
         proc = run_cli(args)
         assert proc.returncode == 2, (args, proc.stdout, proc.stderr)
         assert "Traceback" not in proc.stderr
+
+
+LAYERS = ("relation", "entropy", "simple", "thermal", "constants", "pipeline")
+
+# Validates one file in a fresh interpreter and prints, after the exit code,
+# the layer modules that were imported.
+VALIDATE_AND_LIST_LAYERS = """
+import json, sys
+from entropy_engine.cli import main
+code = main(["validate", sys.argv[1]])
+print(json.dumps([code, sorted(
+    name for name in sys.modules
+    if name.rpartition(".")[2] in %r and name.startswith("entropy_engine."))]))
+""" % (LAYERS,)
+
+
+@pytest.mark.parametrize("kind, layer, doc", [
+    ("model", "simple", {"type": "van_der_waals"}),
+    ("relation", "relation", CHAIN_RELATION),
+    ("graph", "constants", CALIBRATION_GRAPH),
+])
+def test_validate_imports_only_the_layer_of_its_file_kind(tmp_path, kind, layer,
+                                                          doc):
+    path = write_json(tmp_path / (kind + ".json"), doc)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(entropy_engine.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", VALIDATE_AND_LIST_LAYERS, path],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    message, listing = proc.stdout.splitlines()
+    assert message == "%s: valid %s instance" % (path, kind)
+    code, imported = json.loads(listing)
+    assert code == 0
+    assert imported == ["entropy_engine." + layer]
+
+
+def test_validate_spec_output_is_unchanged(tmp_path):
+    rel_path = write_json(tmp_path / "rel.json", CHAIN_RELATION)
+    spec_path = write_json(tmp_path / "spec.json", base_spec(
+        stages=["close", "check_axioms"], relation="rel.json"))
+    proc = run_cli(["validate", spec_path])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "%s: valid pipeline instance\n" % spec_path
+    assert proc.stderr == ""
 
 
 # A small spec that reads every section; every count is tiny.
