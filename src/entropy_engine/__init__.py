@@ -36,7 +36,7 @@ _EXPORTS = {
         "AdiabatSurface", "Box", "SimpleSystemModel", "StatePoint",
         "check_caratheodory", "check_convexity", "check_lipschitz",
         "check_nesting", "forward_sector_contains", "integrate_adiabat",
-        "model_from_spec", "monatomic_ideal_gas", "point", "pressure_at",
+        "model_from_spec", "monatomic_ideal_gas", "point",
         "pressure_consistency", "sqrt_singularity_model", "tabulated_model",
         "van_der_waals_gas",
     ),

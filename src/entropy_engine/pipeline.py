@@ -100,6 +100,11 @@ def _field(kind, value, what, models):
         return float(value)
     if kind in ("reals", "experiments") and not isinstance(value, list):
         raise InputFormatError("%s must be a list, got %r" % (what, value))
+    if kind == "coordinate":
+        if not isinstance(value, list) or len(value) != 1:
+            raise InputFormatError("%s must be a one-element list, got %r"
+                                   % (what, value))
+        return _field("real", value[0], what, models)
     if kind == "reals":
         if not value:
             raise InputFormatError("%s must not be empty" % what)
@@ -116,7 +121,8 @@ REQUIRED = object()
 # default; a REQUIRED one has none.  Kinds: integer, count (>= 0) and positive
 # (>= 1) are integers, a model is the name of a declared model, a resolution a
 # positive rational, rationals an object of them, reals a nonempty list of
-# finite numbers, experiments a list of experiment sections.
+# finite numbers, a coordinate a list of exactly one finite number, read as
+# that number, experiments a list of experiment sections.
 FIELDS = {
     "options": {"max_parts": ("positive", 3), "budget": ("positive", DEFAULT_BUDGET)},
     "entropy": {
@@ -141,8 +147,8 @@ FIELDS = {
         "zeroth_triples": ("count", 10),
         "isotherm": ("isotherm", None),
     },
-    "experiment": {"U": ("real", REQUIRED), "V1": ("reals", REQUIRED),
-                   "V2": ("reals", REQUIRED)},
+    "experiment": {"U": ("real", REQUIRED), "V1": ("coordinate", REQUIRED),
+                   "V2": ("coordinate", REQUIRED)},
     "isotherm": {"model": ("model", REQUIRED), "T": ("real", REQUIRED),
                  "v_grid": ("reals", REQUIRED)},
 }
@@ -267,7 +273,7 @@ def load_pipeline_spec(path, only_stages=None):
         iso = thermal["isotherm"]
         for v in iso["v_grid"] if iso else ():
             _input_checked("thermal.isotherm.v_grid",
-                           iso["model"].require_work_coordinates, [v])
+                           iso["model"].require_work_coordinates, v)
     return spec
 
 
@@ -407,7 +413,7 @@ def _random_interior(rng, model, margin=0.1):
         l + (margin + (1.0 - 2.0 * margin) * rng.random()) * (h - l)
         for l, h in zip(lo, hi)
     ]
-    return StatePoint(coords[0], tuple(coords[1:]))
+    return StatePoint(*coords)
 
 
 def _stage_simple_suite(ctx):
@@ -457,10 +463,10 @@ def _stage_simple_suite(ctx):
 
     x = _random_interior(rng, model, margin=0.3)
     lo_v, hi_v = model.domain.lo[1], model.domain.hi[1]
-    target = (lo_v + 0.66 * (hi_v - lo_v),)
-    surface = integrate_adiabat(model, x, [target, tuple(x.V)])
+    target = lo_v + 0.66 * (hi_v - lo_v)
+    surface = integrate_adiabat(model, x, [target, x.V])
     out["forward_backward_drift"] = abs(surface.samples[-1].U - x.U)
-    rows = ["U,V"] + ["%r,%r" % (s.U, s.V[0]) for s in surface.samples]
+    rows = ["U,V"] + ["%r,%r" % (s.U, s.V) for s in surface.samples]
     ctx.csv_files["adiabat_samples.csv"] = "\n".join(rows) + "\n"
     if out["forward_backward_drift"] > 1e-6 * max(1.0, abs(x.U)):
         ctx.violations.append("adiabat does not return on itself in %s" % model.name)
@@ -558,7 +564,7 @@ def _stage_thermal_suite(ctx):
         model = iso["model"]
         samples = isotherm_samples(model, iso["T"], iso["v_grid"])
         rows = ["U,V,T"] + [
-            "%r,%r,%r" % (s.U, s.V[0], temperature(model, s)) for s in samples
+            "%r,%r,%r" % (s.U, s.V, temperature(model, s)) for s in samples
         ]
         ctx.csv_files["isotherm_samples.csv"] = "\n".join(rows) + "\n"
         out["isotherm_samples"] = len(samples)

@@ -55,7 +55,7 @@ def temperature(model, X):
     model.require_interior(X)
     h = 1e-6 * max(1.0, abs(X.U))
     for u in (X.U - h, X.U + h):
-        if not model.domain.contains((u,) + tuple(X.V)):
+        if not model.domain.contains((u, X.V)):
             raise DomainError(
                 "temperature stencil leaves the domain at %s" % (X,)
             )
@@ -110,8 +110,6 @@ def thermal_split(join, U, V1, V2):
     m1, m2 = join.left, join.right
     if m1.entropy is None or m2.entropy is None:
         raise DomainError("thermal split needs entropy oracles on both sides")
-    V1 = tuple(float(v) for v in V1)
-    V2 = tuple(float(v) for v in V2)
     lo, hi = join.energy_interval(U, V1, V2)
     width = hi - lo
     edge = 1e-9 * width
@@ -263,13 +261,12 @@ def check_zeroth_law(triples, tol=1e-9):
 
 
 def isotherm_state(model, V, T_target):
-    """State of the model with work coordinates V and temperature T_target.
+    """State of the model with work coordinate V and temperature T_target.
 
     Solves T(U) = T_target for the energy by Brent's method to within
     1e-12 * max(1, |U|); returns None when the temperature range at V does not
     bracket the target (the model cannot reach it there).
     """
-    V = tuple(float(v) for v in V)
     lo, hi = model.domain.lo[0], model.domain.hi[0]
     pad = 1e-4 * (hi - lo) + 2e-6 * max(1.0, abs(hi))
     lo, hi = lo + pad, hi - pad
@@ -286,8 +283,8 @@ def isotherm_state(model, V, T_target):
 
 
 def isotherm_samples(model, T_target, v_grid):
-    """States with temperature T_target along a grid of one work coordinate."""
-    states = (isotherm_state(model, (v,), T_target) for v in v_grid)
+    """States with temperature T_target along a grid of the work coordinate."""
+    states = (isotherm_state(model, v, T_target) for v in v_grid)
     return [state for state in states if state is not None]
 
 
@@ -324,7 +321,7 @@ def check_transversality(model, X, v_window=None):
     probes = 0
     for k in range(N_PROBES):
         v = lo + pad + k * (hi - lo - 2 * pad) / (N_PROBES - 1)
-        state = isotherm_state(model, (v,), T_probe)
+        state = isotherm_state(model, v, T_probe)
         if state is None:
             continue
         probes += 1

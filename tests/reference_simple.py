@@ -10,6 +10,7 @@ optimise this module.
 """
 
 import math
+from dataclasses import dataclass
 
 from entropy_engine.errors import DomainError, IntegrationError
 from entropy_engine.simple import (
@@ -19,8 +20,18 @@ from entropy_engine.simple import (
     Y_INSIDE_X,
     AdiabatSurface,
     NestingResult,
-    StatePoint,
 )
+
+
+@dataclass(frozen=True)
+class StatePoint:
+    """A state whose work coordinates V are a tuple, as these versions take."""
+
+    U: float
+    V: tuple
+
+    def coords(self):
+        return (self.U,) + tuple(self.V)
 
 
 def _rk4_segment(model, u0, v_from, v_to, steps, check_domain=True):

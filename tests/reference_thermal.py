@@ -12,7 +12,24 @@ import math
 from dataclasses import dataclass, field
 
 from entropy_engine.errors import DomainError, SplitBoundaryError, TemperatureSignError
-from entropy_engine.simple import StatePoint, point
+
+
+@dataclass(frozen=True)
+class StatePoint:
+    """A state whose work coordinates V are a tuple, as these versions take."""
+
+    U: float
+    V: tuple
+
+    def coords(self):
+        return (self.U,) + tuple(self.V)
+
+
+def point(U, V):
+    if isinstance(V, (int, float)):
+        V = (float(V),)
+    return StatePoint(float(U), tuple(float(v) for v in V))
+
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SCAN_POINTS = 33  # thermal_split's coarse scan for maximizer brackets

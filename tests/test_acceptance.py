@@ -137,12 +137,12 @@ def test_criterion_03_reference_independence():
 def test_criterion_04_adiabat_ode_drift():
     gas = monatomic_ideal_gas()
     x = point(1.5, 1.0)
-    forward = integrate_adiabat(gas, x, [(2.0,)], step=1e-3, tol=None)
-    inv = x.U * x.V[0] ** (2.0 / 3.0)
+    forward = integrate_adiabat(gas, x, [2.0], step=1e-3, tol=None)
+    inv = x.U * x.V ** (2.0 / 3.0)
     drift = max(
-        abs(s.U * s.V[0] ** (2.0 / 3.0) - inv) / inv for s in forward.samples
+        abs(s.U * s.V ** (2.0 / 3.0) - inv) / inv for s in forward.samples
     )
-    loop = integrate_adiabat(gas, x, [(2.0,), (1.0,)], step=1e-3, tol=None)
+    loop = integrate_adiabat(gas, x, [2.0, 1.0], step=1e-3, tol=None)
     ret = abs(loop.samples[-1].U - x.U)
     ok = drift <= 1e-6 and ret <= 1e-7
     report(4, ok, "invariant drift %.3g (allowed 1e-6), return gap %.3g "
@@ -180,7 +180,7 @@ def test_criterion_05_nesting_trichotomy():
 def test_criterion_06_thermal_split_and_flow():
     g1 = monatomic_ideal_gas(1)
     g2 = monatomic_ideal_gas(2)
-    split = thermal_split(ThermalJoin(g1, g2), 6.0, (1.0,), (1.0,))
+    split = thermal_split(ThermalJoin(g1, g2), 6.0, 1.0, 1.0)
     ratio_err = max(abs(split.X1.U - 2.0) / 2.0, abs(split.X2.U - 4.0) / 4.0)
     t1 = temperature(g1, split.X1)
     t2 = temperature(g2, split.X2)

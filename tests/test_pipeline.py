@@ -545,6 +545,8 @@ BAD_MODELS = {
                              "domain": {"U": [0.5, math.inf], "V": [[0.5, 5]]}},
     "gas-negative-v-floor": {"type": "ideal_gas",
                              "domain": {"U": [0.5, 10], "V": [[-1, 5]]}},
+    "gas-two-v-ranges": {"type": "ideal_gas",
+                         "domain": {"U": [0.5, 10], "V": [[0.5, 5], [1, 2]]}},
     "gas-infinite-moles": {"type": "ideal_gas", "moles": math.inf},
     "tabulated-ragged-pressure": dict(TABULATED, pressure_grid=[[1, 1], [1]]),
     "tabulated-word-in-entropy": dict(

@@ -20,7 +20,6 @@ from entropy_engine.simple import (
     model_from_spec,
     monatomic_ideal_gas,
     point,
-    pressure_at,
     pressure_consistency,
     sqrt_singularity_model,
     tabulated_model,
@@ -33,7 +32,7 @@ VDW = van_der_waals_gas()
 
 def gas_adiabat_energy(x, v):
     """Closed form: U V^(2/3) is constant along ideal-gas adiabats."""
-    return x.U * (x.V[0] / v) ** (2.0 / 3.0)
+    return x.U * (x.V / v) ** (2.0 / 3.0)
 
 
 # ------------------------------------------------------------ integration
@@ -41,36 +40,36 @@ def gas_adiabat_energy(x, v):
 
 def test_zero_length_path_returns_base_point():
     x = point(1.5, 1.0)
-    surface = integrate_adiabat(GAS, x, [(1.0,)])
+    surface = integrate_adiabat(GAS, x, [1.0])
     assert surface.samples == [x]
 
 
 def test_ideal_gas_invariant_is_conserved():
     x = point(1.5, 1.0)
-    surface = integrate_adiabat(GAS, x, [(2.0,)], step=1e-3, tol=None)
-    inv = x.U * x.V[0] ** (2.0 / 3.0)
+    surface = integrate_adiabat(GAS, x, [2.0], step=1e-3, tol=None)
+    inv = x.U * x.V ** (2.0 / 3.0)
     drift = max(
-        abs(s.U * s.V[0] ** (2.0 / 3.0) - inv) / inv for s in surface.samples
+        abs(s.U * s.V ** (2.0 / 3.0) - inv) / inv for s in surface.samples
     )
     assert drift <= 1e-6
 
 
 def test_forward_backward_path_returns_to_start():
     x = point(1.5, 1.0)
-    surface = integrate_adiabat(GAS, x, [(2.0,), (1.0,)], step=1e-3, tol=None)
+    surface = integrate_adiabat(GAS, x, [2.0, 1.0], step=1e-3, tol=None)
     assert abs(surface.samples[-1].U - x.U) <= 1e-7
 
 
 def test_path_leaving_domain_raises():
     x = point(9.5, 4.5)
     with pytest.raises(IntegrationError):
-        integrate_adiabat(GAS, x, [(0.6,)], tol=None)
+        integrate_adiabat(GAS, x, [0.6], tol=None)
 
 
 def test_unreachable_tolerance_raises_step_underflow():
     x = point(1.5, 1.0)
     with pytest.raises(IntegrationError):
-        integrate_adiabat(GAS, x, [(2.0,)], step=0.5, tol=1e-18, min_step=1e-3)
+        integrate_adiabat(GAS, x, [2.0], step=0.5, tol=1e-18, min_step=1e-3)
 
 
 def _kinked_table(pressure):
@@ -97,7 +96,7 @@ def _kinked_runs(model, tol):
     for _ in range(4):
         x = point(*(l + (0.1 + 0.8 * rng.random()) * (h - l)
                     for l, h in zip(lo, hi)))
-        path = [(lo[1] + (0.1 + 0.8 * rng.random()) * (hi[1] - lo[1]),)
+        path = [lo[1] + (0.1 + 0.8 * rng.random()) * (hi[1] - lo[1])
                 for _ in range(3)] + [x.V]
         runs.append((path, integrate_adiabat(model, x, path, tol=tol)))
     return runs
@@ -115,7 +114,7 @@ def test_kinked_table_spends_small_steps_only_at_kinks(name):
         for a, b in zip(surface.samples, surface.samples[1:]):
             # no step spans a grid line; a step may start a hair short of
             # the U line the last one landed on
-            v_lo, v_hi = sorted((a.V[0], b.V[0]))
+            v_lo, v_hi = sorted((a.V, b.V))
             assert not [v for v in v_lines if v_lo < v < v_hi]
             u_lo, u_hi = sorted((a.U, b.U))
             assert all(abs(u - a.U) <= 1e-12 for u in u_lines if u_lo < u < u_hi)
@@ -123,25 +122,13 @@ def test_kinked_table_spends_small_steps_only_at_kinks(name):
     # only kink-free steps keep the waypoints within README's bound
     for (path, coarse), (_, fine) in zip(loose, tight):
         at_coarse, at_fine = iter(coarse.samples[1:]), iter(fine.samples[1:])
-        v, length = coarse.base.V[0], 0.0
+        v, length = coarse.base.V, 0.0
         for wp in path:
-            length += abs(wp[0] - v)
-            v = wp[0]
-            u_coarse = next(s.U for s in at_coarse if s.V[0] == v)
-            u_fine = next(s.U for s in at_fine if s.V[0] == v)
+            length += abs(wp - v)
+            v = wp
+            u_coarse = next(s.U for s in at_coarse if s.V == v)
+            u_fine = next(s.U for s in at_fine if s.V == v)
             assert abs(u_coarse - u_fine) <= 0.5 * 1e-8 * length
-
-
-def test_adiabats_need_one_work_coordinate():
-    plane = SimpleSystemModel(
-        name="plane", n=2, domain=Box((0.5, 0.5, 0.5), (10.0, 5.0, 5.0)),
-        pressure=lambda U, V: (1.0, 1.0),
-    )
-    x = point(1.5, (1.0, 1.0))
-    with pytest.raises(DomainError, match="plane"):
-        integrate_adiabat(plane, x, [(2.0, 2.0)])
-    with pytest.raises(DomainError, match="plane"):
-        check_nesting(plane, x, point(2.0, (1.0, 1.0)), probes=[(2.0, 2.0)])
 
 
 # --------------------------------------------------------- forward sector
@@ -168,7 +155,7 @@ def test_free_expansion_is_one_way():
 
 def test_sector_query_without_oracle_integrates():
     model = SimpleSystemModel(
-        name="gas_no_oracle", n=1, domain=GAS.domain, pressure=GAS.pressure
+        name="gas_no_oracle", domain=GAS.domain, pressure=GAS.pressure
     )
     x = point(1.5, 1.0)
     assert forward_sector_contains(model, x, point(1.5, 2.0))
@@ -177,7 +164,7 @@ def test_sector_query_without_oracle_integrates():
 
 def test_sector_query_raises_when_adiabat_cannot_reach_target():
     model = SimpleSystemModel(
-        name="gas_no_oracle", n=1, domain=GAS.domain, pressure=GAS.pressure
+        name="gas_no_oracle", domain=GAS.domain, pressure=GAS.pressure
     )
     # the adiabat through a hot state exits the energy ceiling on the way
     # to small volumes
@@ -237,7 +224,7 @@ def test_nesting_averages_at_most_400_pressure_calls():
         calls.append(1)
         return VDW.pressure(U, V)
 
-    model = SimpleSystemModel(name="counted_vdw", n=1, domain=VDW.domain,
+    model = SimpleSystemModel(name="counted_vdw", domain=VDW.domain,
                               pressure=pressure)
     rng = random.Random(1)
     lo, hi = model.domain.lo, model.domain.hi
@@ -284,16 +271,16 @@ def test_nesting_needs_probes():
 def test_adiabat_reciprocity():
     x = point(1.5, 1.0)
     tol = 1e-10
-    surface = integrate_adiabat(GAS, x, [(2.2,)], tol=tol)
+    surface = integrate_adiabat(GAS, x, [2.2], tol=tol)
     y = surface.samples[-1]
-    back = integrate_adiabat(GAS, y, [(1.0,)], tol=tol)
+    back = integrate_adiabat(GAS, y, [1.0], tol=tol)
     assert abs(back.samples[-1].U - x.U) <= 10 * tol * max(1.0, abs(x.U))
 
 
 def test_orientation_energy_up_stays_in_sector():
     x = point(1.5, 1.0)
     for du in (0.1, 0.5, 1.0):
-        assert forward_sector_contains(GAS, x, point(x.U + du, x.V[0]))
+        assert forward_sector_contains(GAS, x, point(x.U + du, x.V))
 
 
 def test_sector_convexity_on_sampled_members():
@@ -303,7 +290,7 @@ def test_sector_convexity_on_sampled_members():
         assert forward_sector_contains(GAS, x, a)
     mid = point(
         0.5 * (members[0].U + members[1].U),
-        0.5 * (members[0].V[0] + members[1].V[0]),
+        0.5 * (members[0].V + members[1].V),
     )
     assert forward_sector_contains(GAS, x, mid)
 
@@ -327,7 +314,7 @@ def test_convexity_midpoint_strict_for_gas():
 
 def test_convexity_flags_non_concave_oracle():
     bad = SimpleSystemModel(
-        name="convex_oracle", n=1, domain=GAS.domain,
+        name="convex_oracle", domain=GAS.domain,
         pressure=GAS.pressure, entropy=lambda u, v: u * u,
     )
     report = check_convexity(bad, point(1.0, 1.0), point(3.0, 1.0), t_grid=(0.5,))
@@ -351,7 +338,7 @@ def test_caratheodory_counts_the_points_it_draws():
         drawn.append(1)
         return GAS.entropy(U, V)
 
-    model = SimpleSystemModel(name="counted", n=1, domain=GAS.domain,
+    model = SimpleSystemModel(name="counted", domain=GAS.domain,
                               pressure=GAS.pressure, entropy=entropy)
     report = check_caratheodory(model, point(2.0, 2.0), radius=0.3, seed=5)
     assert report.holds
@@ -374,7 +361,7 @@ def test_energy_bump_is_strictly_irreversible():
 
 
 def test_monatomic_pressure_value():
-    assert pressure_at(GAS, point(1.5, 1.0)) == (1.0,)
+    assert GAS.pressure(1.5, 1.0) == 1.0
 
 
 def test_pressure_matches_tangent_plane_slope():
@@ -385,7 +372,7 @@ def test_pressure_matches_tangent_plane_slope():
 
 def test_pressure_on_boundary_raises():
     with pytest.raises(DomainError):
-        pressure_at(GAS, point(GAS.domain.lo[0], 1.0))
+        GAS.require_interior(point(GAS.domain.lo[0], 1.0))
 
 
 # ---------------------------------------------------------------- models
@@ -409,8 +396,8 @@ def test_tabulated_model_interpolates_pressure():
     p = [[2.0 * u / (3.0 * v) for v in vs] for u in us]
     model = tabulated_model(us, vs, p)
     x = point(1.7, 1.3)
-    exact = 2.0 * x.U / (3.0 * x.V[0])
-    assert abs(model.pressure(x.U, x.V)[0] - exact) <= 5e-3
+    exact = 2.0 * x.U / (3.0 * x.V)
+    assert abs(model.pressure(x.U, x.V) - exact) <= 5e-3
 
 
 def test_model_from_spec_builds_each_kind():
@@ -420,12 +407,11 @@ def test_model_from_spec_builds_each_kind():
     assert "van_der_waals" in vdw.name
     adv = model_from_spec({"type": "sqrt_singularity"})
     assert adv.entropy is None
-    tab = model_from_spec({
+    model_from_spec({
         "type": "tabulated",
         "u_grid": [1.0, 2.0], "v_grid": [1.0, 2.0],
         "pressure_grid": [[1.0, 0.5], [2.0, 1.0]],
     })
-    assert tab.n == 1
 
 
 def test_model_from_spec_rejects_unknown_type():

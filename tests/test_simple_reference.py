@@ -1,17 +1,18 @@
 """Differential tests: the Dormand-Prince 5(4) adiabat stepper against the
-frozen RK4 reference in reference_simple.py.  The two solve the same ODE by
-different methods, so energies agree only within README's bound ("Numerical
-tolerances"): AGREE * tol per unit of V path length, or FIXED_AGREE per unit
-length for equal steps (tol None).  Cases, violations, probes, which probes
-escape to -inf or +inf, and the types of the exceptions raised must match
-exactly; a message is compared only when it embeds no exit energy."""
+frozen RK4 reference in reference_simple.py, called through oracle_adapter.py.
+The two solve the same ODE by different methods, so energies agree only within
+README's bound ("Numerical tolerances"): AGREE * tol per unit of V path length,
+or FIXED_AGREE per unit length for equal steps (tol None).  Cases, violations,
+probes, which probes escape to -inf or +inf, and the types of the exceptions
+raised must match exactly; a message is compared only when it embeds no exit
+energy."""
 
 import math
 import random
 
 import pytest
 
-import reference_simple as ref
+import oracle_adapter as ref
 from entropy_engine import simple
 from entropy_engine.errors import DomainError, EngineError
 from entropy_engine.simple import (
@@ -47,7 +48,7 @@ MODELS = {
     "tabulated": _tabulated(),
     # no entropy oracle, so sector queries integrate
     "no_oracle": SimpleSystemModel(
-        name="gas_no_oracle", n=1, domain=GAS.domain, pressure=GAS.pressure
+        name="gas_no_oracle", domain=GAS.domain, pressure=GAS.pressure
     ),
 }
 
@@ -114,7 +115,7 @@ def test_nesting_matches_reference_on_seeded_pairs(name):
             continue  # solutions through U = 1 are not unique
         assert got.probes == want.probes
         # each delta is the gap of two sweeps, from x and from y
-        lengths = [abs(p[0] - x.V[0]) + abs(p[0] - y.V[0]) for p in got.probes]
+        lengths = [abs(p - x.V) + abs(p - y.V) for p in got.probes]
         assert_energies_agree(got.deltas, want.deltas, lengths, SECTOR_TOL)
 
 
@@ -122,11 +123,11 @@ def reference_waypoint_energies(model, x, path, tol):
     """The reference's energy and V path length at each waypoint: its
     integrate_adiabat restarts every segment from the last energy, so one
     call per segment gives the same numbers as one call over the path."""
-    u, v, length, out = x.U, tuple(x.V), 0.0, []
+    u, v, length, out = x.U, x.V, 0.0, []
     for wp in path:
         u = ref.integrate_adiabat(model, StatePoint(u, v), [wp],
                                   tol=tol).samples[-1].U
-        length += abs(wp[0] - v[0])
+        length += abs(wp - v)
         v = wp
         out.append((u, length))
     return out
@@ -140,8 +141,8 @@ def test_integrated_samples_match_reference(name, tol):
     lo, hi = model.domain.lo[1], model.domain.hi[1]
     for _ in range(4):
         x = interior(rng, model, 0.1)
-        path = [(lo + (0.1 + 0.8 * rng.random()) * (hi - lo),) for _ in range(3)]
-        path.append(tuple(x.V))
+        path = [lo + (0.1 + 0.8 * rng.random()) * (hi - lo) for _ in range(3)]
+        path.append(x.V)
         got = outcome(simple.integrate_adiabat, model, x, path, tol=tol)
         want = outcome(ref.integrate_adiabat, model, x, path, tol=tol)
         if raised(want):
@@ -156,12 +157,12 @@ def test_integrated_samples_match_reference(name, tol):
             length = 0.0
             for g, w, prev in zip(got.samples[1:], want.samples[1:],
                                   want.samples):
-                length += abs(w.V[0] - prev.V[0])
-                assert abs(g.V[0] - w.V[0]) <= 1e-12 * length
+                length += abs(w.V - prev.V)
+                assert abs(g.V - w.V) <= 1e-12 * length
                 assert abs(g.U - w.U) <= bound(None, length)
         # every waypoint is a sample, reached in path order
         at = iter(got.samples)
-        energies = [next(s.U for s in at if s.V[0] == wp[0]) for wp in path]
+        energies = [next(s.U for s in at if s.V == wp) for wp in path]
         reference = reference_waypoint_energies(model, x, path, tol)
         assert_energies_agree(energies, [u for u, _ in reference],
                               [length for _, length in reference], tol)
@@ -178,9 +179,9 @@ def test_escaping_sweeps_match_reference(name, clip):
         point(u_lo + 0.02 * (u_hi - u_lo), v_lo + 0.1 * (v_hi - v_lo)),
         point(u_lo + 0.5 * (u_hi - u_lo), v_lo + 0.5 * (v_hi - v_lo)),
     ]
-    grid = [(v_lo + (k + 0.5) * (v_hi - v_lo) / 9.0,) for k in range(9)]
+    grid = [v_lo + (k + 0.5) * (v_hi - v_lo) / 9.0 for k in range(9)]
     for x in states:
-        for probes in (grid, [(v_hi - 1e-9,)]):
+        for probes in (grid, [v_hi - 1e-9]):
             for tol in (1e-8, None):
                 got = outcome(simple.adiabat_energy_at, model, x, probes,
                               tol=tol, clip=clip)
@@ -192,13 +193,13 @@ def test_escaping_sweeps_match_reference(name, clip):
                     # the mid state of sqrt_singularity sits a few ulps from
                     # a grid target, where the reference fails (see
                     # test_target_ulps_from_the_base_is_integrated)
-                    lengths = [abs(p[0] - x.V[0]) for p in probes]
+                    lengths = [abs(p - x.V) for p in probes]
                     assert_energies_agree(got, want, lengths, tol)
         # a deliberate divergence from the reference, which clips a target
         # on or past the V edge to +-inf as if the sweep had left through
         # the energy floor or ceiling: such a target is bad input
-        for target in ((v_hi,), (v_hi + 1.0,), (v_lo,)):
-            with pytest.raises(DomainError, match=repr(target[0])):
+        for target in (v_hi, v_hi + 1.0, v_lo):
+            with pytest.raises(DomainError, match=repr(target)):
                 simple.adiabat_energy_at(model, x, grid + [target], clip=clip)
 
 
@@ -210,12 +211,12 @@ def test_target_ulps_from_the_base_is_integrated():
     # adiabats of sqrt_singularity are sqrt(U - 1) = sqrt(U0 - 1) - (V0 - V).
     model = MODELS["sqrt_singularity"]
     x = point(4.25, 1.05)
-    targets = [(1.0499999999999998,), (0.6,), (0.2,)]
+    targets = [1.0499999999999998, 0.6, 0.2]
     assert ref.adiabat_energy_at(model, x, targets) == [math.inf] * 3
     got = simple.adiabat_energy_at(model, x, targets)
-    for (v,), u in zip(targets, got):
-        exact = 1.0 + (math.sqrt(x.U - 1.0) - (x.V[0] - v)) ** 2
-        assert abs(u - exact) <= bound(SECTOR_TOL, x.V[0] - v)
+    for v, u in zip(targets, got):
+        exact = 1.0 + (math.sqrt(x.U - 1.0) - (x.V - v)) ** 2
+        assert abs(u - exact) <= bound(SECTOR_TOL, x.V - v)
 
 
 def test_target_on_the_v_edge_raises_before_integrating():
@@ -223,29 +224,29 @@ def test_target_on_the_v_edge_raises_before_integrating():
     x = point(5.25, 2.75)
     # the reference gives [3.5247..., -inf, inf]: the targets on the edges
     # read as exits through the energy floor and ceiling
-    want = ref.adiabat_energy_at(GAS, x, [(4.999,), (5.0,), (0.5,)])
+    want = ref.adiabat_energy_at(GAS, x, [4.999, 5.0, 0.5])
     assert want[1:] == [-math.inf, math.inf]
-    got = simple.adiabat_energy_at(GAS, x, [(4.999,)])
+    got = simple.adiabat_energy_at(GAS, x, [4.999])
     assert_energies_agree(got, want[:1], [4.999 - 2.75], SECTOR_TOL)
     for target in (5.0, 0.5):
         with pytest.raises(DomainError, match="V=%r" % target):
-            simple.adiabat_energy_at(counted_gas(calls), x, [(4.999,), target])
+            simple.adiabat_energy_at(counted_gas(calls), x, [4.999, target])
     assert calls == []
 
 
 def test_exterior_base_matches_reference():
     outside = point(20.0, 1.0)
-    for targets in ([(1.0,)], [(1.0,), (2.0,)], [(2.0,)]):
+    for targets in ([1.0], [1.0, 2.0], [2.0]):
         got = outcome(simple.adiabat_energy_at, GAS, outside, targets)
         assert got == outcome(ref.adiabat_energy_at, GAS, outside, targets)
     # targets that all equal the base need no integration, so nothing raises
-    assert simple.adiabat_energy_at(GAS, outside, [(1.0,), 1.0]) == [20.0] * 2
+    assert simple.adiabat_energy_at(GAS, outside, [1.0, 1.0]) == [20.0] * 2
 
 
 def test_domain_exit_error_matches_reference():
     x = point(9.5, 4.5)
-    got = outcome(simple.integrate_adiabat, GAS, x, [(0.6,)], tol=None)
-    want = outcome(ref.integrate_adiabat, GAS, x, [(0.6,)], tol=None)
+    got = outcome(simple.integrate_adiabat, GAS, x, [0.6], tol=None)
+    want = outcome(ref.integrate_adiabat, GAS, x, [0.6], tol=None)
     assert_same_failure(got, want)
     assert got[2].startswith("adiabat left the domain of %s at U=" % GAS.name)
     assert not GAS.domain.lo[0] < got[3] < GAS.domain.hi[0]
@@ -253,7 +254,7 @@ def test_domain_exit_error_matches_reference():
 
 def test_min_step_failure_matches_reference():
     x = point(1.5, 1.0)
-    args = (GAS, x, [(2.0,)])
+    args = (GAS, x, [2.0])
     kwargs = dict(step=0.5, tol=1e-18, min_step=1e-3)
     got = outcome(simple.integrate_adiabat, *args, **kwargs)
     want = outcome(ref.integrate_adiabat, *args, **kwargs)
@@ -264,7 +265,7 @@ def test_min_step_failure_matches_reference():
     # min_step.  A deliberate divergence: the reference's sweep clips the
     # failure to +inf as if it had left through the energy ceiling, but it
     # has no exit energy, so the sweep raises with or without clip
-    targets = [(1.0 + 1e-6,), (2.0,), (1.0 - 1e-6,)]
+    targets = [1.0 + 1e-6, 2.0, 1.0 - 1e-6]
     assert ref.adiabat_energy_at(GAS, x, targets, tol=-1.0) == [math.inf] * 3
     want = outcome(ref.adiabat_energy_at, GAS, x, targets, tol=-1.0,
                    clip=False)
@@ -279,7 +280,7 @@ def counted_gas(calls):
         calls.append(1)
         return GAS.pressure(U, V)
 
-    return SimpleSystemModel(name="counted", n=1, domain=GAS.domain,
+    return SimpleSystemModel(name="counted", domain=GAS.domain,
                              pressure=pressure)
 
 
@@ -288,16 +289,16 @@ def test_each_attempted_step_costs_six_pressure_calls():
     # and sweep targets too: one call for the first slope, then six a step
     calls = []
     x = point(1.5, 1.0)
-    fixed = simple.integrate_adiabat(counted_gas(calls), x, [(2.0,), (1.5,)],
+    fixed = simple.integrate_adiabat(counted_gas(calls), x, [2.0, 1.5],
                                      step=0.25, tol=None)
     assert len(fixed.samples) == 1 + 4 + 2
     assert len(calls) == 1 + 6 * (4 + 2)
     calls.clear()
-    simple.adiabat_energy_at(counted_gas(calls), x, [(2.0,), (3.0,)], tol=None)
+    simple.adiabat_energy_at(counted_gas(calls), x, [2.0, 3.0], tol=None)
     steps = math.ceil(1.0 / (GAS.domain.span() / 100.0))
     assert len(calls) == 1 + 6 * 2 * steps
     calls.clear()
-    adaptive = simple.integrate_adiabat(counted_gas(calls), x, [(2.0,), (1.5,)],
+    adaptive = simple.integrate_adiabat(counted_gas(calls), x, [2.0, 1.5],
                                         step=0.25, tol=1e-12)
     accepted = len(adaptive.samples) - 1
     assert accepted >= 2 and (len(calls) - 1) % 6 == 0

@@ -42,20 +42,20 @@ def vdw_state_at(T, v):
 
 
 def test_identical_gases_split_energy_evenly():
-    split = thermal_split(ThermalJoin(G1, G1), 4.0, (1.0,), (1.0,))
+    split = thermal_split(ThermalJoin(G1, G1), 4.0, 1.0, 1.0)
     assert abs(split.X1.U - 2.0) <= 1e-9
     assert abs(split.X2.U - 2.0) <= 1e-9
 
 
 def test_split_follows_mole_ratio():
-    split = thermal_split(ThermalJoin(G1, G2), 6.0, (1.0,), (1.0,))
+    split = thermal_split(ThermalJoin(G1, G2), 6.0, 1.0, 1.0)
     assert abs(split.X1.U - 2.0) <= 1e-9 * 6.0
     assert abs(split.X2.U - 4.0) <= 1e-9 * 6.0
 
 
 def test_split_total_below_joint_domain_raises():
     with pytest.raises(DomainError):
-        thermal_split(ThermalJoin(G1, G2), 0.5, (1.0,), (1.0,))
+        thermal_split(ThermalJoin(G1, G2), 0.5, 1.0, 1.0)
 
 
 def test_split_boundary_maximizer_raises():
@@ -63,7 +63,7 @@ def test_split_boundary_maximizer_raises():
     heavy = monatomic_ideal_gas(100, domain=((1.0, 2.0), (0.5, 5.0)))
     # the mole ratio wants U1 ~ U/101, far below the admissible floor
     with pytest.raises(SplitBoundaryError):
-        thermal_split(ThermalJoin(narrow, heavy), 2.5, (1.0,), (1.0,))
+        thermal_split(ThermalJoin(narrow, heavy), 2.5, 1.0, 1.0)
 
 
 def counting(model, calls):
@@ -77,11 +77,9 @@ def test_split_work_coordinate_outside_v_range_raises_before_any_entropy():
     calls = []
     gas = counting(monatomic_ideal_gas(1), calls)
     vdw = counting(van_der_waals_gas(), calls)
-    for left, right, v1, v2 in ((vdw, gas, (0.01,), (1.0,)),
-                                (vdw, gas, (1.0,), (50.0,)),
-                                (gas, vdw, (1.0,), (4.0,)),
-                                # one work coordinate too many
-                                (gas, vdw, (1.0, 7.0), (1.0,))):
+    for left, right, v1, v2 in ((vdw, gas, 0.01, 1.0),
+                                (vdw, gas, 1.0, 50.0),
+                                (gas, vdw, 1.0, 4.0)):
         with pytest.raises(DomainError):
             thermal_split(ThermalJoin(left, right), 6.0, v1, v2)
     assert calls == []
@@ -93,17 +91,17 @@ def test_split_entropy_evaluation_budget():
                        counting(monatomic_ideal_gas(2), calls))
     # 66 for the scan, 8 for the bracket ends and 2 for the final value
     # leave 24, six derivative evaluations, for the polish
-    split = thermal_split(join, 6.0, (1.0,), (1.0,))
+    split = thermal_split(join, 6.0, 1.0, 1.0)
     assert abs(split.X1.U - 2.0) <= 1e-9 * 6.0
     assert len(calls) <= 100
 
 
 def test_split_perturbation_decreases_total_entropy():
-    split = thermal_split(ThermalJoin(G1, G2), 6.0, (1.0,), (1.0,))
+    split = thermal_split(ThermalJoin(G1, G2), 6.0, 1.0, 1.0)
     u1 = split.X1.U
 
     def total(u):
-        return G1.entropy(u, (1.0,)) + G2.entropy(6.0 - u, (1.0,))
+        return G1.entropy(u, 1.0) + G2.entropy(6.0 - u, 1.0)
 
     for delta in (1e-4, 1e-2, 0.3):
         assert total(u1 + delta) < split.total_entropy
@@ -111,7 +109,7 @@ def test_split_perturbation_decreases_total_entropy():
 
 
 def test_split_temperatures_agree_with_direct_formula():
-    split = thermal_split(ThermalJoin(G1, G2), 6.0, (1.5,), (2.0,))
+    split = thermal_split(ThermalJoin(G1, G2), 6.0, 1.5, 2.0)
     t1 = temperature(G1, split.X1)
     t2 = temperature(G2, split.X2)
     assert abs(t1 - t2) <= 1e-6 * max(t1, t2)
@@ -209,7 +207,7 @@ def test_temperature_positive_on_probe_grid():
 
 def test_non_monotone_oracle_trips_sign_error():
     bad = SimpleSystemModel(
-        name="bad", n=1, domain=G1.domain, pressure=G1.pressure,
+        name="bad", domain=G1.domain, pressure=G1.pressure,
         entropy=lambda u, v: -u,
     )
     with pytest.raises(TemperatureSignError):
@@ -217,7 +215,7 @@ def test_non_monotone_oracle_trips_sign_error():
 
 
 def test_split_temperature_matches_derivative_temperature():
-    split = thermal_split(ThermalJoin(G1, VDW), 6.0, (1.0,), (2.0,))
+    split = thermal_split(ThermalJoin(G1, VDW), 6.0, 1.0, 2.0)
     t_left = temperature(G1, split.X1)
     t_right = temperature(VDW, split.X2)
     assert abs(t_left - t_right) <= 1e-6 * max(t_left, t_right)
@@ -274,14 +272,14 @@ def test_every_work_coordinate_reaches_any_temperature():
     x = point(3.0, 1.0)
     t = temperature(G1, x)
     for v in (0.8, 1.5, 3.0):
-        y = isotherm_state(VDW, (v,), t)
+        y = isotherm_state(VDW, v, t)
         assert y is not None
         assert abs(temperature(VDW, y) - t) <= 1e-6 * t
         assert in_thermal_equilibrium(G1, x, VDW, y, tol=1e-6)
 
 
 def test_isotherm_state_returns_none_outside_range():
-    assert isotherm_state(G1, (1.0,), 1e6) is None
+    assert isotherm_state(G1, 1.0, 1e6) is None
 
 
 @pytest.mark.parametrize("model, V, T", [
@@ -296,7 +294,7 @@ def test_isotherm_state_temperature_budget(monkeypatch, model, V, T):
         return temperature(*args)
 
     monkeypatch.setattr(thermal, "temperature", counted)
-    state = isotherm_state(model, (V,), T)
+    state = isotherm_state(model, V, T)
     monkeypatch.undo()
     assert abs(temperature(model, state) - T) <= 1e-9 * T
     assert len(calls) <= 20
@@ -309,16 +307,16 @@ def test_isotherm_state_where_temperature_falls_with_energy():
     model = tabulated_model(us, [1.0, 2.0], [[1.0, 1.0]] * 10,
                             [[u * u / 100.0] * 2 for u in us])
     for target, node in ((10.0, 5.0), (9.0, 6.0), (7.0, 7.0), (5.5, 9.0)):
-        state = isotherm_state(model, (1.5,), target)
+        state = isotherm_state(model, 1.5, target)
         assert abs(state.U - node) <= 1e-5
         assert abs(temperature(model, state) - target) <= 1e-6 * target
-    assert isotherm_state(model, (1.5,), 40.0) is None
-    assert isotherm_state(model, (1.5,), 5.0) is None
+    assert isotherm_state(model, 1.5, 40.0) is None
+    assert isotherm_state(model, 1.5, 5.0) is None
 
 
 def test_isotherm_state_target_at_padded_end_returns_that_end():
     lo, hi = G1.domain.lo[0], G1.domain.hi[0]
     pad = 1e-4 * (hi - lo) + 2e-6 * max(1.0, abs(hi))
     for u in (lo + pad, hi - pad):
-        target = temperature(G1, StatePoint(u, (1.0,)))
-        assert isotherm_state(G1, (1.0,), target).U == u
+        target = temperature(G1, StatePoint(u, 1.0))
+        assert isotherm_state(G1, 1.0, target).U == u

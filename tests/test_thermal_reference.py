@@ -1,13 +1,14 @@
 """Differential tests: the Brent-polished thermal split and isotherm solve
-against the frozen bisection versions in reference_thermal.py, within the
-tolerances the README states under "Numerical tolerances"."""
+against the frozen bisection versions in reference_thermal.py, called through
+oracle_adapter.py, within the tolerances the README states under "Numerical
+tolerances"."""
 
 import json
 import random
 
 import pytest
 
-import reference_thermal as ref
+import oracle_adapter as ref
 from entropy_engine.errors import EngineError
 from entropy_engine.pipeline import load_pipeline_spec, run_pipeline
 from entropy_engine.simple import (
@@ -52,17 +53,17 @@ def split_cases():
     narrow = monatomic_ideal_gas(1, domain=((1.0, 2.0), (0.5, 5.0)))
     heavy = monatomic_ideal_gas(100, domain=((1.0, 2.0), (0.5, 5.0)))
     cases = [
-        (G1, G2, 6.0, (1.0,), (1.0,)),
-        (G1, G1, 4.0, (1.0,), (1.0,)),
-        (G1, G1, 7.3, (2.0,), (0.7,)),
-        (narrow, heavy, 2.5, (1.0,), (1.0,)),  # maximizer on the boundary
-        (_twin_peaks(), _flat(), 5.0, (1.5,), (1.5,)),  # degenerate split
+        (G1, G2, 6.0, 1.0, 1.0),
+        (G1, G1, 4.0, 1.0, 1.0),
+        (G1, G1, 7.3, 2.0, 0.7),
+        (narrow, heavy, 2.5, 1.0, 1.0),  # maximizer on the boundary
+        (_twin_peaks(), _flat(), 5.0, 1.5, 1.5),  # degenerate split
     ]
     for _ in range(12):
         cases.append((G1, G2, rng.uniform(2.0, 14.0),
-                      (rng.uniform(0.6, 4.9),), (rng.uniform(0.6, 4.9),)))
+                      rng.uniform(0.6, 4.9), rng.uniform(0.6, 4.9)))
         cases.append((G1, VDW, rng.uniform(3.0, 15.0),
-                      (rng.uniform(0.6, 4.9),), (rng.uniform(0.7, 3.9),)))
+                      rng.uniform(0.6, 4.9), rng.uniform(0.7, 3.9)))
     return cases
 
 
@@ -81,7 +82,7 @@ def test_split_matches_reference(case):
 
 
 def test_degenerate_case_has_an_alternative():
-    split = thermal_split(ThermalJoin(_twin_peaks(), _flat()), 5.0, (1.5,), (1.5,))
+    split = thermal_split(ThermalJoin(_twin_peaks(), _flat()), 5.0, 1.5, 1.5)
     assert split.degenerate
     # the derivative's central difference moves each sign change a third of
     # its stencil off the kink
@@ -91,10 +92,10 @@ def test_degenerate_case_has_an_alternative():
 
 def isotherm_cases():
     rng = random.Random(5)
-    cases = [(G1, (1.0,), 1e6)]  # out of range: None
+    cases = [(G1, 1.0, 1e6)]  # out of range: None
     for _ in range(15):
-        cases.append((G1, (rng.uniform(0.6, 4.9),), rng.uniform(0.5, 6.0)))
-        cases.append((VDW, (rng.uniform(0.7, 3.9),), rng.uniform(0.8, 5.0)))
+        cases.append((G1, rng.uniform(0.6, 4.9), rng.uniform(0.5, 6.0)))
+        cases.append((VDW, rng.uniform(0.7, 3.9), rng.uniform(0.8, 5.0)))
     return cases
 
 
