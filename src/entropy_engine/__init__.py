@@ -14,7 +14,7 @@ import importlib
 _EXPORTS = {
     "constants": (
         "AdditiveConstants", "SpaceNode", "StateSpaceGraph",
-        "check_entropy_offset_criterion", "check_no_sinks", "chain_min",
+        "check_entropy_offset_criterion", "check_no_sinks",
         "compute_D", "compute_E", "compute_F", "detect_gap", "graph_from_json",
         "solve_additive_constants",
     ),

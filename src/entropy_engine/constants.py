@@ -9,14 +9,16 @@ with shortest-path potentials; composite spaces carry the implied linear
 combination of their factors instead of a variable of their own.
 
 Every one-step cost comes from a table keyed by (left signature, right
-signature) that a StateSpaceGraph builds once, at construction.  Chains are
-bounded by the graph's own max_chain.  The graph caches the table, the D
-matrices built from it and every E and F value once computed, so it must not
-be mutated after construction; dataclasses.replace builds a fresh graph.
+signature) that a StateSpaceGraph builds once, at construction.  On first use
+it builds two tables of chains bounded by its max_chain, one over the simple
+spaces (E) and one over its one node set (F and the composite bounds), so it
+must not be mutated after construction; dataclasses.replace builds a fresh
+graph.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import InfeasibleConstantsError, InputFormatError
@@ -50,9 +52,10 @@ class StateSpaceGraph:
 
     Construction builds `steps`, the one-step table: per (left signature,
     right signature) pair of the facts, the least side_entropy(right) -
-    side_entropy(left), ties going to the first declared fact.  The graph
-    caches it, the D matrices built from it and the E and F values per
-    (a, b) pair, so it must not be mutated after construction.
+    side_entropy(left), ties going to the first declared fact.  `e_table`
+    and `f_table`, built on first use, are the chain tables over the simple
+    spaces and over node_ids() plus the composite of every simple space with
+    every catalyst: one node set, whatever the catalog order.
     """
 
     nodes: dict
@@ -62,9 +65,6 @@ class StateSpaceGraph:
 
     def __post_init__(self):
         self.steps = {}
-        self._d_matrices = {}
-        self._e = {}
-        self._f = {}
         entropy = {}
         for left, right in self.facts:
             cl = self._side_composition(left)
@@ -103,6 +103,18 @@ class StateSpaceGraph:
         for key in self.steps:
             ids.update(key)
         return sorted(ids)
+
+    @cached_property
+    def e_table(self):
+        nodes = [(s,) for s in self.simple_ids()]
+        return _chain_table(_d_matrix(self, nodes), nodes, self.max_chain)
+
+    @cached_property
+    def f_table(self):
+        nodes = sorted(set(self.node_ids()) | {
+            tuple(sorted((s, cat))) for s in self.nodes for cat in self.catalysts
+        })
+        return _chain_table(_d_matrix(self, nodes), nodes, self.max_chain)
 
 
 def _fact_side(side, declared):
@@ -159,48 +171,50 @@ def compute_D(graph, a, b):
     return 0 if a == b and not d < 0 else d
 
 
-def chain_min(d_matrix, node_ids, a, b, max_chain):
-    """Cheapest total over chains of at most max_chain spaces linking a to b.
+def _chain_table(d_matrix, node_ids, max_chain):
+    """Cheapest total over chains of at most max_chain nodes: table[a][b],
+    absent when no chain links a to b; d_matrix holds finite one-step costs.
 
-    d_matrix maps ordered node pairs to one-step costs (missing or +inf means
-    no step).  The trivial chain gives 0 when a == b.
+    One min-plus relaxation per source, max_chain - 1 rounds extending only
+    what the last round lowered; a strict < keeps the first of equal values.
+    The trivial chain gives 0 at the source unless a return there is cheaper.
     """
-    dist = {n: INF for n in node_ids}
-    dist[a] = 0 if a == b else INF
-    frontier = {a: 0}
-    for _ in range(max_chain - 1):
-        new_frontier = {}
-        for u, du in frontier.items():
-            for v in node_ids:
-                # an infinite step gives an infinite cand, which is never kept
-                cand = du + d_matrix.get((u, v), INF)
-                if cand < new_frontier.get(v, INF) and cand < dist.get(v, INF):
-                    new_frontier[v] = cand
-        for v, dv in new_frontier.items():
-            if dv < dist[v]:
-                dist[v] = dv
-        if not new_frontier:
-            break
-        frontier = new_frontier
-    return dist[b]
+    succ = {
+        u: [(v, d_matrix[(u, v)]) for v in node_ids if (u, v) in d_matrix]
+        for u in node_ids
+    }
+    table = {}
+    for a in node_ids:
+        dist = {}
+        frontier = {a: 0}
+        for _ in range(max_chain - 1):
+            lowered = {}
+            for u, du in frontier.items():
+                for v, w in succ[u]:
+                    cand = du + w
+                    if cand < lowered.get(v, INF) and cand < dist.get(v, INF):
+                        lowered[v] = cand
+            if not lowered:
+                break
+            dist.update(lowered)
+            frontier = lowered
+        back = dist.get(a, INF)
+        dist[a] = back if back < 0 else 0
+        table[a] = dist
+    return table
 
 
 def _d_matrix(graph, node_ids):
-    """Finite one-step costs between the given nodes, built once per graph
-    and node list; callers must not modify the returned dict."""
-    key = tuple(node_ids)
-    matrix = graph._d_matrices.get(key)
-    if matrix is None:
-        matrix = {}
-        for u in node_ids:
-            for v in node_ids:
-                if len(u) == 1 and len(v) == 1:
-                    d = compute_D(graph, u[0], v[0])
-                else:
-                    d = _signature_D(graph, u, v)
-                if d < INF:
-                    matrix[(u, v)] = d
-        graph._d_matrices[key] = matrix
+    """Finite one-step costs between the given nodes."""
+    matrix = {}
+    for u in node_ids:
+        for v in node_ids:
+            if len(u) == 1 and len(v) == 1:
+                d = compute_D(graph, u[0], v[0])
+            else:
+                d = _signature_D(graph, u, v)
+            if d < INF:
+                matrix[(u, v)] = d
     return matrix
 
 
@@ -223,33 +237,19 @@ def _signature_D(graph, sig_u, sig_v):
 
 def compute_E(graph, a, b):
     """Chained entropy difference over simple spaces, chains of at most
-    graph.max_chain spaces; computed once per graph and pair."""
-    e = graph._e.get((a, b))
-    if e is None:
-        nodes = [(s,) for s in graph.simple_ids()]
-        e = graph._e[(a, b)] = chain_min(
-            _d_matrix(graph, nodes), nodes, (a,), (b,), graph.max_chain)
-    return e
+    graph.max_chain spaces."""
+    return graph.e_table[(a,)].get((b,), INF)
 
 
 def compute_F(graph, a, b):
-    """Catalyzed chained difference: the plain chain value or any catalog
-    catalyst run alongside the chain, whichever is cheaper.  Each catalyst
-    adds its composites with a and b to the chain's nodes for later ones.
-    Computed once per graph and pair."""
-    best = graph._f.get((a, b))
-    if best is not None:
-        return best
+    """Catalyzed chained difference: the plain chain value or the chain from
+    (a, cat) to (b, cat) for any catalyst cat, whichever is cheaper; all run
+    over the graph's one node set, so the catalog order does not matter."""
     best = compute_E(graph, a, b)
-    node_ids = graph.node_ids()
     for cat in graph.catalysts:
         src = tuple(sorted((a, cat)))
         dst = tuple(sorted((b, cat)))
-        node_ids = sorted(set(node_ids) | {src, dst})
-        matrix = _d_matrix(graph, node_ids)
-        best = min(best, chain_min(matrix, node_ids, src, dst,
-                                   graph.max_chain))
-    graph._f[(a, b)] = best
+        best = min(best, graph.f_table[src].get(dst, INF))
     return best
 
 
@@ -365,12 +365,11 @@ def _collect_constraints(graph):
                 constraints.append((((a, 1), (b, -1)), w))
     node_ids = graph.node_ids()
     if any(len(n) > 1 for n in node_ids):
-        matrix = _d_matrix(graph, node_ids)
         for u in node_ids:
             for v in node_ids:
                 if u == v or (len(u) == 1 and len(v) == 1):
                     continue
-                w = chain_min(matrix, node_ids, u, v, graph.max_chain)
+                w = graph.f_table[u].get(v, INF)
                 if math.isinf(w):
                     continue
                 coeffs = {}

@@ -619,24 +619,21 @@ def pressure_consistency(model, X):
     if model.entropy is None:
         raise DomainError("consistency check needs an entropy oracle")
     model.require_interior(X)
-    coords = (X.U, X.V)
-    hs = [1e-5 * max(1.0, abs(c)) for c in coords]
-    for i, h in enumerate(hs):
-        for sign in (-1, 1):
-            shifted = list(coords)
-            shifted[i] += sign * h
-            if not model.domain.contains(tuple(shifted)):
-                raise DomainError(
-                    "finite-difference stencil leaves the domain at %s" % X
-                )
-
-    def partial(i):
-        up = list(coords); up[i] += hs[i]
-        dn = list(coords); dn[i] -= hs[i]
-        return (model.entropy(*up) - model.entropy(*dn)) / (2.0 * hs[i])
-
-    ds_du = partial(0)
-    return abs(partial(1) / ds_du - model.pressure(X.U, X.V))
+    hu = 1e-5 * max(1.0, abs(X.U))
+    hv = 1e-5 * max(1.0, abs(X.V))
+    for u, v in ((X.U - hu, X.V), (X.U + hu, X.V),
+                 (X.U, X.V - hv), (X.U, X.V + hv)):
+        if not model.domain.contains((u, v)):
+            raise DomainError(
+                "finite-difference stencil leaves the domain at %s" % X
+            )
+    ds_du = (model.entropy(X.U + hu, X.V)
+             - model.entropy(X.U - hu, X.V)) / (2.0 * hu)
+    if ds_du == 0:
+        raise DomainError("dS/dU vanishes at %s: no temperature" % X)
+    ds_dv = (model.entropy(X.U, X.V + hv)
+             - model.entropy(X.U, X.V - hv)) / (2.0 * hv)
+    return abs(ds_dv / ds_du - model.pressure(X.U, X.V))
 
 
 def check_lipschitz(model, samples=200, seed=0):

@@ -9,7 +9,6 @@ from entropy_engine import constants
 from entropy_engine.constants import (
     SpaceNode,
     StateSpaceGraph,
-    chain_min,
     check_entropy_offset_criterion,
     check_no_sinks,
     composite_B,
@@ -101,7 +100,7 @@ def test_triangle_prefers_two_step_chain():
     assert compute_E(replace(g, max_chain=3), "A", "C") == 2
 
 
-def test_chain_min_agrees_with_brute_force_enumeration():
+def test_chain_table_agrees_with_brute_force_enumeration():
     rng = random.Random(17)
     for _ in range(40):
         n = rng.randint(2, 5)
@@ -131,9 +130,10 @@ def test_chain_min_agrees_with_brute_force_enumeration():
                 frontier = nxt
             return best
 
+        table = constants._chain_table(matrix, names, max_chain)
         for a in names:
             for b in names:
-                assert chain_min(matrix, names, a, b, max_chain) == brute(a, b)
+                assert table[a].get(b, INF) == brute(a, b)
 
 
 def test_unbounded_chain_shows_up_as_negative_cycle():
@@ -173,23 +173,28 @@ def test_every_calibration_call_uses_the_graph_chain_bound():
     assert matrix_json(short)["E"]["A->F"] == "inf"
 
 
-def test_e_and_f_are_computed_once_per_pair(monkeypatch):
+def test_chain_tables_are_built_once_per_graph(monkeypatch):
     calls = []
-    real = constants.chain_min
+    real = constants._chain_table
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(constants, "chain_min", counted)
+    monkeypatch.setattr(constants, "_chain_table", counted)
     g = chain_of_six(6)
+    # a catalyst running next to the A -> B step, so both tables are needed
+    g = replace(g, facts=g.facts + [((("A", "x"), ("F", "x")),
+                                     (("B", "x"), ("F", "x")))],
+                catalysts=["F"])
     first = matrix_json(g)
-    assert len(calls) == 36  # one E per ordered pair; no catalysts
-    assert check_no_sinks(g).holds
-    solve_additive_constants(g)
-    detect_gap(g, "A", "F")
-    assert matrix_json(g) == first
-    assert len(calls) == 36
+    assert len(calls) == 2  # the simple-space table and the full one
+    for _ in range(2):
+        assert check_no_sinks(g).holds
+        solve_additive_constants(g)
+        detect_gap(g, "A", "F")
+        assert matrix_json(g) == first
+    assert len(calls) == 2
 
 
 # --------------------------------------------------------------------- F
@@ -519,8 +524,8 @@ def test_declaration_order_does_not_change_d_e_f():
                 facts.append((left, right))
         shuffled = facts[:]
         rng.shuffle(shuffled)
-        g1 = StateSpaceGraph(spaces, facts, catalysts=["K"])
-        g2 = StateSpaceGraph(spaces, shuffled, catalysts=["K"])
+        g1 = StateSpaceGraph(spaces, facts, catalysts=["K", "C"])
+        g2 = StateSpaceGraph(spaces, shuffled, catalysts=["C", "K"])
         assert g1.steps == g2.steps
         for a in names:
             for b in names:

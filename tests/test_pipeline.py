@@ -430,6 +430,24 @@ def run_cli(args):
     )
 
 
+def test_u_flat_tabulated_entropy_is_reported_as_a_stage_error(tmp_path):
+    # dS/dU = 0 leaves the temperature undefined: pressure_consistency raises
+    # DomainError, and run still writes the bundle with the stage's error
+    flat = {"type": "tabulated", "u_grid": [1, 2, 3], "v_grid": [1, 2],
+            "pressure_grid": [[1, 1], [1, 1], [1, 1]],
+            "entropy_grid": [[1, 1], [1, 1], [1, 1]]}
+    doc = base_spec(stages=["simple_system_suite"], models={"flat": flat},
+                    simple_system={"model": "flat"})
+    spec_path = write_json(tmp_path / "spec.json", doc)
+    out = tmp_path / "out"
+    assert run_cli(["validate", spec_path]).returncode == 0
+    proc = run_cli(["run", spec_path, "--out", str(out)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert "dS/dU vanishes" in report["reports"]["simple_system_suite"]["error"]
+
+
 def test_cli_one_sided_relation_fact_is_input_error(tmp_path):
     relation = dict(CHAIN_RELATION, facts=[CHAIN_RELATION["facts"][0][:1]])
     rel_path = write_json(tmp_path / "rel.json", relation)
