@@ -364,24 +364,23 @@ def _collect_constraints(graph):
             if w < INF:
                 constraints.append((((a, 1), (b, -1)), w))
     node_ids = graph.node_ids()
-    if any(len(n) > 1 for n in node_ids):
-        for u in node_ids:
-            for v in node_ids:
-                if u == v or (len(u) == 1 and len(v) == 1):
-                    continue
-                w = graph.f_table[u].get(v, INF)
-                if math.isinf(w):
-                    continue
-                coeffs = {}
-                for s in u:
-                    coeffs[s] = coeffs.get(s, 0) + 1
-                for s in v:
-                    coeffs[s] = coeffs.get(s, 0) - 1
-                coeffs = tuple(
-                    (s, c) for s, c in sorted(coeffs.items()) if c != 0
-                )
-                if coeffs:
-                    constraints.append((coeffs, w))
+    for u in node_ids:
+        for v in node_ids:
+            if u == v or (len(u) == 1 and len(v) == 1):
+                continue
+            w = graph.f_table[u].get(v, INF)
+            if math.isinf(w):
+                continue
+            coeffs = {}
+            for s in u:
+                coeffs[s] = coeffs.get(s, 0) + 1
+            for s in v:
+                coeffs[s] = coeffs.get(s, 0) - 1
+            coeffs = tuple(
+                (s, c) for s, c in sorted(coeffs.items()) if c != 0
+            )
+            if coeffs:
+                constraints.append((coeffs, w))
     return constraints
 
 
