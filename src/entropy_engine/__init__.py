@@ -2,8 +2,9 @@
 
 Builds and verifies finite adiabatic-accessibility relations, constructs the
 canonical entropy function from reference states, realizes simple systems
-numerically (adiabats, forward sectors, thermal equilibrium, temperature),
-and calibrates multiplicative and additive entropy constants across systems.
+numerically (adiabat surfaces, nesting of forward sectors, thermal
+equilibrium, temperature), and calibrates multiplicative and additive entropy
+constants across systems.
 
 Each layer module is imported on first use of one of its names (PEP 562), so
 `import entropy_engine` compiles no layer.
@@ -27,16 +28,14 @@ _EXPORTS = {
     "relation": (
         "EQUIVALENT", "INCOMPARABLE", "STRICTLY_FOLLOWS", "STRICTLY_PRECEDES",
         "EpsilonFamily", "OracleRelation", "Relation", "accessible",
-        "accessible_signed", "adiabats", "build_relation", "check_cancellation",
-        "check_comparison_hypothesis", "check_stability", "classify", "close",
-        "dyadic_grid", "relation_from_json", "relation_from_oracle",
-        "run_axiom_scan",
+        "accessible_signed", "build_relation", "check_comparison_hypothesis",
+        "check_stability", "classify", "close", "dyadic_grid",
+        "relation_from_json", "run_axiom_scan",
     ),
     "simple": (
         "AdiabatSurface", "Box", "SimpleSystemModel", "StatePoint",
-        "check_caratheodory", "check_convexity", "check_lipschitz",
-        "check_nesting", "forward_sector_contains", "integrate_adiabat",
-        "model_from_spec", "monatomic_ideal_gas", "point",
+        "check_convexity", "check_lipschitz", "check_nesting",
+        "integrate_adiabat", "model_from_spec", "monatomic_ideal_gas", "point",
         "pressure_consistency", "sqrt_singularity_model", "tabulated_model",
         "van_der_waals_gas",
     ),

@@ -284,14 +284,12 @@ def verify_entropy_principle(rel, tables, multipliers=None):
     return report
 
 
-def fit_affine(table1, table2):
-    """Least-squares affine map table1 -> table2: returns (a, b, max_residual).
+def fit_affine(v1, v2):
+    """Least-squares affine map v1 -> v2: returns (a, b, max_residual).
 
-    Accepts EntropyTable objects or plain state->value mappings; computation
-    stays in exact rationals when every value is rational.
+    v1 and v2 map states to entropy values; computation stays in exact
+    rationals when every value is rational.
     """
-    v1 = table1.values if isinstance(table1, EntropyTable) else dict(table1)
-    v2 = table2.values if isinstance(table2, EntropyTable) else dict(table2)
     if set(v1) != set(v2):
         raise CalibratorError("tables cover different state sets")
     keys = sorted(v1)
@@ -305,11 +303,7 @@ def fit_affine(table1, table2):
     mean_y = sum(ys) / n
     var = sum((x - mean_x) ** 2 for x in xs)
     if var == 0:
-        raise DegenerateTableError(
-            "table for %s is constant; affine fit skipped" % getattr(
-                table1, "space_id", "?"
-            )
-        )
+        raise DegenerateTableError("first table is constant; affine fit skipped")
     cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     a = cov / var
     b = mean_y - a * mean_x
@@ -399,12 +393,11 @@ def calibrate_multiplicative(tables, calibrators):
 
 
 def entropy_table_csv(tables):
-    """Render tables as CSV with header space,state,S,resolution."""
+    """Render a dict of tables as CSV with header space,state,S,resolution."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["space", "state", "S", "resolution"])
-    items = tables.values() if isinstance(tables, dict) else [tables]
-    for table in items:
+    for table in tables.values():
         res = format_rational(table.lambda_resolution)
         for st in sorted(table.values):
             val = table.values[st]

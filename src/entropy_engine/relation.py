@@ -40,7 +40,6 @@ from .errors import (
     InputFormatError,
     RelationSpecError,
     UnclosedRelationError,
-    UnknownStateError,
 )
 from .rational import parse_rational
 from .states import (
@@ -477,34 +476,6 @@ def classify(rel, x, y):
     return INCOMPARABLE
 
 
-def adiabats(rel, space_id):
-    """Partition the unscaled states of a space into mutual-accessibility classes.
-
-    Classes are ordered by their first member in the declared state order,
-    which also fixes the canonical representative.
-    """
-    if space_id not in rel.spaces:
-        raise UnknownStateError("unknown space %r" % space_id)
-    order = rel.spaces[space_id].state_ids
-    seen = set()
-    classes = []
-    for st in order:
-        if st in seen:
-            continue
-        x = single(space_id, st)
-        cls = [st]
-        seen.add(st)
-        for other in order:
-            if other in seen:
-                continue
-            y = single(space_id, other)
-            if rel.accessible(x, y) and rel.accessible(y, x):
-                cls.append(other)
-                seen.add(other)
-        classes.append(cls)
-    return classes
-
-
 @dataclass
 class CHResult:
     holds: bool
@@ -631,11 +602,6 @@ def _cancellation(store, pairs, universe, universe_only):
     return AxiomReport("cancellation", checked, viol)
 
 
-def check_cancellation(rel):
-    """Verify the cancellation law on every fact with a shared part bundle."""
-    return _cancellation(*_scan_store(rel), False)
-
-
 def check_stability(rel, families=None):
     """Flag epsilon families whose limit fact is missing from the relation.
 
@@ -721,24 +687,6 @@ class OracleRelation:
         if tx != ty:
             return False
         return vx <= vy
-
-
-def relation_from_oracle(spaces, sigma, universe, lambda_grid=(Fraction(1),)):
-    """Materialize the oracle relation on an explicit universe of states.
-
-    Every ordered pair inside `universe` that the entropy assignment admits
-    becomes a fact; the result is closed under the structural rules restricted
-    to that universe, so it is returned with the closed flag set.
-    """
-    oracle = OracleRelation(spaces, sigma, lambda_grid)
-    rel = Relation(spaces=dict(oracle.spaces), lambda_grid=oracle.lambda_grid)
-    universe = list(universe)
-    for x in universe:
-        for y in universe:
-            if oracle.accessible(x, y):
-                rel.add_fact(x, y)
-    rel.closed = True
-    return rel
 
 
 def _parse_compound(doc):

@@ -7,9 +7,9 @@ stepper with an error check on every step: a step is accepted when its error
 estimate is at most tol per unit step length.  One run carries its step and its
 last slope from waypoint to waypoint, or from target to target, so each
 attempted step costs six pressure calls.  No step spans a kink a model
-declares, such as a table's grid lines: steps land on them.  Forward-sector
-queries compare a state against the integrated (or oracle) adiabat through
-another state.
+declares, such as a table's grid lines: steps land on them.  The nesting
+check compares the forward sectors of two states by the adiabat energies
+through each on a common probe grid.
 """
 
 import math
@@ -26,7 +26,7 @@ X_INSIDE_Y = "X_inside_Y"
 Y_INSIDE_X = "Y_inside_X"
 CROSSING = "crossing"
 MIN_STEP = 1e-7  # default floor of a rejected step's successor
-SECTOR_TOL = 1e-8  # per-step tolerance of nesting and sector adiabats
+SECTOR_TOL = 1e-8  # per-step tolerance of the nesting check's adiabats
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,8 @@ class Box:
     lo: tuple
     hi: tuple
 
-    def contains(self, coords, margin=0.0):
-        return all(
-            l + margin < c < h - margin
-            for c, l, h in zip(coords, self.lo, self.hi)
-        )
+    def contains(self, coords):
+        return all(l < c < h for c, l, h in zip(coords, self.lo, self.hi))
 
     def span(self):
         return max(h - l for l, h in zip(self.lo, self.hi))
@@ -61,11 +58,11 @@ class SimpleSystemModel:
     """Analytic model of a simple system.
 
     pressure(U, V) returns the pressure at energy U and work coordinate V;
-    entropy(U, V), if present, is the oracle used for sector queries and
-    thermal operations.  lipschitz_bound is the declared bound for sampled
-    difference-quotient checks.  kinks holds the sorted U lines and V lines
-    on which the pressure's derivatives may jump, such as a table's inner
-    grid lines; no adiabat step spans one.
+    entropy(U, V), if present, is the oracle used by the convexity and
+    consistency checks and by thermal operations.  lipschitz_bound is the
+    declared bound for sampled difference-quotient checks.  kinks holds the
+    sorted U lines and V lines on which the pressure's derivatives may jump,
+    such as a table's inner grid lines; no adiabat step spans one.
     """
 
     name: str
@@ -415,7 +412,7 @@ def integrate_adiabat(model, X, waypoints, step=None, tol=1e-8, min_step=MIN_STE
     return AdiabatSurface(base=X, samples=samples, step=step, tolerance=tol or 0.0)
 
 
-def adiabat_energy_at(model, X, v_targets, tol=SECTOR_TOL, clip=True):
+def adiabat_energy_at(model, X, v_targets, tol=SECTOR_TOL):
     """Adiabat energies through X at each target V, one sweep per direction.
 
     The targets are V values, visited in two monotone sweeps from X; each sweep
@@ -423,9 +420,9 @@ def adiabat_energy_at(model, X, v_targets, tol=SECTOR_TOL, clip=True):
     step of 1/100 of the domain span, carrying its step proposal and slope from
     target to target and keeping only the energy at each.  A target on or
     outside the open V range raises DomainError before anything is integrated.
-    With clip=True a sweep that leaves the domain through the energy floor or
-    ceiling records -inf or +inf for the remaining targets in that direction
-    instead of raising; a step that falls under min_step raises either way.
+    A sweep that leaves the domain through the energy floor or ceiling
+    records -inf or +inf for the remaining targets in that direction instead
+    of raising; a step that falls under min_step raises.
     """
     targets = [float(t) for t in v_targets]
     v_lo, v_hi = model.domain.lo[1], model.domain.hi[1]
@@ -450,28 +447,13 @@ def adiabat_energy_at(model, X, v_targets, tol=SECTOR_TOL, clip=True):
                 except IntegrationError as exc:
                     # the min_step error carries no exit energy
                     exit_u = getattr(exc, "exit_energy", None)
-                    if not clip or exit_u is None:
+                    if exit_u is None:
                         raise
                     escaped = math.inf if exit_u >= mid_u else -math.inf
                 else:
                     v = t
             result[t] = u if escaped is None else escaped
     return [result[t] for t in targets]
-
-
-def forward_sector_contains(model, X, Y):
-    """Is Y in the forward sector of X (on or above the adiabat through X)?
-
-    Uses the entropy oracle when the model has one, otherwise integrates the
-    adiabat through X to Y's work coordinates with tolerance SECTOR_TOL; an
-    adiabat that cannot be integrated that far raises IntegrationError.
-    """
-    model.require_interior(X)
-    model.require_interior(Y)
-    if model.entropy is not None:
-        return model.entropy(Y.U, Y.V) >= model.entropy(X.U, X.V)
-    u_on = adiabat_energy_at(model, X, [Y.V], clip=False)[0]
-    return Y.U >= u_on
 
 
 @dataclass
@@ -564,49 +546,6 @@ def check_convexity(model, X, Y, t_grid=(0.0, 0.25, 0.5, 0.75, 1.0)):
         if rhs < lhs - 1e-12 * scale:
             violations.append((t, rhs - lhs))
     return CheckReport("convexity", checked, violations)
-
-
-def check_caratheodory(model, X, radius, seed=0):
-    """In every ball around X there must be unreachable states, and some
-    state must be strictly above X's adiabat.  Up to 64 random points are
-    drawn, stopping once both are found; `checked` counts the points drawn."""
-    import random
-
-    model.require_interior(X)
-    coords = (X.U, X.V)
-    if not model.domain.contains(coords, margin=radius):
-        raise DomainError(
-            "radius %g ball around %s leaves the domain" % (radius, X)
-        )
-    if model.entropy is None:
-        raise DomainError("neighborhood check needs an entropy oracle")
-    rng = random.Random(seed)
-    s_x = model.entropy(X.U, X.V)
-    dim = len(coords)
-    unreachable = None
-    strictly_above = None
-    for checked in range(1, 65):
-        vec = [rng.gauss(0.0, 1.0) for _ in range(dim)]
-        norm = math.sqrt(sum(c * c for c in vec)) or 1.0
-        r = radius * rng.random() ** (1.0 / dim)
-        cand = tuple(c + r * v / norm for c, v in zip(coords, vec))
-        z = StatePoint(*cand)
-        s_z = model.entropy(z.U, z.V)
-        if s_z < s_x and unreachable is None:
-            unreachable = z
-        if s_z > s_x and strictly_above is None:
-            strictly_above = z
-        if unreachable and strictly_above:
-            break
-    violations = []
-    if unreachable is None:
-        violations.append("no unreachable state found in the ball")
-    if strictly_above is None:
-        violations.append("no strictly accessible state found in the ball")
-    return CheckReport(
-        "caratheodory", checked, violations,
-        details={"unreachable": unreachable, "strictly_above": strictly_above},
-    )
 
 
 def pressure_consistency(model, X):

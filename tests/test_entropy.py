@@ -19,13 +19,9 @@ from entropy_engine.errors import (
     DegenerateTableError,
     NoReferencePairError,
 )
-from entropy_engine.relation import (
-    OracleRelation,
-    build_relation,
-    close,
-    relation_from_oracle,
-)
+from entropy_engine.relation import OracleRelation, build_relation, close
 from entropy_engine.states import compound, make_space, single
+from relation_fixtures import relation_from_oracle
 
 HALF = Fraction(1, 2)
 
@@ -241,7 +237,7 @@ def test_reference_change_is_affine():
     res = Fraction(1, 128)
     t1 = construct_entropy(rel, "G", ranked[0], ranked[-1], resolution=res)
     t2 = construct_entropy(rel, "G", ranked[1], ranked[-2], resolution=res)
-    a, b, residual = fit_affine(t1, t2)
+    a, b, residual = fit_affine(t1.values, t2.values)
     assert a > 0
     assert residual <= 2 * float(res)
 

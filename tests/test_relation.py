@@ -24,19 +24,17 @@ from entropy_engine.relation import (
     OracleRelation,
     accessible,
     accessible_signed,
-    adiabats,
     build_relation,
-    check_cancellation,
     check_comparison_hypothesis,
     check_stability,
     classify,
     close,
     relation_from_json,
-    relation_from_oracle,
     run_axiom_scan,
 )
 from entropy_engine.relation import Relation
 from entropy_engine.states import compound, make_space, single
+from relation_fixtures import relation_from_oracle
 
 HALF = Fraction(1, 2)
 GRID = [HALF, Fraction(1)]
@@ -248,37 +246,6 @@ def test_unequal_composition_always_incomparable():
             assert classify(rel, single("G", s1), single("H", s2)) == INCOMPARABLE
 
 
-# ---------------------------------------------------------------- adiabats
-
-
-def test_adiabats_no_facts_singletons():
-    rel = close(build_relation([space()], [], [Fraction(1)]))
-    assert adiabats(rel, "G") == [["x"], ["y"], ["z"]]
-
-
-def test_adiabats_merges_declared_equivalence():
-    rel = close(build_relation(
-        [space("xy")], [fact("x", "y"), fact("y", "x")], [Fraction(1)]
-    ))
-    assert adiabats(rel, "G") == [["x", "y"]]
-
-
-def test_adiabats_equal_oracle_level_sets():
-    states = ["a", "b", "c", "d"]
-    g = make_space("G", [1], states)
-    sigma = {("G", "a"): Fraction(0), ("G", "b"): Fraction(1),
-             ("G", "c"): Fraction(0), ("G", "d"): Fraction(2)}
-    rel = relation_from_oracle([g], sigma, [single("G", s) for s in states])
-    classes = adiabats(rel, "G")
-    assert classes == [["a", "c"], ["b"], ["d"]]
-
-
-def test_adiabats_unknown_space():
-    rel = close(build_relation([space()], [], [Fraction(1)]))
-    with pytest.raises(UnknownStateError):
-        adiabats(rel, "H")
-
-
 # ------------------------------------------------- comparison hypothesis
 
 
@@ -318,7 +285,7 @@ def test_ch_holds_on_oracle_grid():
 
 def test_cancellation_holds_after_closing_single_fact():
     rel = close(build_relation([space("xy")], [fact("x", "y")], GRID), max_parts=2)
-    assert check_cancellation(rel).holds
+    assert run_axiom_scan(rel, max_parts=2)["cancellation"].holds
 
 
 def test_cancellation_fails_on_hand_built_unclosed_relation():
@@ -327,7 +294,7 @@ def test_cancellation_fails_on_hand_built_unclosed_relation():
     xz = compound([(1, "G", "x"), (1, "G", "z")])
     yz = compound([(1, "G", "y"), (1, "G", "z")])
     rel.add_fact(xz, yz)
-    report = check_cancellation(rel)
+    report = run_axiom_scan(rel)["cancellation"]
     assert not report.holds
     (pair, reduced) = report.violations[0]
     assert reduced == (single("G", "x"), single("G", "y"))
@@ -342,7 +309,7 @@ def test_cancellation_holds_on_oracle_relation():
         compound([(1, "G", s), (1, "G", t)]) for s in states for t in states
     ]
     rel = relation_from_oracle([g], sigma, universe)
-    assert check_cancellation(rel).holds
+    assert run_axiom_scan(rel)["cancellation"].holds
 
 
 # -------------------------------------------------------------- stability

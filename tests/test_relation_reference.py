@@ -14,14 +14,9 @@ from entropy_engine import relation
 from entropy_engine.entropy import EntropyTable, verify_entropy_principle
 from entropy_engine.errors import ClosureBudgetError
 from entropy_engine.pipeline import load_pipeline_spec, run_pipeline
-from entropy_engine.relation import (
-    Relation,
-    build_relation,
-    close,
-    dyadic_grid,
-    relation_from_oracle,
-)
+from entropy_engine.relation import Relation, build_relation, close, dyadic_grid
 from entropy_engine.states import compound, make_space
+from relation_fixtures import relation_from_oracle
 
 F = Fraction
 GRIDS = [

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,11 +12,10 @@ from entropy_engine.simple import (
     Y_INSIDE_X,
     SimpleSystemModel,
     Box,
-    check_caratheodory,
+    adiabat_energy_at,
     check_convexity,
     check_lipschitz,
     check_nesting,
-    forward_sector_contains,
     integrate_adiabat,
     model_from_spec,
     monatomic_ideal_gas,
@@ -134,42 +134,27 @@ def test_kinked_table_spends_small_steps_only_at_kinks(name):
 # --------------------------------------------------------- forward sector
 
 
-def test_state_is_in_its_own_sector():
-    x = point(1.5, 1.0)
-    assert forward_sector_contains(GAS, x, x)
-
-
-def test_higher_energy_same_volume_is_ahead():
-    x = point(1.5, 1.0)
-    assert forward_sector_contains(GAS, x, point(2.0, 1.0))
-    assert not forward_sector_contains(GAS, x, point(1.0, 1.0))
-
-
-def test_free_expansion_is_one_way():
-    # same energy, larger volume: reachable, but never back
-    x = point(1.5, 1.0)
-    y = point(1.5, 2.0)
-    assert forward_sector_contains(GAS, x, y)
-    assert not forward_sector_contains(GAS, y, x)
-
-
 def test_sector_query_without_oracle_integrates():
+    # without an entropy oracle, Y is in X's forward sector iff Y.U is on or
+    # above the integrated adiabat energy at Y.V
     model = SimpleSystemModel(
         name="gas_no_oracle", domain=GAS.domain, pressure=GAS.pressure
     )
     x = point(1.5, 1.0)
-    assert forward_sector_contains(model, x, point(1.5, 2.0))
-    assert not forward_sector_contains(model, x, point(0.8, 1.0))
+    u_wide, u_narrow = adiabat_energy_at(model, x, [2.0, 0.8])
+    for v, u in ((2.0, u_wide), (0.8, u_narrow)):
+        assert abs(u - gas_adiabat_energy(x, v)) <= 1e-6
+    assert 1.5 >= u_wide  # free expansion to (1.5, 2.0) is ahead
+    assert 1.5 < u_narrow  # free compression to (1.5, 0.8) is not
 
 
-def test_sector_query_raises_when_adiabat_cannot_reach_target():
+def test_sector_query_clips_when_adiabat_cannot_reach_target():
     model = SimpleSystemModel(
         name="gas_no_oracle", domain=GAS.domain, pressure=GAS.pressure
     )
     # the adiabat through a hot state exits the energy ceiling on the way
-    # to small volumes
-    with pytest.raises(IntegrationError):
-        forward_sector_contains(model, point(9.5, 4.5), point(5.0, 0.6))
+    # to small volumes; the sweep clips the target to +inf
+    assert adiabat_energy_at(model, point(9.5, 4.5), [0.6]) == [math.inf]
 
 
 # ----------------------------------------------------------------- nesting
@@ -277,24 +262,6 @@ def test_adiabat_reciprocity():
     assert abs(back.samples[-1].U - x.U) <= 10 * tol * max(1.0, abs(x.U))
 
 
-def test_orientation_energy_up_stays_in_sector():
-    x = point(1.5, 1.0)
-    for du in (0.1, 0.5, 1.0):
-        assert forward_sector_contains(GAS, x, point(x.U + du, x.V))
-
-
-def test_sector_convexity_on_sampled_members():
-    x = point(1.5, 1.0)
-    members = [point(2.0, 1.2), point(1.8, 2.4)]
-    for a in members:
-        assert forward_sector_contains(GAS, x, a)
-    mid = point(
-        0.5 * (members[0].U + members[1].U),
-        0.5 * (members[0].V + members[1].V),
-    )
-    assert forward_sector_contains(GAS, x, mid)
-
-
 # -------------------------------------------------------------- convexity
 
 
@@ -319,42 +286,6 @@ def test_convexity_flags_non_concave_oracle():
     )
     report = check_convexity(bad, point(1.0, 1.0), point(3.0, 1.0), t_grid=(0.5,))
     assert not report.holds
-
-
-# ------------------------------------------------------------- neighborhood
-
-
-def test_caratheodory_finds_unreachable_and_irreversible():
-    report = check_caratheodory(GAS, point(2.0, 2.0), radius=0.3, seed=5)
-    assert report.holds
-    assert report.details["unreachable"] is not None
-    assert report.details["strictly_above"] is not None
-
-
-def test_caratheodory_counts_the_points_it_draws():
-    drawn = []
-
-    def entropy(U, V):
-        drawn.append(1)
-        return GAS.entropy(U, V)
-
-    model = SimpleSystemModel(name="counted", domain=GAS.domain,
-                              pressure=GAS.pressure, entropy=entropy)
-    report = check_caratheodory(model, point(2.0, 2.0), radius=0.3, seed=5)
-    assert report.holds
-    assert report.checked == len(drawn) - 1 == 2  # one call is X's entropy
-
-
-def test_caratheodory_radius_must_fit_in_domain():
-    with pytest.raises(DomainError):
-        check_caratheodory(GAS, point(1.0, 1.0), radius=50.0)
-
-
-def test_energy_bump_is_strictly_irreversible():
-    x = point(1.5, 1.0)
-    y = point(1.6, 1.0)
-    assert forward_sector_contains(GAS, x, y)
-    assert not forward_sector_contains(GAS, y, x)
 
 
 # ---------------------------------------------------------------- pressure
