@@ -27,10 +27,10 @@ _EXPORTS = {
     "errors": ("EngineError",),
     "relation": (
         "EQUIVALENT", "INCOMPARABLE", "STRICTLY_FOLLOWS", "STRICTLY_PRECEDES",
-        "EpsilonFamily", "OracleRelation", "Relation", "accessible",
-        "accessible_signed", "build_relation", "check_comparison_hypothesis",
-        "check_stability", "classify", "close", "dyadic_grid",
-        "relation_from_json", "run_axiom_scan",
+        "EpsilonFamily", "OracleRelation", "Relation", "accessible_signed",
+        "build_relation", "check_comparison_hypothesis", "check_stability",
+        "classify", "close", "dyadic_grid", "relation_from_json",
+        "run_axiom_scan",
     ),
     "simple": (
         "AdiabatSurface", "Box", "SimpleSystemModel", "StatePoint",

@@ -50,9 +50,12 @@ class StateSpaceGraph:
     with two or more parts live in the composite space of their factors.
     max_chain is the chain-length bound the instance declares.
 
-    Construction builds `steps`, the one-step table: per (left signature,
-    right signature) pair of the facts, the least side_entropy(right) -
-    side_entropy(left), ties going to the first declared fact.  `e_table`
+    Every space must declare the same number of element amounts, none
+    negative, and every fact must conserve element content, or construction
+    raises InputFormatError.  Construction builds `steps`, the one-step
+    table: per (left signature, right signature) pair of the facts, the
+    least side_entropy(right) - side_entropy(left), ties going to the first
+    declared fact.  `e_table`
     and `f_table`, built on first use, are the chain tables over the simple
     spaces and over node_ids() plus the composite of every simple space with
     every catalyst: one node set, whatever the catalog order.
@@ -64,6 +67,15 @@ class StateSpaceGraph:
     max_chain: int = 4
 
     def __post_init__(self):
+        widths = {len(node.composition) for node in self.nodes.values()}
+        if len(widths) > 1:
+            raise InputFormatError("spaces declare %s element amounts; every "
+                                   "space needs the same number"
+                                   % " and ".join(map(str, sorted(widths))))
+        for sp, node in self.nodes.items():
+            if any(c < 0 for c in node.composition):
+                raise InputFormatError("negative element amount in space %r"
+                                       % sp)
         self.steps = {}
         entropy = {}
         for left, right in self.facts:

@@ -59,7 +59,6 @@ def construct_entropy(
     lambda_lo=Fraction(-1),
     lambda_hi=Fraction(2),
     mode=None,
-    allow_constant=False,
 ):
     """Build the entropy table of a space from its closed relation.
 
@@ -79,12 +78,6 @@ def construct_entropy(
     x1 = single(space_id, ref_high)
     refs = classify(rel, x0, x1)
     if refs != STRICTLY_PRECEDES:
-        if allow_constant:
-            space = rel.spaces[space_id]
-            return EntropyTable(
-                space_id, {st: Fraction(0) for st in space.state_ids},
-                ref_low, ref_high, Fraction(resolution),
-            )
         raise NoReferencePairError(
             "no reference pair: %s must strictly precede %s (got %s)"
             % (ref_low, ref_high, refs)

@@ -448,15 +448,6 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
     return out
 
 
-def accessible(rel, x, y):
-    """Membership query: is (x, y) a fact of the relation?
-
-    Works on either backend; an unclosed Relation raises
-    UnclosedRelationError.
-    """
-    return rel.accessible(x, y)
-
-
 def accessible_signed(rel, left, right):
     """Query with signed scales, normalized via the side-swap convention."""
     lhs, rhs = signed_sides(left, right)

@@ -3,9 +3,11 @@
 A model is an open box domain in (U, V), V being one work coordinate, with a
 pressure function and an optional entropy oracle.  Adiabats, dU/dV = -P(U, V),
 are integrated along piecewise linear V paths by one Dormand-Prince 5(4)
-stepper with an error check on every step: a step is accepted when its error
-estimate is at most tol per unit step length.  One run carries its step and its
-last slope from waypoint to waypoint, or from target to target, so each
+stepper with an error check on every step: from a first step of 1/100 of the
+domain span, a step is accepted when its error estimate is at most tol
+(SECTOR_TOL unless the caller passes one) per unit step length, and a rejected
+step whose successor falls under MIN_STEP raises.  One run carries its step
+and its last slope from waypoint to waypoint, or from target to target, so each
 attempted step costs six pressure calls.  No step spans a kink a model
 declares, such as a table's grid lines: steps land on them.  The nesting
 check compares the forward sectors of two states by the adiabat energies
@@ -13,6 +15,7 @@ through each on a common probe grid.
 """
 
 import math
+import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,8 +28,8 @@ EQUAL_SECTORS = "equal_sectors"
 X_INSIDE_Y = "X_inside_Y"
 Y_INSIDE_X = "Y_inside_X"
 CROSSING = "crossing"
-MIN_STEP = 1e-7  # default floor of a rejected step's successor
-SECTOR_TOL = 1e-8  # per-step tolerance of the nesting check's adiabats
+MIN_STEP = 1e-7  # floor of a rejected step's successor
+SECTOR_TOL = 1e-8  # default per-step tolerance of an adiabat
 
 
 @dataclass(frozen=True)
@@ -262,13 +265,10 @@ def model_from_spec(doc):
 @dataclass
 class AdiabatSurface:
     """Sampled adiabat through `base`: the base and every accepted step's
-    (U, V) along the integration path, plus the initial step and the
-    tolerance that produced them."""
+    (U, V) along the integration path."""
 
     base: StatePoint
     samples: list
-    step: float
-    tolerance: float
 
 
 def _dp_step(pressure, u, k1, v, dv, v_end):
@@ -307,45 +307,36 @@ def _line_crossed(lines, u, u_end, margin):
     return lines[i] if i >= 0 and lines[i] > u_end else None
 
 
-def _dp_segment(model, u, k1, v, v_to, h, tol, min_step, samples=None):
-    """Dormand-Prince 5(4) steps of dU/dV = -P(U, V) from (u, v) to v_to.
+def _dp_segment(model, u, k1, v, v_to, h, tol, samples=None):
+    """Dormand-Prince 5(4) steps of dU/dV = -P(U, V) from (u, v) to v_to,
+    each accepted when its error estimate is at most tol per unit step length.
 
     k1 is the slope at (u, v), or None; h is the step proposal.  Returns the
     energy and slope at v_to, where the last step lands exactly, and the
     proposal to carry on.  Accepted points are appended to samples when it
-    is given.  The step rules are in README's "Numerical tolerances"; tol
-    None takes ceil(|v_to - v| / h) equal steps.  Otherwise no step spans a
-    line of model.kinks: a step lands on each V line on the way, and a step
-    whose end energy lies past a U line is cut to end on it, at the zero
-    Brent's method finds.  A step cut to land leaves the proposal as it
-    was.  A rejected step whose successor falls under min_step raises
-    IntegrationError, and so does an accepted point outside the open
-    domain, with exit_energy set.
+    is given.  The step rules are in README's "Numerical tolerances".  No
+    step spans a line of model.kinks: a step lands on each V line on the
+    way, and a step whose end energy lies past a U line is cut to end on it,
+    at the zero Brent's method finds.  A step cut to land leaves the
+    proposal as it was.  A rejected step whose successor falls under
+    MIN_STEP raises IntegrationError, and so does an accepted point outside
+    the open domain, with exit_energy set.
     """
     pressure = model.pressure
     (u_lo, v_lo), (u_hi, v_hi) = model.domain.lo, model.domain.hi
     u_lines, v_lines = model.kinks
     if k1 is None:
         k1 = -pressure(u, v)
-    if tol is None:
-        steps = max(1, math.ceil(abs(v_to - v) / h))
-        fixed = (v_to - v) / steps
-    else:
-        stops = sorted((x for x in v_lines if min(v, v_to) < x < max(v, v_to)),
-                       reverse=v_to < v) + [v_to]
+    stops = sorted((x for x in v_lines if min(v, v_to) < x < max(v, v_to)),
+                   reverse=v_to < v) + [v_to]
     while True:
-        if tol is None:
-            steps -= 1
-            land, dv = steps == 0, fixed
-            v_end = v_to if land else v + dv
-        else:
-            rest = stops[0] - v
-            land = abs(rest) <= h
-            dv = rest if land else math.copysign(h, rest)
-            v_end = stops[0] if land else v + dv
+        rest = stops[0] - v
+        land = abs(rest) <= h
+        dv = rest if land else math.copysign(h, rest)
+        v_end = stops[0] if land else v + dv
         u_end, k7, err = _dp_step(pressure, u, k1, v, dv, v_end)
         line = None
-        if tol is not None and u_lines:
+        if u_lines:
             # a line within 64 ulps of u, or of the energy 64 ulps of V
             # ahead, is the one the last step landed on: a step cut to it
             # might not move v at all
@@ -359,19 +350,18 @@ def _dp_segment(model, u, k1, v, v_to, h, tol, min_step, samples=None):
                             1e-15 * abs(dv))
             land, v_end = False, v + dv
             u_end, k7, err = _dp_step(pressure, u, k1, v, dv, v_end)
-        if tol is not None:
-            bound = tol * abs(dv)
-            ratio = bound / err if err else math.inf
-            if not err <= bound:  # a NaN estimate is never accepted
-                # a NaN, zero or negative ratio shrinks by the full 1/5
-                h = abs(dv) * (max(0.2, 0.9 * ratio ** 0.2)
-                               if 0.0 < ratio < 1.0 else 0.2)
-                if h < min_step:
-                    raise IntegrationError("step fell below %g before the "
-                                           "tolerance %g was met" % (min_step, tol))
-                continue
-            if not land and line is None:
-                h = abs(dv) * min(5.0, 0.9 * ratio ** 0.2)
+        bound = tol * abs(dv)
+        ratio = bound / err if err else math.inf
+        if not err <= bound:  # a NaN estimate is never accepted
+            # a NaN, zero or negative ratio shrinks by the full 1/5
+            h = abs(dv) * (max(0.2, 0.9 * ratio ** 0.2)
+                           if 0.0 < ratio < 1.0 else 0.2)
+            if h < MIN_STEP:
+                raise IntegrationError("step fell below %g before the "
+                                       "tolerance %g was met" % (MIN_STEP, tol))
+            continue
+        if not land and line is None:
+            h = abs(dv) * min(5.0, 0.9 * ratio ** 0.2)
         if not (u_lo < u_end < u_hi and v_lo < v_end < v_hi):
             exc = IntegrationError("adiabat left the domain of %s at U=%g V=%s"
                                    % (model.name, u_end, v_end))
@@ -386,30 +376,26 @@ def _dp_segment(model, u, k1, v, v_to, h, tol, min_step, samples=None):
             stops.pop(0)
 
 
-def integrate_adiabat(model, X, waypoints, step=None, tol=1e-8, min_step=MIN_STEP):
+def integrate_adiabat(model, X, waypoints, tol=SECTOR_TOL):
     """Integrate the adiabat through X along a piecewise-linear V path.
 
-    The waypoints are V values.  The path is one Dormand-Prince 5(4) run that
-    carries its step proposal and its last slope from one waypoint to the next.
-    step is the initial step in work-coordinate length (default: 1/100 of the
-    domain span).  When tol is not None each step's error estimate must be at
-    most tol per unit step length, and a step that falls under min_step raises;
-    with tol None each segment takes ceil(length / step) equal steps.  The
-    samples are X and every accepted step's end point, each waypoint among
-    them, and with tol each kink crossed.
+    The waypoints are V values.  The path is one Dormand-Prince 5(4) run,
+    from an initial step of 1/100 of the domain span, that carries its step
+    proposal and its last slope from one waypoint to the next.  Each step's
+    error estimate must be at most tol per unit step length, and a rejected
+    step whose successor falls under MIN_STEP raises.  The samples are X and
+    every accepted step's end point, each waypoint and each kink crossed
+    among them.
     """
     model.require_interior(X)
-    if step is None:
-        step = model.domain.span() / 100.0
     samples = [X]
-    u, k, v, h = X.U, None, X.V, step
+    u, k, v, h = X.U, None, X.V, model.domain.span() / 100.0
     for wp in waypoints:
         v_next = float(wp)
         if v_next != v:
-            u, k, h = _dp_segment(model, u, k, v, v_next, h, tol, min_step,
-                                  samples)
+            u, k, h = _dp_segment(model, u, k, v, v_next, h, tol, samples)
             v = v_next
-    return AdiabatSurface(base=X, samples=samples, step=step, tolerance=tol or 0.0)
+    return AdiabatSurface(base=X, samples=samples)
 
 
 def adiabat_energy_at(model, X, v_targets, tol=SECTOR_TOL):
@@ -422,7 +408,7 @@ def adiabat_energy_at(model, X, v_targets, tol=SECTOR_TOL):
     outside the open V range raises DomainError before anything is integrated.
     A sweep that leaves the domain through the energy floor or ceiling
     records -inf or +inf for the remaining targets in that direction instead
-    of raising; a step that falls under min_step raises.
+    of raising; a step that falls under MIN_STEP raises.
     """
     targets = [float(t) for t in v_targets]
     v_lo, v_hi = model.domain.lo[1], model.domain.hi[1]
@@ -443,9 +429,9 @@ def adiabat_energy_at(model, X, v_targets, tol=SECTOR_TOL):
             if escaped is None and t != v:
                 model.require_interior(StatePoint(u, v))
                 try:
-                    u, k, h = _dp_segment(model, u, k, v, t, h, tol, MIN_STEP)
+                    u, k, h = _dp_segment(model, u, k, v, t, h, tol)
                 except IntegrationError as exc:
-                    # the min_step error carries no exit energy
+                    # the MIN_STEP error carries no exit energy
                     exit_u = getattr(exc, "exit_energy", None)
                     if exit_u is None:
                         raise
@@ -464,10 +450,11 @@ class NestingResult:
     probes: list
 
 
-def check_nesting(model, X, Y, probes=None):
+def check_nesting(model, X, Y):
     """Classify the forward sectors of X and Y as equal or strictly nested.
 
-    The adiabats through X and Y are integrated to a common probe grid with
+    The adiabats through X and Y are integrated to a common probe grid, seven
+    V values evenly spread over the V range less 5% at each end, with
     tolerance SECTOR_TOL and compared.  A difference counts as zero up to
     max(1e-6 * scale, 50 * SECTOR_TOL), scale being the largest finite
     energy seen (at least 1).  Sign-mixed differences, or differences that
@@ -478,12 +465,9 @@ def check_nesting(model, X, Y, probes=None):
     """
     model.require_interior(X)
     model.require_interior(Y)
-    if probes is None:
-        lo, hi = model.domain.lo[1], model.domain.hi[1]
-        pad = 0.05 * (hi - lo)
-        probes = [lo + pad + k * (hi - lo - 2 * pad) / 6.0 for k in range(7)]
-    if not probes:
-        raise DomainError("nesting check needs a non-empty probe grid")
+    lo, hi = model.domain.lo[1], model.domain.hi[1]
+    pad = 0.05 * (hi - lo)
+    probes = [lo + pad + k * (hi - lo - 2 * pad) / 6.0 for k in range(7)]
     ux = adiabat_energy_at(model, X, probes)
     uy = adiabat_energy_at(model, Y, probes)
     deltas, kept = [], []
@@ -528,16 +512,16 @@ class CheckReport:
         return not self.violations
 
 
-def check_convexity(model, X, Y, t_grid=(0.0, 0.25, 0.5, 0.75, 1.0)):
+def check_convexity(model, X, Y):
     """Entropy of a convex combination must dominate the combined entropies,
-    up to 1e-12 relative."""
+    up to 1e-12 relative, at the weights 0, 1/4, 1/2, 3/4 and 1."""
     if model.entropy is None:
         raise DomainError("convexity check needs an entropy oracle")
     model.require_interior(X)
     model.require_interior(Y)
     violations = []
     checked = 0
-    for t in t_grid:
+    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
         mix = StatePoint(t * X.U + (1 - t) * Y.U, t * X.V + (1 - t) * Y.V)
         lhs = t * model.entropy(X.U, X.V) + (1 - t) * model.entropy(Y.U, Y.V)
         rhs = model.entropy(mix.U, mix.V)
@@ -584,8 +568,6 @@ def check_lipschitz(model, samples=200, seed=0):
     around a kink the quotient keeps growing and crosses any fixed bound,
     while a genuinely Lipschitz pressure stays flat under shrinking.
     """
-    import random
-
     bound = model.lipschitz_bound
     if bound is None:
         raise DomainError("no Lipschitz bound declared for %s" % model.name)

@@ -18,9 +18,19 @@ from entropy_engine.simple import (
     EQUAL_SECTORS,
     X_INSIDE_Y,
     Y_INSIDE_X,
-    AdiabatSurface,
     NestingResult,
 )
+
+
+@dataclass
+class AdiabatSurface:
+    """The sampled adiabat these versions return, with the initial step and
+    the tolerance that produced it."""
+
+    base: object
+    samples: list
+    step: float
+    tolerance: float
 
 
 @dataclass(frozen=True)

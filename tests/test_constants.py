@@ -502,6 +502,31 @@ def test_graph_from_json_round_trip():
     assert g.nodes["A"].entropy["y"] == Fraction(3, 2)
 
 
+def test_graph_from_json_rejects_bad_element_amounts():
+    # summed pairwise, (1, 1) + (1,) would read as (2,): the fact would pass
+    # as conserving element content
+    uneven = {
+        "spaces": [
+            {"id": "A", "composition": ["1", "1"], "entropy": {"x": "0"}},
+            {"id": "B", "composition": ["1"], "entropy": {"y": "0"}},
+            {"id": "C", "composition": ["2"], "entropy": {"z": "1"}},
+        ],
+        "facts": [[[["A", "x"], ["B", "y"]], [["C", "z"]]]],
+    }
+    with pytest.raises(InputFormatError, match="1 and 2 element amounts"):
+        graph_from_json(uneven)
+    spaces = {"A": node("A", {"x": 0}, (1, 1)), "B": node("B", {"y": 0}),
+              "C": node("C", {"z": 1}, (2,))}
+    with pytest.raises(InputFormatError, match="1 and 2 element amounts"):
+        StateSpaceGraph(spaces, [((("A", "x"), ("B", "y")), (("C", "z"),))])
+    negative = {
+        "spaces": [{"id": "A", "composition": ["-1"], "entropy": {"x": "0"}}],
+        "facts": [],
+    }
+    with pytest.raises(InputFormatError, match="negative element amount"):
+        graph_from_json(negative)
+
+
 def test_declaration_order_does_not_change_d_e_f():
     rng = random.Random(21)
     for _ in range(30):

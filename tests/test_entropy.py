@@ -65,13 +65,6 @@ def test_missing_reference_pair_raises():
         construct_entropy(rel, "G", "y", "x")
 
 
-def test_allow_constant_returns_zero_table():
-    g = make_space("G", [1], ["x", "y"])
-    rel = close(build_relation([g], [], [Fraction(1)]))
-    table = construct_entropy(rel, "G", "x", "y", allow_constant=True)
-    assert set(table.values.values()) == {0}
-
-
 def test_incomparable_mixture_reports_witness():
     # two disjoint chains: the mixture of the refs is incomparable with the
     # states of the other chain
@@ -121,9 +114,8 @@ def test_principle_flags_equivalence_mismatch():
     facts = [(single("G", "x"), single("G", "y")),
              (single("G", "y"), single("G", "x"))]
     rel = close(build_relation([g], facts, [Fraction(1)]))
-    tables = {"G": construct_entropy(rel, "G", "x", "y", allow_constant=True)}
-    tables["G"].values["y"] = Fraction(5)
-    tables["G"].lambda_resolution = Fraction(1, 128)
+    tables = {"G": EntropyTable("G", {"x": Fraction(0), "y": Fraction(5)},
+                                "x", "y", Fraction(1, 128))}
     report = verify_entropy_principle(rel, tables)
     assert not report.holds
     assert any(v.kind == "equivalence" for v in report.violations)
@@ -144,7 +136,8 @@ def test_principle_zero_violations_on_oracle_relation():
 def test_principle_skips_scale_mismatched_facts():
     g = make_space("G", [1], ["x"])
     rel = close(build_relation([g], [], [HALF, Fraction(1)]), max_parts=2)
-    tables = {"G": construct_entropy(rel, "G", "x", "x", allow_constant=True)}
+    tables = {"G": EntropyTable("G", {"x": Fraction(0)}, "x", "x",
+                                Fraction(1, 128))}
     report = verify_entropy_principle(rel, tables)
     # facts between a state and its half-scaled copy never occur; splitting
     # facts preserve totals, so nothing is skipped here

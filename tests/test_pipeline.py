@@ -399,9 +399,19 @@ CALIBRATION_GRAPH = {
     {"catalysts": ["Q"]},
     {"facts": [[[["s1", "a"]]]]},
     {"spaces": CALIBRATION_GRAPH["spaces"] + [{"id": "s3", "entropy": {}}]},
+    {"spaces": [
+        {"id": "s1", "composition": ["1", "1"], "entropy": {"a": "0"}},
+        {"id": "s2", "composition": ["1"], "entropy": {"b": "0"}},
+        {"id": "s3", "composition": ["2"], "entropy": {"c": "1"}},
+    ], "facts": [[[["s1", "a"], ["s2", "b"]], [["s3", "c"]]]]},
+    {"spaces": [
+        {"id": "s1", "composition": ["-1"], "entropy": {"a": "0"}},
+        {"id": "s2", "composition": ["-1"], "entropy": {"c": "5"}},
+    ]},
 ], ids=["undeclared-space", "undeclared-state", "max-chain-word",
         "max-chain-zero", "undeclared-catalyst", "one-sided-fact",
-        "space-without-composition"])
+        "space-without-composition", "uneven-element-amounts",
+        "negative-element-amount"])
 def test_cli_bad_calibration_graph_is_input_error(tmp_path, change):
     graph = dict(CALIBRATION_GRAPH, **change)
     graph_path = write_json(tmp_path / "graph.json", graph)

@@ -22,7 +22,6 @@ from entropy_engine.relation import (
     STRICTLY_PRECEDES,
     EpsilonFamily,
     OracleRelation,
-    accessible,
     accessible_signed,
     build_relation,
     check_comparison_hypothesis,
@@ -111,15 +110,15 @@ def test_close_adds_transitive_fact():
     rel = close(build_relation(
         [space()], [fact("x", "y"), fact("y", "z")], [Fraction(1)]
     ))
-    assert accessible(rel, single("G", "x"), single("G", "z"))
+    assert rel.accessible(single("G", "x"), single("G", "z"))
 
 
 def test_close_splitting_example_with_half_grid():
     rel = close(build_relation([space("xy")], [fact("x", "y")], GRID), max_parts=2)
     x = single("G", "x")
     halves = compound([(HALF, "G", "x"), (HALF, "G", "x")])
-    assert accessible(rel, x, halves)
-    assert accessible(rel, halves, x)
+    assert rel.accessible(x, halves)
+    assert rel.accessible(halves, x)
     scaled = (single("G", "x", HALF), single("G", "y", HALF))
     assert scaled in rel.facts
 
@@ -192,20 +191,18 @@ def test_close_budget_message_does_not_depend_on_string_hashing():
 
 def test_accessible_reflexive():
     rel = close(build_relation([space("x")], [], [Fraction(1)]))
-    assert accessible(rel, single("G", "x"), single("G", "x"))
+    assert rel.accessible(single("G", "x"), single("G", "x"))
 
 
 def test_explosion_is_one_way():
     # free expansion: X reaches Y but no process leads back
     rel = close(build_relation([space("xy")], [fact("x", "y")], [Fraction(1)]))
-    assert accessible(rel, single("G", "x"), single("G", "y"))
-    assert not accessible(rel, single("G", "y"), single("G", "x"))
+    assert rel.accessible(single("G", "x"), single("G", "y"))
+    assert not rel.accessible(single("G", "y"), single("G", "x"))
 
 
 def test_accessible_requires_closed_relation():
     rel = build_relation([space("xy")], [fact("x", "y")], [Fraction(1)])
-    with pytest.raises(UnclosedRelationError):
-        accessible(rel, single("G", "x"), single("G", "y"))
     with pytest.raises(UnclosedRelationError):
         rel.accessible(single("G", "x"), single("G", "y"))
 
@@ -216,8 +213,8 @@ def test_accessible_answers_on_both_backends():
     explicit = close(build_relation([g], [fact("x", "y")], [Fraction(1)]))
     oracle = OracleRelation([g], {("G", "x"): Fraction(0), ("G", "y"): Fraction(1)})
     for rel in (explicit, oracle):
-        assert accessible(rel, x, y) and rel.accessible(x, y)
-        assert not accessible(rel, y, x) and not rel.accessible(y, x)
+        assert rel.accessible(x, y)
+        assert not rel.accessible(y, x)
 
 
 def test_accessible_signed_normalizes_queries():
