@@ -12,12 +12,12 @@ Every one-step cost comes from a table keyed by (left signature, right
 signature) that a StateSpaceGraph builds once, at construction.  On first use
 it builds two tables of chains bounded by its max_chain, one over the simple
 spaces (E) and one over its one node set (F and the composite bounds), so it
-must not be mutated after construction; dataclasses.replace builds a fresh
-graph.
+must not be mutated after construction: for another bound k, build
+StateSpaceGraph(g.nodes, g.facts, g.catalysts, k).
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 
@@ -27,14 +27,9 @@ from .rational import parse_number
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class SpaceNode:
-    """A state space with its (already multiplicatively calibrated) entropy
-    table and element content."""
-
-    space_id: str
-    composition: tuple
-    entropy: dict
+SpaceNode = namedtuple("SpaceNode", "space_id composition entropy")
+SpaceNode.__doc__ = """A state space with its (already multiplicatively
+calibrated) entropy table and element content."""
 
 
 def _signature(side):
@@ -42,7 +37,6 @@ def _signature(side):
     return tuple(sorted(sp for sp, _st in side))
 
 
-@dataclass
 class StateSpaceGraph:
     """Declared spaces, cross-space facts, and the catalyst catalog.
 
@@ -61,12 +55,11 @@ class StateSpaceGraph:
     every catalyst: one node set, whatever the catalog order.
     """
 
-    nodes: dict
-    facts: list
-    catalysts: list = field(default_factory=list)
-    max_chain: int = 4
-
-    def __post_init__(self):
+    def __init__(self, nodes, facts, catalysts=(), max_chain=4):
+        self.nodes = nodes
+        self.facts = facts
+        self.catalysts = catalysts
+        self.max_chain = max_chain
         widths = {len(node.composition) for node in self.nodes.values()}
         if len(widths) > 1:
             raise InputFormatError("spaces declare %s element amounts; every "
@@ -296,12 +289,10 @@ def detect_negative_cycle(d_matrix, node_ids):
     return cycle, total
 
 
-@dataclass
-class SinkReport:
-    holds: bool
-    asymmetric_pairs: list
-    inequality_violations: list
-    negative_cycle: object = None
+SinkReport = namedtuple(
+    "SinkReport", "holds asymmetric_pairs inequality_violations negative_cycle",
+    defaults=(None,),
+)
 
 
 def check_no_sinks(graph):
@@ -331,14 +322,10 @@ def check_no_sinks(graph):
     return SinkReport(holds, asymmetric, bad_pairs, cycle)
 
 
-@dataclass
-class AdditiveConstants:
-    """Solved additive constants with one gauge per connected component."""
-
-    B: dict
-    component_id: dict
-    gauges: list
-    max_violation: float
+AdditiveConstants = namedtuple("AdditiveConstants",
+                               "B component_id gauges max_violation")
+AdditiveConstants.__doc__ = """Solved additive constants with one gauge per
+connected component."""
 
 
 def _components(ids, finite_pairs):
@@ -520,12 +507,7 @@ def composite_B(constants, factors):
     return total
 
 
-@dataclass
-class GapResult:
-    has_gap: bool
-    width: float
-    lower: float
-    upper: float
+GapResult = namedtuple("GapResult", "has_gap width lower upper")
 
 
 def detect_gap(graph, a, b):
@@ -544,10 +526,9 @@ def detect_gap(graph, a, b):
     return GapResult(width > 1e-12, float(width), float(-fba), float(fab))
 
 
-@dataclass
-class OffsetCriterionReport:
-    checked: int
-    mismatches: list
+class OffsetCriterionReport(namedtuple("OffsetCriterionReport",
+                                       "checked mismatches")):
+    __slots__ = ()
 
     @property
     def holds(self):

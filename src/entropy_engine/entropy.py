@@ -9,7 +9,7 @@ located by bisection instead.
 
 import csv
 import io
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
@@ -31,16 +31,15 @@ from .states import signed_sides, single
 ORACLE_RESOLUTION = Fraction(1, 2 ** 20)
 
 
-@dataclass
-class EntropyTable:
-    """Entropy values for the states of one space, normalized to [0, 1]
-    at the two reference states."""
-
-    space_id: str
-    values: dict
-    ref_low: str
-    ref_high: str
-    lambda_resolution: Fraction
+EntropyTable = namedtuple(
+    "EntropyTable",
+    "space_id values ref_low ref_high lambda_resolution clipped",
+    defaults=((),),
+)
+EntropyTable.__doc__ = """Entropy values for the states of one space, normalized
+to [0, 1] at the two reference states.  clipped holds the sorted ids of the
+states whose bisection stopped at the top of the lambda window, where the
+mixture was still admissible; it is empty in grid mode."""
 
 
 def _mixture_query(rel, space_id, x0, x1, lam, target_state):
@@ -65,7 +64,9 @@ def construct_entropy(
     mode "grid" scans multiples of `resolution` in [lambda_lo, lambda_hi] and
     keeps the largest admissible one, raising ComparabilityError when a
     rejected fraction above it is not comparable the other way round; mode
-    "bisect" bisects down to `resolution`.  The default mode is the backend's
+    "bisect" bisects down to `resolution`, and a state whose mixture is still
+    admissible at lambda_hi gets lambda_hi and is listed in the table's
+    `clipped`.  The default mode is the backend's
     `search_mode`: explicit relations scan a 1/128 grid, oracle-backed
     relations bisect to 2^-20.  Negative fractions and fractions above one are
     handled by moving the negative part to the other side of the query.
@@ -86,6 +87,7 @@ def construct_entropy(
     resolution = Fraction(resolution)
     space = rel.spaces[space_id]
     values = {}
+    clipped = []
     for st in space.state_ids:
         if mode == "grid":
             values[st] = _sup_on_grid(
@@ -93,11 +95,14 @@ def construct_entropy(
                 resolution, Fraction(lambda_lo), Fraction(lambda_hi),
             )
         else:
-            values[st] = _sup_by_bisection(
+            values[st], at_top = _sup_by_bisection(
                 rel, space_id, ref_low, ref_high, st,
                 resolution, Fraction(lambda_lo), Fraction(lambda_hi),
             )
-    return EntropyTable(space_id, values, ref_low, ref_high, resolution)
+            if at_top:
+                clipped.append(st)
+    return EntropyTable(space_id, values, ref_low, ref_high, resolution,
+                        tuple(sorted(clipped)))
 
 
 def _sup_on_grid(rel, space_id, x0, x1, st, resolution, lo, hi):
@@ -138,13 +143,14 @@ def _sup_on_grid(rel, space_id, x0, x1, st, resolution, lo, hi):
 
 
 def _sup_by_bisection(rel, space_id, x0, x1, st, resolution, lo, hi):
+    """The supremum to within resolution, and whether it is the window top."""
     if not _mixture_query(rel, space_id, x0, x1, lo, st):
         raise ComparabilityError((
             "reference mixture at the window floor lambda=%s" % lo,
             "%s.%s" % (space_id, st),
         ))
     if _mixture_query(rel, space_id, x0, x1, hi, st):
-        return float(hi)
+        return float(hi), True
     # invariant: lo admissible, hi not
     while hi - lo > resolution:
         mid = (lo + hi) / 2
@@ -152,7 +158,7 @@ def _sup_by_bisection(rel, space_id, x0, x1, st, resolution, lo, hi):
             lo = mid
         else:
             hi = mid
-    return float(lo)
+    return float(lo), False
 
 
 def compound_entropy(tables, state, multipliers=None):
@@ -164,23 +170,22 @@ def compound_entropy(tables, state, multipliers=None):
     return total
 
 
-@dataclass
-class PrincipleViolation:
-    kind: str
-    left: object
-    right: object
-    margin: float
+PrincipleViolation = namedtuple("PrincipleViolation", "kind left right margin")
 
 
-@dataclass
 class PrincipleReport:
     """Outcome of checking every fact against the entropy tables."""
 
-    facts_checked: int = 0
-    skipped_scale_mismatch: int = 0
-    max_parts_seen: int = 0
-    violations: list = field(default_factory=list)
-    entries: list = field(default_factory=list)
+    __slots__ = ("facts_checked", "skipped_scale_mismatch", "max_parts_seen",
+                 "violations", "entries")
+
+    def __init__(self, facts_checked=0, skipped_scale_mismatch=0,
+                 max_parts_seen=0, violations=None, entries=None):
+        self.facts_checked = facts_checked
+        self.skipped_scale_mismatch = skipped_scale_mismatch
+        self.max_parts_seen = max_parts_seen
+        self.violations = [] if violations is None else violations
+        self.entries = [] if entries is None else entries
 
     @property
     def holds(self):
@@ -329,12 +334,9 @@ def find_calibrators(rel, space1, space2):
     )
 
 
-@dataclass
-class CalibrationResult:
-    """Multiplicative entropy constants per space, first space gauged to 1."""
-
-    a: dict
-    residual: float
+CalibrationResult = namedtuple("CalibrationResult", "a residual")
+CalibrationResult.__doc__ = """Multiplicative entropy constants per space, first
+space gauged to 1."""
 
 
 def calibrate_multiplicative(tables, calibrators):

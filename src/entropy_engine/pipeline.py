@@ -11,7 +11,7 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass, is_dataclass, asdict
+from collections import namedtuple
 from fractions import Fraction
 
 from .constants import (
@@ -51,6 +51,7 @@ from .simple import (
     model_from_spec,
     pressure_consistency,
 )
+from .states import CompoundState
 from .thermal import (
     ThermalJoin,
     check_energy_flow,
@@ -168,18 +169,12 @@ def _check(doc, section, models, where=None):
     return out
 
 
-@dataclass
-class PipelineSpec:
-    """A checked spec: parsed sections and loaded instances (None if absent)."""
-
-    stages: list
-    seed: int
-    options: dict
-    relation: object
-    entropy: dict
-    simple_system: dict
-    thermal: dict
-    calibration: object
+PipelineSpec = namedtuple(
+    "PipelineSpec",
+    "stages seed options relation entropy simple_system thermal calibration",
+)
+PipelineSpec.__doc__ = """A checked spec: parsed sections and loaded instances
+(None if absent)."""
 
 
 def load_pipeline_spec(path, only_stages=None):
@@ -294,10 +289,12 @@ def _jsonable(obj):
         return obj
     if isinstance(obj, Fraction):
         return format_rational(obj)
-    if is_dataclass(obj):
-        return {k: _jsonable(v) for k, v in asdict(obj).items()}
+    if isinstance(obj, CompoundState):
+        return {"parts": _jsonable(obj.parts)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
+    if hasattr(obj, "_asdict"):  # a namedtuple record, not a plain tuple
+        return _jsonable(obj._asdict())
     if isinstance(obj, (list, tuple, set, frozenset)):
         return [_jsonable(v) for v in obj]
     return str(obj)
@@ -375,6 +372,8 @@ def _stage_construct_entropy(ctx):
         "ref_high": table.ref_high,
         "resolution": format_rational(table.lambda_resolution),
     }
+    if table.clipped:
+        out["clipped"] = list(table.clipped)
     oracle = cfg["oracle_values"]
     if oracle:
         a, b, residual = fit_affine(
@@ -631,11 +630,7 @@ STAGE_TABLE = {
 STAGE_FUNCS = {name: row[0] for name, row in STAGE_TABLE.items()}
 
 
-@dataclass
-class PipelineResult:
-    exit_code: int
-    report: dict
-    files: list
+PipelineResult = namedtuple("PipelineResult", "exit_code report files")
 
 
 def run_pipeline(spec, out_dir, seed=None):

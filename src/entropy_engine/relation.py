@@ -27,9 +27,8 @@ over grids far too large to materialize.  Both backends answer
 rel.accessible(x, y).
 """
 
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Set
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -73,15 +72,9 @@ def dyadic_grid(max_denominator=128):
     return frozenset(grid)
 
 
-@dataclass(frozen=True)
-class EpsilonFamily:
-    """A stability family: facts (X, eps*Z0) < (Y, eps*Z1) for shrinking eps."""
-
-    X: CompoundState
-    Y: CompoundState
-    Z0: CompoundState
-    Z1: CompoundState
-    epsilons: tuple
+EpsilonFamily = namedtuple("EpsilonFamily", "X Y Z0 Z1 epsilons")
+EpsilonFamily.__doc__ = """A stability family: facts (X, eps*Z0) < (Y, eps*Z1)
+for shrinking eps."""
 
 
 class _FactView(Set):
@@ -105,7 +98,6 @@ class _FactView(Set):
         return right in self._successors.get(left, ())
 
 
-@dataclass
 class Relation:
     """An accessibility relation over declared state spaces.
 
@@ -115,11 +107,16 @@ class Relation:
     """
 
     search_mode = "grid"  # construct_entropy's default for this backend
-    spaces: dict
-    lambda_grid: frozenset
-    closed: bool = False
-    epsilon_families: tuple = ()
-    successors: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("spaces", "lambda_grid", "closed", "epsilon_families",
+                 "successors")
+
+    def __init__(self, spaces, lambda_grid, closed=False, epsilon_families=(),
+                 successors=None):
+        self.spaces = spaces
+        self.lambda_grid = lambda_grid
+        self.closed = closed
+        self.epsilon_families = epsilon_families
+        self.successors = {} if successors is None else successors
 
     @property
     def facts(self):
@@ -467,12 +464,8 @@ def classify(rel, x, y):
     return INCOMPARABLE
 
 
-@dataclass
-class CHResult:
-    holds: bool
-    witness: tuple = None
-    pairs_checked: int = 0
-    universe_size: int = 0
+CHResult = namedtuple("CHResult", "holds witness pairs_checked universe_size",
+                      defaults=(None, 0, 0))
 
 
 def check_comparison_hypothesis(rel, universe=None):
@@ -497,11 +490,8 @@ def check_comparison_hypothesis(rel, universe=None):
     return CHResult(True, None, checked, len(universe))
 
 
-@dataclass
-class AxiomReport:
-    name: str
-    checked: int
-    violations: list
+class AxiomReport(namedtuple("AxiomReport", "name checked violations")):
+    __slots__ = ()
 
     @property
     def holds(self):

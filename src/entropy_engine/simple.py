@@ -17,7 +17,7 @@ through each on a common probe grid.
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, IntegrationError, InputFormatError
@@ -32,31 +32,27 @@ MIN_STEP = 1e-7  # floor of a rejected step's successor
 SECTOR_TOL = 1e-8  # default per-step tolerance of an adiabat
 
 
-@dataclass(frozen=True)
-class StatePoint:
-    U: float
-    V: float
+StatePoint = namedtuple("StatePoint", "U V")
 
 
 def point(U, V):
     return StatePoint(float(U), float(V))
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(namedtuple("Box", "lo hi")):
     """Open axis-aligned box in (U, V)."""
 
-    lo: tuple
-    hi: tuple
+    __slots__ = ()
 
     def contains(self, coords):
-        return all(l < c < h for c, l, h in zip(coords, self.lo, self.hi))
+        (u_lo, v_lo), (u_hi, v_hi) = self
+        u, v = coords
+        return u_lo < u < u_hi and v_lo < v < v_hi
 
     def span(self):
         return max(h - l for l, h in zip(self.lo, self.hi))
 
 
-@dataclass
 class SimpleSystemModel:
     """Analytic model of a simple system.
 
@@ -68,13 +64,18 @@ class SimpleSystemModel:
     such as a table's inner grid lines; no adiabat step spans one.
     """
 
-    name: str
-    domain: Box
-    pressure: object
-    entropy: object = None
-    moles: Fraction = Fraction(1)
-    lipschitz_bound: float = None
-    kinks: tuple = ((), ())
+    __slots__ = ("name", "domain", "pressure", "entropy", "moles",
+                 "lipschitz_bound", "kinks")
+
+    def __init__(self, name, domain, pressure, entropy=None, moles=Fraction(1),
+                 lipschitz_bound=None, kinks=((), ())):
+        self.name = name
+        self.domain = domain
+        self.pressure = pressure
+        self.entropy = entropy
+        self.moles = moles
+        self.lipschitz_bound = lipschitz_bound
+        self.kinks = kinks
 
     def require_interior(self, state):
         if not self.domain.contains((state.U, state.V)):
@@ -262,13 +263,9 @@ def model_from_spec(doc):
     raise InputFormatError("unknown model type %r" % kind)
 
 
-@dataclass
-class AdiabatSurface:
-    """Sampled adiabat through `base`: the base and every accepted step's
-    (U, V) along the integration path."""
-
-    base: StatePoint
-    samples: list
+AdiabatSurface = namedtuple("AdiabatSurface", "base samples")
+AdiabatSurface.__doc__ = """Sampled adiabat through `base`: the base and every
+accepted step's (U, V) along the integration path."""
 
 
 def _dp_step(pressure, u, k1, v, dv, v_end):
@@ -442,12 +439,7 @@ def adiabat_energy_at(model, X, v_targets, tol=SECTOR_TOL):
     return [result[t] for t in targets]
 
 
-@dataclass
-class NestingResult:
-    case: str
-    violation: bool
-    deltas: list
-    probes: list
+NestingResult = namedtuple("NestingResult", "case violation deltas probes")
 
 
 def check_nesting(model, X, Y):
@@ -500,12 +492,12 @@ def check_nesting(model, X, Y):
     return NestingResult(Y_INSIDE_X, False, deltas, probes)
 
 
-@dataclass
-class CheckReport:
-    name: str
-    checked: int
-    violations: list
-    details: dict = field(default_factory=dict)
+class CheckReport(namedtuple("CheckReport", "name checked violations details",
+                             defaults=(None,))):
+    """A sampled check's outcome; details maps extra figures by name, or is
+    None."""
+
+    __slots__ = ()
 
     @property
     def holds(self):
@@ -548,12 +540,12 @@ def pressure_consistency(model, X):
                  (X.U, X.V - hv), (X.U, X.V + hv)):
         if not model.domain.contains((u, v)):
             raise DomainError(
-                "finite-difference stencil leaves the domain at %s" % X
+                "finite-difference stencil leaves the domain at %s" % (X,)
             )
     ds_du = (model.entropy(X.U + hu, X.V)
              - model.entropy(X.U - hu, X.V)) / (2.0 * hu)
     if ds_du == 0:
-        raise DomainError("dS/dU vanishes at %s: no temperature" % X)
+        raise DomainError("dS/dU vanishes at %s: no temperature" % (X,))
     ds_dv = (model.entropy(X.U, X.V + hv)
              - model.entropy(X.U, X.V - hv)) / (2.0 * hv)
     return abs(ds_dv / ds_du - model.pressure(X.U, X.V))

@@ -6,30 +6,39 @@ products of spaces commute.  Zero-scale parts are dropped; negative scales are
 only ever used transiently, by moving the part to the other side of a query.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RelationSpecError, UnknownStateError
 
 
-@dataclass(frozen=True)
 class StateSpace:
     """A declared state space: identifier, element content, finite state list."""
 
-    space_id: str
-    composition: tuple
-    state_ids: tuple
+    __slots__ = ("space_id", "composition", "state_ids")
 
-    def __post_init__(self):
-        if len(set(self.state_ids)) != len(self.state_ids):
-            raise RelationSpecError(
-                "duplicate state ids in space %r" % self.space_id
-            )
-        for c in self.composition:
+    def __init__(self, space_id, composition, state_ids):
+        if len(set(state_ids)) != len(state_ids):
+            raise RelationSpecError("duplicate state ids in space %r" % space_id)
+        for c in composition:
             if c < 0:
                 raise RelationSpecError(
-                    "negative element amount in space %r" % self.space_id
+                    "negative element amount in space %r" % space_id
                 )
+        self.space_id = space_id
+        self.composition = composition
+        self.state_ids = state_ids
+
+    def _key(self):
+        return self.space_id, self.composition, self.state_ids
+
+    def __eq__(self, other):
+        return type(other) is StateSpace and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "StateSpace(space_id=%r, composition=%r, state_ids=%r)" % self._key()
 
 
 def make_space(space_id, composition, state_ids):
@@ -40,14 +49,14 @@ def make_space(space_id, composition, state_ids):
     )
 
 
-@dataclass(frozen=True, eq=False)
 class CompoundState:
     """Canonical multiset of (space, state, scale) parts, scale > 0."""
 
-    parts: tuple
+    __slots__ = ("parts", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.parts))
+    def __init__(self, parts):
+        self.parts = parts
+        self._hash = hash(parts)
 
     def __hash__(self):
         return self._hash
@@ -57,6 +66,9 @@ class CompoundState:
 
     def __len__(self):
         return len(self.parts)
+
+    def __repr__(self):
+        return "CompoundState(parts=%r)" % (self.parts,)
 
     def __str__(self):
         return "(" + ", ".join(

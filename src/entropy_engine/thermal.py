@@ -8,7 +8,7 @@ for smooth concave oracles coincides with equal temperature.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import DomainError, SplitBoundaryError, TemperatureSignError
 from .roots import brent_root
@@ -19,12 +19,10 @@ SCAN_POINTS = 33  # thermal_split's coarse scan for maximizer brackets
 N_PROBES = 17  # isotherm states check_transversality visits
 
 
-@dataclass
-class ThermalJoin:
+class ThermalJoin(namedtuple("ThermalJoin", "left right")):
     """The simple system obtained by thermally coupling two models."""
 
-    left: object
-    right: object
+    __slots__ = ()
 
     def energy_interval(self, U, V1, V2):
         """Open admissible interval for the left share of the total energy.
@@ -67,15 +65,12 @@ def temperature(model, X):
     return 1.0 / ds_du
 
 
-@dataclass
-class SplitResult:
+class SplitResult(namedtuple("SplitResult", "X1 X2 total_entropy alternatives",
+                             defaults=((),))):
     """Equilibrium partition of a joined state; alternatives list any other
     local maximizers found (a flagged degeneracy for non-concave oracles)."""
 
-    X1: StatePoint
-    X2: StatePoint
-    total_entropy: float
-    alternatives: list = field(default_factory=list)
+    __slots__ = ()
 
     @property
     def degenerate(self):
@@ -178,13 +173,7 @@ def in_thermal_equilibrium(model1, X1, model2, X2, tol=1e-9):
     return abs(split.X1.U - X1.U) <= tol * max(abs(U), 1.0)
 
 
-@dataclass
-class FlowReport:
-    T1: float
-    T2: float
-    dU1: float
-    ok: bool
-    note: str = ""
+FlowReport = namedtuple("FlowReport", "T1 T2 dU1 ok note", defaults=("",))
 
 
 def check_energy_flow(model1, X1, model2, X2):
@@ -214,12 +203,10 @@ def check_energy_flow(model1, X1, model2, X2):
     return FlowReport(T1=t1, T2=t2, dU1=du1, ok=ok, note=note)
 
 
-@dataclass
-class ZerothLawReport:
-    checked: int
-    non_equilibrium: int
-    violations: list
-    undecided: int = 0
+class ZerothLawReport(namedtuple("ZerothLawReport",
+                                 "checked non_equilibrium violations undecided",
+                                 defaults=(0,))):
+    __slots__ = ()
 
     @property
     def holds(self):
@@ -288,13 +275,10 @@ def isotherm_samples(model, T_target, v_grid):
     return [state for state in states if state is not None]
 
 
-@dataclass
-class TransversalityReport:
-    found: bool
-    below: StatePoint = None
-    above: StatePoint = None
-    temperature: float = 0.0
-    probes: int = 0
+TransversalityReport = namedtuple(
+    "TransversalityReport", "found below above temperature probes",
+    defaults=(None, None, 0.0, 0),
+)
 
 
 def check_transversality(model, X, v_window=None):

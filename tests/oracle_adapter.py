@@ -57,8 +57,7 @@ def check_nesting(model, X, Y, probes=None, **kwargs):
     result = reference_simple.check_nesting(
         TupleModel(model), _tuple_state(X), _tuple_state(Y),
         None if probes is None else [(v,) for v in probes], **kwargs)
-    result.probes = [v for (v,) in result.probes]
-    return result
+    return result._replace(probes=[v for (v,) in result.probes])
 
 
 def thermal_split(join, U, V1, V2):

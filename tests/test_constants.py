@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -97,7 +96,7 @@ def test_triangle_prefers_two_step_chain():
     ]
     g = StateSpaceGraph({"A": na, "B": nb, "C": nc}, facts)
     assert compute_D(g, "A", "C") == 3
-    assert compute_E(replace(g, max_chain=3), "A", "C") == 2
+    assert compute_E(StateSpaceGraph(g.nodes, g.facts, g.catalysts, 3), "A", "C") == 2
 
 
 def test_chain_table_agrees_with_brute_force_enumeration():
@@ -150,8 +149,8 @@ def test_unbounded_chain_shows_up_as_negative_cycle():
     cycle, total = cert
     assert total < 0
     # longer chain bounds keep digging deeper
-    assert (compute_E(replace(g, max_chain=6), "X", "Y")
-            < compute_E(replace(g, max_chain=2), "X", "Y"))
+    assert (compute_E(StateSpaceGraph(g.nodes, g.facts, g.catalysts, 6), "X", "Y")
+            < compute_E(StateSpaceGraph(g.nodes, g.facts, g.catalysts, 2), "X", "Y"))
 
 
 def chain_of_six(max_chain):
@@ -168,7 +167,7 @@ def test_every_calibration_call_uses_the_graph_chain_bound():
     assert compute_E(g, "A", "F") == 0
     assert matrix_json(g)["E"]["A->F"] == 0.0
     assert detect_gap(g, "A", "F").width == 0.0
-    short = replace(g, max_chain=5)
+    short = StateSpaceGraph(g.nodes, g.facts, g.catalysts, 5)
     assert compute_E(short, "A", "F") == INF
     assert matrix_json(short)["E"]["A->F"] == "inf"
 
@@ -184,9 +183,9 @@ def test_chain_tables_are_built_once_per_graph(monkeypatch):
     monkeypatch.setattr(constants, "_chain_table", counted)
     g = chain_of_six(6)
     # a catalyst running next to the A -> B step, so both tables are needed
-    g = replace(g, facts=g.facts + [((("A", "x"), ("F", "x")),
-                                     (("B", "x"), ("F", "x")))],
-                catalysts=["F"])
+    g = StateSpaceGraph(g.nodes, g.facts + [((("A", "x"), ("F", "x")),
+                                             (("B", "x"), ("F", "x")))],
+                        ["F"], g.max_chain)
     first = matrix_json(g)
     assert len(calls) == 2  # the simple-space table and the full one
     for _ in range(2):
@@ -250,7 +249,8 @@ def test_infima_are_monotone_f_below_e_below_d():
 
 
 def test_chain_subadditivity_when_terms_finite():
-    g = replace(gap_graph(), max_chain=6)
+    g = gap_graph()
+    g = StateSpaceGraph(g.nodes, g.facts, g.catalysts, 6)
     e12 = compute_E(g, "s1", "s2")
     e21 = compute_E(g, "s2", "s1")
     e11 = compute_E(g, "s1", "s1")

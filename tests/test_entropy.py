@@ -98,6 +98,20 @@ def test_bisection_mode_reaches_fine_resolution():
     assert residual <= 2.0 / 2 ** 20 + 1e-12
 
 
+def test_bisection_lists_the_states_clipped_at_the_window_top():
+    g = make_space("G", [1], ["lo", "mid", "top", "hi", "far"])
+    sigma = {("G", "lo"): Fraction(0), ("G", "mid"): HALF, ("G", "hi"): Fraction(1),
+             ("G", "top"): Fraction(3), ("G", "far"): Fraction(5)}
+    table = construct_entropy(OracleRelation([g], sigma), "G", "lo", "hi",
+                              lambda_hi=Fraction(2))
+    assert table.clipped == ("far", "top")
+    assert table.values["top"] == table.values["far"] == 2.0
+    assert table.values["mid"] == 0.5
+    grid_table = construct_entropy(chain_relation(), "G", "x", "z",
+                                   resolution=Fraction(1), lambda_hi=Fraction(1))
+    assert grid_table.clipped == ()
+
+
 # ------------------------------------------------------ entropy principle
 
 

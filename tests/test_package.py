@@ -88,3 +88,17 @@ def test_importing_the_package_imports_no_layer():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_cli_and_pipeline_import_without_dataclasses():
+    # `import dataclasses` costs every CLI process several milliseconds
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(entropy_engine.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, entropy_engine.cli, entropy_engine.pipeline; "
+         "print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

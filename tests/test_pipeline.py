@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 import entropy_engine
 from entropy_engine.cli import main
 from entropy_engine.errors import InputFormatError
-from entropy_engine.pipeline import load_pipeline_spec, run_pipeline
+from entropy_engine.pipeline import _jsonable, load_pipeline_spec, run_pipeline
+from entropy_engine.simple import point
+from entropy_engine.states import compound, single
 
 CHAIN_RELATION = {
     "spaces": [{"id": "G", "composition": ["1"], "states": ["x", "y", "z"]}],
@@ -150,6 +153,18 @@ def test_ch_stage_reports_witness_for_split_chains(tmp_path):
     result = run_pipeline(load_pipeline_spec(spec_path), str(tmp_path / "out"))
     assert result.exit_code == 1
     assert result.report["reports"]["check_ch"]["holds"] is False
+    assert result.report["reports"]["check_ch"]["witness"] == [
+        {"parts": [["G", "a", "1"]]}, {"parts": [["G", "c", "1"]]}]
+
+
+def test_jsonable_renders_records_as_field_dicts():
+    assert _jsonable(point(1, 2)) == {"U": 1.0, "V": 2.0}
+    half = Fraction(1, 2)
+    witness = (single("G", "x"), compound([(half, "G", "z"), (half, "G", "y")]))
+    assert _jsonable(witness) == [
+        {"parts": [["G", "x", "1"]]},
+        {"parts": [["G", "y", "1/2"], ["G", "z", "1/2"]]},
+    ]
 
 
 def test_simple_and_thermal_suites_run_clean(tmp_path):

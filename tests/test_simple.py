@@ -11,6 +11,7 @@ from entropy_engine.simple import (
     X_INSIDE_Y,
     Y_INSIDE_X,
     SimpleSystemModel,
+    StatePoint,
     Box,
     adiabat_energy_at,
     check_convexity,
@@ -303,6 +304,14 @@ def test_pressure_matches_tangent_plane_slope():
         assert pressure_consistency(model, x) <= 1e-6
 
 
+def test_consistency_stencil_leaving_the_domain_names_the_state():
+    x = point(GAS.domain.lo[0] + 1e-7, 2.0)
+    with pytest.raises(DomainError) as info:
+        pressure_consistency(GAS, x)
+    assert str(info.value) == ("finite-difference stencil leaves the domain at "
+                               "StatePoint(U=0.5000001, V=2.0)")
+
+
 def test_pressure_on_boundary_raises():
     with pytest.raises(DomainError):
         GAS.require_interior(point(GAS.domain.lo[0], 1.0))
@@ -353,6 +362,23 @@ def test_model_from_spec_rejects_unknown_type():
 
 
 def test_domain_is_open():
-    box = Box((0.0, 0.0), (1.0, 1.0))
-    assert not box.contains((0.0, 0.5))
-    assert box.contains((0.5, 0.5))
+    box = Box((1.0, 2.0), (3.0, 5.0))
+    assert box.contains((2.0, 3.0))
+    assert box.contains((1.0 + 1e-12, 5.0 - 1e-12))
+    for face in [(1.0, 3.0), (3.0, 3.0), (2.0, 2.0), (2.0, 5.0),
+                 (1.0, 2.0), (3.0, 5.0)]:
+        assert not box.contains(face), face
+    for beyond in [(0.5, 3.0), (3.5, 3.0), (2.0, 1.5), (2.0, 5.5)]:
+        assert not box.contains(beyond), beyond
+
+
+def test_state_point_and_box_records():
+    x = point(1, 2)
+    assert repr(x) == str(x) == "StatePoint(U=1.0, V=2.0)"
+    assert x == StatePoint(1.0, 2.0) and x != StatePoint(1.0, 2.5)
+    assert hash(x) == hash((1.0, 2.0))
+    box = Box((0.5, 0.1), (8.0, 2.0))
+    assert repr(box) == str(box) == "Box(lo=(0.5, 0.1), hi=(8.0, 2.0))"
+    assert box == Box(lo=(0.5, 0.1), hi=(8.0, 2.0))
+    assert box != Box((0.5, 0.1), (8.0, 2.5))
+    assert hash(box) == hash(((0.5, 0.1), (8.0, 2.0)))

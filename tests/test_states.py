@@ -10,6 +10,25 @@ from entropy_engine.states import (
     single,
 )
 
+HALF = Fraction(1, 2)
+
+
+def test_state_space_and_compound_state_records():
+    g = make_space("G", ["1"], ["x", "y"])
+    text = ("StateSpace(space_id='G', composition=(Fraction(1, 1),), "
+            "state_ids=('x', 'y'))")
+    assert repr(g) == str(g) == text
+    assert g == make_space("G", [1], ["x", "y"])
+    assert g != make_space("G", [1], ["x", "z"])
+    assert hash(g) == hash(("G", (Fraction(1),), ("x", "y")))
+    c = compound([(HALF, "G", "z"), (HALF, "G", "y")])
+    assert repr(c) == ("CompoundState(parts=(('G', 'y', Fraction(1, 2)), "
+                       "('G', 'z', Fraction(1, 2))))")
+    assert str(c) == "(1/2 G.y, 1/2 G.z)"
+    assert c == compound([(HALF, "G", "y"), (HALF, "G", "z")])
+    assert c != single("G", "y")
+    assert hash(c) == hash(c.parts)
+
 
 def test_parts_are_canonically_sorted():
     a = compound([(Fraction(1, 2), "G", "y"), (Fraction(1), "G", "x")])
