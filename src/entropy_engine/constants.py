@@ -21,7 +21,7 @@ from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 
-from .errors import InfeasibleConstantsError, InputFormatError
+from .errors import InfeasibleConstantsError, InputFormatError, expect_list
 from .rational import parse_number
 
 INF = math.inf
@@ -123,11 +123,12 @@ class StateSpaceGraph:
 
 
 def _fact_side(side, declared):
-    parts = tuple((sp, st) for sp, st in side)
+    parts = tuple(tuple(part) if isinstance(part, list) else None
+                  for part in expect_list(side, "fact side"))
     if parts and declared.issuperset(parts):
         return parts
     raise InputFormatError(
-        "fact side %r is empty or names an undeclared space or state"
+        "fact side %r is not a nonempty list of declared [space, state] pairs"
         % (side,)
     )
 
@@ -136,25 +137,29 @@ def graph_from_json(doc):
     """Build a StateSpaceGraph from its JSON form; malformed entries and
     undeclared spaces or states raise InputFormatError."""
     try:
-        max_chain = int(doc.get("max_chain", 4))
+        max_chain = doc.get("max_chain", 4)
+        if isinstance(max_chain, bool) or not isinstance(max_chain, int):
+            raise InputFormatError("max_chain must be an integer, got %r"
+                                   % (max_chain,))
         nodes = {
             entry["id"]: SpaceNode(
                 space_id=entry["id"],
                 composition=tuple(
-                    parse_number(c) for c in entry["composition"]
+                    parse_number(c) for c in expect_list(
+                        entry["composition"], "space %r composition" % (entry["id"],))
                 ),
                 entropy={
                     st: parse_number(v) for st, v in entry["entropy"].items()
                 },
             )
-            for entry in doc.get("spaces", [])
+            for entry in expect_list(doc.get("spaces", []), "spaces")
         }
         declared = {(sp, st) for sp in nodes for st in nodes[sp].entropy}
         facts = [
             (_fact_side(left, declared), _fact_side(right, declared))
-            for left, right in doc.get("facts", [])
+            for left, right in expect_list(doc.get("facts", []), "facts")
         ]
-        catalysts = list(doc.get("catalysts", []))
+        catalysts = expect_list(doc.get("catalysts", []), "catalysts")
         unknown = [cat for cat in catalysts if cat not in nodes]
     except (AttributeError, KeyError, TypeError, ValueError,
             OverflowError) as exc:

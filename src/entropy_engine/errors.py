@@ -1,5 +1,5 @@
-"""Exception types shared across the engine, and the JSON file reader that
-raises InputFormatError; this module imports no layer."""
+"""Exception types shared across the engine, and the JSON file reader and
+list check that raise InputFormatError; this module imports no layer."""
 
 import json
 
@@ -110,3 +110,12 @@ def read_json(path):
         ) from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError("cannot read %s: %s" % (path, exc)) from exc
+
+
+def expect_list(value, what):
+    """value itself when it is a JSON list; anything else, a string included,
+    is an InputFormatError naming the field `what`.  Iterating a string would
+    read it one character per item."""
+    if not isinstance(value, list):
+        raise InputFormatError("%s must be a list, got %r" % (what, value))
+    return value

@@ -32,6 +32,7 @@ from .errors import (
     EngineError,
     InputFormatError,
     SplitBoundaryError,
+    expect_list,
     read_json,
 )
 from .rational import format_rational, parse_rational
@@ -99,8 +100,8 @@ def _field(kind, value, what, models):
                 or not math.isfinite(value)):
             raise InputFormatError("%s must be a finite number, got %r" % (what, value))
         return float(value)
-    if kind in ("reals", "experiments") and not isinstance(value, list):
-        raise InputFormatError("%s must be a list, got %r" % (what, value))
+    if kind in ("reals", "experiments"):
+        expect_list(value, what)
     if kind == "coordinate":
         if not isinstance(value, list) or len(value) != 1:
             raise InputFormatError("%s must be a one-element list, got %r"

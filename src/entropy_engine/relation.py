@@ -9,6 +9,14 @@ splitting/recombination of parts, and the cancellation law.  Closure is
 bounded by the grid and by a maximum part count, which keeps it decidable; a
 fact budget guards against blow-up.
 
+close() applies consistency with spectator states, as in Lieb-Yngvason's
+derivation of axiom A3 from its special case Y = Y': each fact X -> X' is
+composed with every state Z that leaves both sides within the part bound,
+giving (X, Z) -> (X', Z).  This reaches the closure of composing every pair
+of facts.  If (X, Y) -> (X', Y') fits, the four part counts sum to at most
+2 * max_parts, so (X', Y) or (X, Y') fits as well, and transitivity passes
+through it.  The work grows with facts times states, not facts squared.
+
 close() and the axiom scan apply the rules on a private fact store
 (_FactStore).  It numbers the states in successor-map order, keyed by their
 parts with every scale written as an integer numerator over the least common
@@ -19,7 +27,9 @@ combination, split/merge variants, cancellation remainders) is a map
 memoized per id.  close() writes one canonical CompoundState per id into its
 result's successor map.  run_axiom_scan() interns a relation once and checks
 every structural rule on that one store, so hand-built relations are still
-scanned as they stand.
+scanned as they stand.  Its consistency check composes every pair of facts,
+not spectators, since a hand-built relation need not be transitive; as side
+by side composition commutes, it composes each unordered pair once.
 
 OracleRelation is the second backend: it answers the same queries lazily from
 a per-state entropy assignment and is used to generate ground-truth relations
@@ -30,7 +40,7 @@ rel.accessible(x, y).
 from collections import deque, namedtuple
 from collections.abc import Set
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 
 from .errors import (
@@ -39,6 +49,7 @@ from .errors import (
     InputFormatError,
     RelationSpecError,
     UnclosedRelationError,
+    expect_list,
 )
 from .rational import parse_rational
 from .states import (
@@ -376,12 +387,20 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
     applications that would leave those bounds are skipped.  Raises
     ClosureBudgetError, naming the rule and the part counts of the fact that
     overflowed, when the fact count exceeds `budget`.
+
+    Consistency composes facts with spectator states, not with other facts:
+    a fact (l, r) takes a spectator Z when max(len(l), len(r)) + len(Z) <=
+    max_parts.  Each popped fact meets every state seen so far, and each
+    newly seen state meets every fact popped so far, so every such pair is
+    composed once.  Only facts and states with room for another part are
+    kept for this.
     """
     store, pairs, _universe = _store_of(rel, max_parts)
-    keys, succ, pred = store.keys, store.succ, store.pred
+    keys, succ, pred, combine = store.keys, store.succ, store.pred, store.combine
     queue = deque()
-    size_buckets = {}
     seen = set()
+    spectators = {}  # part count -> states seen so far
+    popped = {}  # part count of the larger side -> facts popped so far
     count = 0
 
     def add_fact(left, right, rule):
@@ -389,19 +408,18 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
         if not store.add(left, right):
             return
         count += 1
-        sizes = (len(keys[left]), len(keys[right]))
         if count > budget:
-            raise ClosureBudgetError(budget, count, rule, sizes)
-        pair = (left, right)
-        size_buckets.setdefault(sizes, []).append(pair)
-        queue.append(pair)
+            raise ClosureBudgetError(budget, count, rule,
+                                     (len(keys[left]), len(keys[right])))
+        queue.append((left, right))
 
     for left, right in pairs:
         add_fact(left, right, "input")
 
     while queue:
         left, right = queue.popleft()
-        # reflexivity and splitting/recombination, once per state
+        # reflexivity and splitting/recombination once per state, and the
+        # state as a spectator beside every fact popped before it
         for sid in (left, right):
             if sid not in seen:
                 seen.add(sid)
@@ -409,6 +427,13 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
                 for variant in store.variants(sid):
                     add_fact(sid, variant, "split")
                     add_fact(variant, sid, "split")
+                size = len(keys[sid])
+                if size < max_parts:
+                    for n in popped:
+                        if n + size <= max_parts:
+                            for a, b in popped[n]:
+                                add_fact(combine(a, sid), combine(b, sid), "consistency")
+                    spectators.setdefault(size, []).append(sid)
         # transitivity through both endpoints, new pairs only
         for nxt in _bits(succ[right] & ~succ[left]):
             add_fact(left, nxt, "transitivity")
@@ -418,14 +443,14 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
         for a, b in zip(store.scaled(left), store.scaled(right)):
             if a is not None and b is not None:
                 add_fact(a, b, "scaling")
-        # consistency: compose with every size-compatible fact
-        n_left, n_right = len(keys[left]), len(keys[right])
-        for (ls, rs), bucket in list(size_buckets.items()):
-            if n_left + ls > max_parts or n_right + rs > max_parts:
-                continue
-            for other_left, other_right in list(bucket):
-                add_fact(store.combine(left, other_left),
-                         store.combine(right, other_right), "consistency")
+        # consistency: the fact beside every state seen so far
+        n = max(len(keys[left]), len(keys[right]))
+        if n < max_parts:
+            for size in spectators:
+                if n + size <= max_parts:
+                    for z in spectators[size]:
+                        add_fact(combine(left, z), combine(right, z), "consistency")
+            popped.setdefault(n, []).append((left, right))
         # cancellation law
         for a, b in store.cancelled(left, right):
             add_fact(a, b, "cancellation")
@@ -436,9 +461,6 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
         closed=True,
         epsilon_families=tuple(rel.epsilon_families),
     )
-    # the bitset rows hold every fact: free the bucketed id pairs before
-    # building the output
-    size_buckets.clear()
     state = store.state
     for sid in sorted(seen):
         out.successors[state(sid)] = {state(n) for n in _bits(succ[sid])}
@@ -516,24 +538,37 @@ def _transitivity(store, pairs):
 
 
 def _consistency(store, pairs, universe, max_parts, universe_only):
+    """Compose each unordered pair of facts once.  Side-by-side composition
+    commutes, so a pair of two distinct facts counts as two checks and
+    reports its violation in both orders, as a scan of ordered pairs would.
+    Every pair is composed: a hand-built relation need not be transitive."""
     has, keys, combine, state = store.has, store.keys, store.combine, store.state
     viol = []
     checked = 0
     buckets = {}
     for pair in pairs:
         buckets.setdefault((len(keys[pair[0]]), len(keys[pair[1]])), []).append(pair)
-    for (l1, r1), bucket1 in buckets.items():
-        for (l2, r2), bucket2 in buckets.items():
+    groups = list(buckets.items())
+    for i, ((l1, r1), bucket1) in enumerate(groups):
+        for (l2, r2), bucket2 in groups[i:]:
             if l1 + l2 > max_parts or r1 + r2 > max_parts:
                 continue
-            for a, b in bucket1:
-                for c, d in bucket2:
-                    left, right = combine(a, c), combine(b, d)
-                    if universe_only and not (left in universe and right in universe):
-                        continue
-                    checked += 1
-                    if not has(left, right):
-                        viol.append(((state(a), state(b)), (state(c), state(d))))
+            if bucket1 is bucket2:
+                fact_pairs = combinations_with_replacement(bucket1, 2)
+            else:
+                fact_pairs = product(bucket1, bucket2)
+            for first, second in fact_pairs:
+                (a, b), (c, d) = first, second
+                left, right = combine(a, c), combine(b, d)
+                if universe_only and not (left in universe and right in universe):
+                    continue
+                twice = first != second
+                checked += 1 + twice
+                if not has(left, right):
+                    x, y = (state(a), state(b)), (state(c), state(d))
+                    viol.append((x, y))
+                    if twice:
+                        viol.append((y, x))
     return AxiomReport("consistency", checked, viol)
 
 
@@ -694,22 +729,25 @@ def relation_from_json(doc):
         spaces = [
             make_space(
                 s["id"],
-                [parse_rational(c) for c in s["composition"]],
-                s["states"],
+                [parse_rational(c) for c in
+                 expect_list(s["composition"], "space %r composition" % (s["id"],))],
+                expect_list(s["states"], "space %r states" % (s["id"],)),
             )
-            for s in doc["spaces"]
+            for s in expect_list(doc["spaces"], "spaces")
         ]
-        facts = [_parse_fact(f) for f in doc.get("facts", [])]
-        grid = [parse_rational(g) for g in doc.get("lambda_grid", ["1"])]
+        facts = [_parse_fact(f) for f in expect_list(doc.get("facts", []), "facts")]
+        grid = [parse_rational(g) for g in
+                expect_list(doc.get("lambda_grid", ["1"]), "lambda_grid")]
         families = tuple(
             EpsilonFamily(
                 X=_parse_compound(f["X"]),
                 Y=_parse_compound(f["Y"]),
                 Z0=_parse_compound(f["Z0"]),
                 Z1=_parse_compound(f["Z1"]),
-                epsilons=tuple(parse_rational(e) for e in f["epsilons"]),
+                epsilons=tuple(parse_rational(e) for e in
+                               expect_list(f["epsilons"], "epsilon family epsilons")),
             )
-            for f in doc.get("epsilon_families", [])
+            for f in expect_list(doc.get("epsilon_families", []), "epsilon_families")
         )
     except KeyError as exc:
         raise RelationSpecError("missing relation field %s" % exc) from exc

@@ -446,6 +446,55 @@ def test_cli_bad_calibration_graph_is_input_error(tmp_path, change):
         assert "Traceback" not in proc.stderr
 
 
+GRAPH_AB = {
+    "spaces": [
+        {"id": "A", "composition": ["1"], "entropy": {"a": "0"}},
+        {"id": "B", "composition": ["1"], "entropy": {"b": "5"}},
+    ],
+    "facts": [[[["A", "a"]], [["B", "b"]]]],
+}
+
+
+def _space(doc, **change):
+    return [dict(doc["spaces"][0], **change)] + doc["spaces"][1:]
+
+
+# Each string below would read as a list of its characters, and each one-
+# character item would be valid: composition "12" as (1, 2), states "xyz" as
+# x, y and z, catalysts "AB" as A and B, the fact part "Aa" as ["A", "a"];
+# max_chain 2.7 would be truncated to 2.
+@pytest.mark.parametrize("kind, change, message", [
+    ("relation", {"spaces": _space(CHAIN_RELATION, composition="12")},
+     "space 'G' composition must be a list, got '12'"),
+    ("relation", {"spaces": _space(CHAIN_RELATION, states="xyz")},
+     "space 'G' states must be a list, got 'xyz'"),
+    ("relation", {"lambda_grid": "1/2"}, "lambda_grid must be a list, got '1/2'"),
+    ("graph", {"spaces": _space(GRAPH_AB, composition="1")},
+     "space 'A' composition must be a list, got '1'"),
+    ("graph", {"catalysts": "AB"}, "catalysts must be a list, got 'AB'"),
+    ("graph", {"facts": [[["Aa"], [["B", "b"]]]]}, "fact side ['Aa'] is not"),
+    ("graph", {"max_chain": 2.7}, "max_chain must be an integer, got 2.7"),
+], ids=["relation-composition", "relation-states", "relation-lambda-grid",
+        "graph-composition", "graph-catalysts", "graph-fact-part",
+        "graph-max-chain-float"])
+def test_cli_string_or_float_for_a_list_or_integer_is_input_error(
+        tmp_path, capsys, kind, change, message):
+    if kind == "relation":
+        doc, spec = dict(CHAIN_RELATION, **change), {"stages": ["close"],
+                                                     "relation": "inst.json"}
+    else:
+        doc, spec = dict(GRAPH_AB, **change), {"stages": ["calibration_suite"],
+                                               "calibration": "inst.json"}
+    inst_path = write_json(tmp_path / "inst.json", doc)
+    spec_path = write_json(tmp_path / "spec.json", base_spec(**spec))
+    for args in (["validate", inst_path],
+                 ["run", spec_path, "--out", str(tmp_path / "out")]):
+        capsys.readouterr()
+        assert main(args) == 2, args
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def run_cli(args):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(entropy_engine.__file__)))

@@ -136,6 +136,29 @@ def test_close_is_idempotent():
     assert again.facts == rel.facts
 
 
+def midpoint_chain(n, rng):
+    """The chain x0 < ... < x{n-1} plus the midpoint equivalences
+    (x_{i-1}/2, x_{i+1}/2) ~ x_i, with facts and states declared in an
+    order shuffled by rng."""
+    chain = ["x%d" % i for i in range(n)]
+    facts = [fact(a, b) for a, b in zip(chain, chain[1:])]
+    for lo, mid, hi in zip(chain, chain[1:], chain[2:]):
+        mix = compound([(HALF, "G", lo), (HALF, "G", hi)])
+        facts += [(mix, single("G", mid)), (single("G", mid), mix)]
+    rng.shuffle(facts)
+    rng.shuffle(chain)
+    return build_relation([space(chain)], facts, GRID)
+
+
+@pytest.mark.parametrize("n, facts, states", [(5, 10243, 285), (6, 26522, 454)])
+def test_chain_closure_sizes_do_not_depend_on_declaration_order(n, facts, states):
+    closures = [close(midpoint_chain(n, random.Random(seed)), max_parts=3)
+                for seed in range(3)]
+    for closed in closures:
+        assert (len(closed.facts), len(closed.successors)) == (facts, states)
+        assert closed.successors == closures[0].successors
+
+
 def test_close_budget_exceeded_raises():
     with pytest.raises(ClosureBudgetError) as info:
         close(build_relation(

@@ -167,6 +167,47 @@ def test_planted_violations_are_found_by_both():
     assert sum(sum(v.values()) for _c, v in got.values()) > 0
 
 
+@pytest.mark.parametrize("mirror", [False, True], ids=["via-X-Y'", "via-X'-Y"])
+def test_close_composes_two_facts_through_the_intermediate_that_fits(mirror):
+    """X < X' and Y < Y' at max_parts 3, with |X| = 1, |X'| = 2, |Y| = 2 and
+    |Y'| = 1.  (X', Y) has 4 parts, so (X, Y) < (X', Y') is derived through
+    (X, Y'): X beside Y < Y', then X < X' beside Y'.  The mirror case swaps
+    the part counts, and the composite goes through (X', Y)."""
+    a, f = compound([(1, "A", "a")]), compound([(1, "A", "f")])
+    bc = compound([(1, "B", "b"), (1, "B", "c")])
+    de = compound([(1, "B", "d"), (1, "B", "e")])
+    (x, x2), (y, y2) = facts = [(bc, a), (f, de)] if mirror else [(a, bc), (de, f)]
+    spaces = [make_space("A", [2], ["a", "f"]), make_space("B", [1], list("bcde"))]
+    rel = build_relation(spaces, facts, [F(1)])
+    closed = close(rel, max_parts=3)
+    fits, too_big = (x2.combine(y), x.combine(y2)) if mirror else \
+        (x.combine(y2), x2.combine(y))
+    assert (len(fits), len(too_big)) == (2, 4)
+    assert closed.accessible(x.combine(y), fits)
+    assert closed.accessible(fits, x2.combine(y2))
+    assert closed.accessible(x.combine(y), x2.combine(y2))
+    assert too_big not in closed.universe
+    assert closed.successors == ref.close(rel, max_parts=3).successors
+
+
+def test_consistency_scan_reports_a_missing_composite_in_both_orders():
+    g = make_space("G", [1], ["x", "y", "z"])
+    x, y, z = (compound([(1, "G", s)]) for s in "xyz")
+    closed = close(build_relation([g], [(x, y), (y, z)], [F(1)]), max_parts=2)
+    # (x, x) < (y, z) composes x < y with x < z, in either order; (x, x) <
+    # (y, y) composes x < y with itself
+    missing = {(x.combine(x), y.combine(z)), (x.combine(x), y.combine(y))}
+    assert missing <= closed.facts
+    rel = Relation(spaces=dict(closed.spaces), lambda_grid=closed.lambda_grid)
+    for pair in sorted(closed.facts - missing, key=str):
+        rel.add_fact(*pair)
+    got = scan_outcome(relation, rel, 2)
+    violations = got["consistency"][1]
+    assert violations == Counter({((x, y), (x, z)): 1, ((x, z), (x, y)): 1,
+                                  ((x, y), (x, y)): 1})
+    assert got == scan_outcome(ref, rel, 2)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_oracle_relations_scanned_on_their_universe(seed):
     rng = random.Random(8000 + seed)
