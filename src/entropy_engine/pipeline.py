@@ -82,12 +82,15 @@ def _field(kind, value, what, models):
         if minimum is not None and value < minimum:
             raise InputFormatError("%s must be at least %d, got %d" % (what, minimum, value))
         return value
-    if kind in ("name", "model"):
+    if kind in ("name", "model", "thermal_model"):
         if not isinstance(value, str):
             raise InputFormatError("%s must be a string, got %r" % (what, value))
-        if kind == "model" and models.get(value) is None:
+        model = models.get(value)
+        if kind != "name" and model is None:
             raise InputFormatError("%s names an undeclared model %r" % (what, value))
-        return models[value] if kind == "model" else value
+        if kind == "thermal_model" and model.entropy is None:
+            raise InputFormatError("%s: model %r has no entropy oracle" % (what, value))
+        return value if kind == "name" else model
     if kind in ("rational", "resolution"):
         value = parse_rational(value)
         if kind == "resolution" and value <= 0:
@@ -95,10 +98,12 @@ def _field(kind, value, what, models):
         return value
     if kind == "rationals":
         return {k: parse_rational(v) for k, v in _object(value, what).items()}
-    if kind == "real":
+    if kind in ("real", "temperature"):
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or not math.isfinite(value)):
             raise InputFormatError("%s must be a finite number, got %r" % (what, value))
+        if kind == "temperature" and value <= 0:
+            raise InputFormatError("%s must be positive, got %r" % (what, value))
         return float(value)
     if kind in ("reals", "experiments"):
         expect_list(value, what)
@@ -121,10 +126,11 @@ REQUIRED = object()
 
 # section -> field -> (kind, default).  An absent or null field takes its
 # default; a REQUIRED one has none.  Kinds: integer, count (>= 0) and positive
-# (>= 1) are integers, a model is the name of a declared model, a resolution a
-# positive rational, rationals an object of them, reals a nonempty list of
-# finite numbers, a coordinate a list of exactly one finite number, read as
-# that number, experiments a list of experiment sections.
+# (>= 1) are integers; model names a declared model, thermal_model one with an
+# entropy oracle; resolution is a positive rational, rationals an object of
+# them, temperature a positive finite number, reals a nonempty list of finite
+# numbers, coordinate a one-element list read as its finite number, and
+# experiments a list of experiment sections.
 FIELDS = {
     "options": {"max_parts": ("positive", 3), "budget": ("positive", DEFAULT_BUDGET)},
     "entropy": {
@@ -142,8 +148,8 @@ FIELDS = {
         "lipschitz_samples": ("count", 200),
     },
     "thermal": {
-        "left": ("model", REQUIRED),
-        "right": ("model", REQUIRED),
+        "left": ("thermal_model", REQUIRED),
+        "right": ("thermal_model", REQUIRED),
         "experiments": ("experiments", ()),
         "flow_checks": ("count", 20),
         "zeroth_triples": ("count", 10),
@@ -151,8 +157,8 @@ FIELDS = {
     },
     "experiment": {"U": ("real", REQUIRED), "V1": ("coordinate", REQUIRED),
                    "V2": ("coordinate", REQUIRED)},
-    "isotherm": {"model": ("model", REQUIRED), "T": ("real", REQUIRED),
-                 "v_grid": ("reals", REQUIRED)},
+    "isotherm": {"model": ("thermal_model", REQUIRED),
+                 "T": ("temperature", REQUIRED), "v_grid": ("reals", REQUIRED)},
 }
 
 

@@ -78,10 +78,9 @@ class SimpleSystemModel:
         self.kinks = kinks
 
     def require_interior(self, state):
-        if not self.domain.contains((state.U, state.V)):
-            raise DomainError(
-                "state %s is outside the open domain of %s" % (state, self.name)
-            )
+        if not self.domain.contains(state):
+            raise DomainError("state %s is outside the open domain of %s"
+                              % (state, self.name))
 
     def require_work_coordinates(self, V):
         if not self.domain.lo[1] < V < self.domain.hi[1]:
@@ -92,12 +91,13 @@ class SimpleSystemModel:
 def monatomic_ideal_gas(moles=1, domain=((0.5, 10.0), (0.5, 5.0))):
     """Monatomic ideal gas in natural units: P = 2U/(3V)."""
     n = float(moles)
+    log = math.log
 
     def pressure(U, V):
         return 2.0 * U / (3.0 * V)
 
     def entropy(U, V):
-        return n * math.log(V * U ** 1.5)
+        return n * log(V * U ** 1.5)
 
     return SimpleSystemModel(
         name="ideal_gas(n=%s)" % moles,
@@ -110,20 +110,17 @@ def monatomic_ideal_gas(moles=1, domain=((0.5, 10.0), (0.5, 5.0))):
 
 
 def van_der_waals_gas(moles=1, a=0.2, b=0.02, domain=((1.0, 8.0), (0.6, 4.0))):
-    """Van der Waals gas with monatomic heat capacity, natural units."""
+    """Van der Waals gas with monatomic heat capacity, natural units; pressure
+    and entropy inline the temperature T = (U + a n^2/V)/(c n)."""
     n = float(moles)
     c = 1.5
-
-    def temperature_of(U, V):
-        return (U + a * n * n / V) / (c * n)
+    ann, nb, cn, log = a * n * n, n * b, c * n, math.log
 
     def pressure(U, V):
-        T = temperature_of(U, V)
-        return n * T / (V - n * b) - a * n * n / (V * V)
+        return n * ((U + ann / V) / cn) / (V - nb) - ann / (V * V)
 
     def entropy(U, V):
-        T = temperature_of(U, V)
-        return n * (math.log(V - n * b) + c * math.log(T))
+        return n * (log(V - nb) + c * log((U + ann / V) / cn))
 
     return SimpleSystemModel(
         name="van_der_waals(n=%s)" % moles,
@@ -223,8 +220,10 @@ def model_from_spec(doc):
             dom = doc.get("domain")
             kwargs = {}
             if dom is not None:
-                u_lo, u_hi = _floats(dom["U"], "domain U", increasing=True)
-                v_range = dom["V"]
+                if not isinstance(dom, dict):
+                    raise InputFormatError("domain must be an object, got %r" % (dom,))
+                u_lo, u_hi = _floats(dom.get("U"), "domain U", increasing=True)
+                v_range = dom.get("V")
                 if not isinstance(v_range, list) or len(v_range) != 1:
                     raise InputFormatError("domain V must be a list of one [lo, hi] "
                                            "range, got %r" % (v_range,))
@@ -324,8 +323,8 @@ def _dp_segment(model, u, k1, v, v_to, h, tol, samples=None):
     u_lines, v_lines = model.kinks
     if k1 is None:
         k1 = -pressure(u, v)
-    stops = sorted((x for x in v_lines if min(v, v_to) < x < max(v, v_to)),
-                   reverse=v_to < v) + [v_to]
+    stops = (sorted((x for x in v_lines if min(v, v_to) < x < max(v, v_to)),
+                    reverse=v_to < v) if v_lines else []) + [v_to]
     while True:
         rest = stops[0] - v
         land = abs(rest) <= h
@@ -534,21 +533,18 @@ def pressure_consistency(model, X):
     if model.entropy is None:
         raise DomainError("consistency check needs an entropy oracle")
     model.require_interior(X)
-    hu = 1e-5 * max(1.0, abs(X.U))
-    hv = 1e-5 * max(1.0, abs(X.V))
-    for u, v in ((X.U - hu, X.V), (X.U + hu, X.V),
-                 (X.U, X.V - hv), (X.U, X.V + hv)):
-        if not model.domain.contains((u, v)):
-            raise DomainError(
-                "finite-difference stencil leaves the domain at %s" % (X,)
-            )
-    ds_du = (model.entropy(X.U + hu, X.V)
-             - model.entropy(X.U - hu, X.V)) / (2.0 * hu)
+    U, V = X
+    hu = 1e-5 * max(1.0, abs(U))
+    hv = 1e-5 * max(1.0, abs(V))
+    (u_lo, v_lo), (u_hi, v_hi) = model.domain  # X is interior
+    if not (u_lo < U - hu and U + hu < u_hi and v_lo < V - hv and V + hv < v_hi):
+        raise DomainError("finite-difference stencil leaves the domain at %s" % (X,))
+    S = model.entropy
+    ds_du = (S(U + hu, V) - S(U - hu, V)) / (2.0 * hu)
     if ds_du == 0:
         raise DomainError("dS/dU vanishes at %s: no temperature" % (X,))
-    ds_dv = (model.entropy(X.U, X.V + hv)
-             - model.entropy(X.U, X.V - hv)) / (2.0 * hv)
-    return abs(ds_dv / ds_du - model.pressure(X.U, X.V))
+    ds_dv = (S(U, V + hv) - S(U, V - hv)) / (2.0 * hv)
+    return abs(ds_dv / ds_du - model.pressure(U, V))
 
 
 def check_lipschitz(model, samples=200, seed=0):

@@ -48,20 +48,19 @@ def temperature(model, X):
 
     Raises when the stencil leaves the domain or the result is not positive.
     """
-    if model.entropy is None:
+    S = model.entropy
+    if S is None:
         raise DomainError("temperature needs an entropy oracle")
     model.require_interior(X)
-    h = 1e-6 * max(1.0, abs(X.U))
-    for u in (X.U - h, X.U + h):
-        if not model.domain.contains((u, X.V)):
-            raise DomainError(
-                "temperature stencil leaves the domain at %s" % (X,)
-            )
-    ds_du = (model.entropy(X.U + h, X.V) - model.entropy(X.U - h, X.V)) / (2.0 * h)
+    U, V = X
+    h = 1e-6 * max(1.0, abs(U))
+    down, up = U - h, U + h  # X is interior
+    if not (model.domain.lo[0] < down and up < model.domain.hi[0]):
+        raise DomainError("temperature stencil leaves the domain at %s" % (X,))
+    ds_du = (S(up, V) - S(down, V)) / (2.0 * h)
     if ds_du <= 0.0:
-        raise TemperatureSignError(
-            "non-positive temperature at %s in %s" % (X, model.name)
-        )
+        raise TemperatureSignError("non-positive temperature at %s in %s"
+                                   % (X, model.name))
     return 1.0 / ds_du
 
 
@@ -102,8 +101,8 @@ def thermal_split(join, U, V1, V2):
     The partition tolerance is 1e-10 relative to the total energy.  A maximizer
     pressed against the admissible boundary raises SplitBoundaryError.
     """
-    m1, m2 = join.left, join.right
-    if m1.entropy is None or m2.entropy is None:
+    s1, s2 = join.left.entropy, join.right.entropy
+    if s1 is None or s2 is None:
         raise DomainError("thermal split needs entropy oracles on both sides")
     lo, hi = join.energy_interval(U, V1, V2)
     width = hi - lo
@@ -112,11 +111,11 @@ def thermal_split(join, U, V1, V2):
     tol = 1e-10 * max(abs(U), 1.0)
 
     def total(u1):
-        return m1.entropy(u1, V1) + m2.entropy(U - u1, V2)
+        return s1(u1, V1) + s2(U - u1, V2)
 
     # coarse scan for local maxima brackets
     grid = [lo + k * (hi - lo) / (SCAN_POINTS - 1) for k in range(SCAN_POINTS)]
-    values = [total(u) for u in grid]
+    values = [s1(u, V1) + s2(U - u, V2) for u in grid]
     brackets = []
     for k in range(len(grid)):
         left_ok = k == 0 or values[k] >= values[k - 1]
@@ -131,7 +130,8 @@ def thermal_split(join, U, V1, V2):
     h = max(1e-5 * width, 1e3 * tol)
 
     def deriv(u):
-        return total(u + h) - total(u - h)
+        up, down = u + h, u - h
+        return s1(up, V1) + s2(U - up, V2) - (s1(down, V1) + s2(U - down, V2))
 
     candidates = []
     for a, b in brackets:
@@ -148,10 +148,8 @@ def thermal_split(join, U, V1, V2):
     candidates.sort(reverse=True)
     best_val, best_u = candidates[0]
     if best_u - lo <= 2.0 * edge + tol or hi - best_u <= 2.0 * edge + tol:
-        raise SplitBoundaryError(
-            "entropy maximizer sits on the boundary of the admissible "
-            "energy interval [%g, %g]" % (lo, hi)
-        )
+        raise SplitBoundaryError("entropy maximizer sits on the boundary of the "
+                                 "admissible energy interval [%g, %g]" % (lo, hi))
     alternatives = []
     value_tol = 1e-9 * max(1.0, abs(best_val))
     for val, u in candidates[1:]:

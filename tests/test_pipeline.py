@@ -652,6 +652,22 @@ for name, model in BAD_MODELS.items():
         {"stages": ["simple_system_suite"], "models": {"m": model},
          "simple_system": {"model": "m", "pairs": 1, "lipschitz_samples": 2}},
         {})
+# thermal fields naming a model without an entropy oracle, and isotherm
+# temperatures that are not positive
+NO_ENTROPY_MODELS = dict(GASES, tab=TABULATED)
+THERMAL_BAD_FIELDS = {
+    "thermal-left-without-entropy": dict(THERMAL, left="tab", experiments=[]),
+    "thermal-right-without-entropy": dict(THERMAL, right="tab", experiments=[]),
+    "isotherm-model-without-entropy": dict(THERMAL, isotherm={
+        "model": "tab", "T": 2.0, "v_grid": [1.5]}),
+    "isotherm-zero-temperature": dict(THERMAL, isotherm={
+        "model": "gas", "T": 0, "v_grid": [1.0]}),
+    "isotherm-negative-temperature": dict(THERMAL, isotherm={
+        "model": "gas", "T": -1.0, "v_grid": [1.0]}),
+}
+for name, thermal in THERMAL_BAD_FIELDS.items():
+    BAD_SPECS[name] = ({"stages": ["thermal_suite"], "models": NO_ENTROPY_MODELS,
+                        "thermal": thermal}, {})
 
 
 @pytest.mark.parametrize("case", sorted(BAD_SPECS))
@@ -668,6 +684,65 @@ def test_cli_bad_spec_is_input_error(tmp_path, case):
         proc = run_cli(args)
         assert proc.returncode == 2, (args, proc.stdout, proc.stderr)
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("case, message", [
+    ("thermal-left-without-entropy",
+     "thermal.left: model 'tab' has no entropy oracle"),
+    ("thermal-right-without-entropy",
+     "thermal.right: model 'tab' has no entropy oracle"),
+    ("isotherm-model-without-entropy",
+     "thermal.isotherm.model: model 'tab' has no entropy oracle"),
+    ("isotherm-zero-temperature", "thermal.isotherm.T must be positive, got 0"),
+    ("isotherm-negative-temperature",
+     "thermal.isotherm.T must be positive, got -1.0"),
+])
+def test_bad_thermal_field_is_named(tmp_path, case, message):
+    fields, _files = BAD_SPECS[case]
+    spec_path = write_json(tmp_path / "spec.json", base_spec(**fields))
+    with pytest.raises(InputFormatError) as info:
+        load_pipeline_spec(spec_path)
+    assert str(info.value) == message
+
+
+# Both physics suites, small: a van der Waals gas and two ideal gases.
+PHYSICS_SPEC = base_spec(
+    stages=["simple_system_suite", "thermal_suite"],
+    models=dict(GASES, vdw={"type": "van_der_waals"}),
+    simple_system={"model": "vdw", "pairs": 4, "lipschitz_samples": 10},
+    thermal=dict(THERMAL, flow_checks=4, zeroth_triples=2,
+                 isotherm={"model": "gas", "T": 2.0, "v_grid": [1.0, 2.0]}),
+)
+# stage -> model -> (pressure calls, entropy calls) on PHYSICS_SPEC.  Faster
+# oracles must leave these alone; a new count means a changed algorithm.
+PHYSICS_CALLS = {
+    "simple_system_suite": {"van_der_waals(n=1)": (2030, 19)},
+    "thermal_suite": {"ideal_gas(n=1)": (0, 859), "ideal_gas(n=2)": (0, 476)},
+}
+
+
+def test_physics_suites_call_each_oracle_as_often_as_recorded(tmp_path):
+    """Counting wrappers are set on the loaded models, as a tracer sets them,
+    so every oracle must be read off its model when a stage calls it."""
+    spec_path = write_json(tmp_path / "spec.json", PHYSICS_SPEC)
+    calls = {}
+    for stage in PHYSICS_SPEC["stages"]:
+        spec = load_pipeline_spec(spec_path, only_stages=[stage])
+        thermal = spec.thermal
+        models = {m.name: m for m in (spec.simple_system["model"], thermal["left"],
+                                      thermal["right"], thermal["isotherm"]["model"])}
+        counts = calls[stage] = {name: [0, 0] for name in models}
+        for name, model in models.items():
+            for index, oracle in enumerate(("pressure", "entropy")):
+                def counted(*args, fn=getattr(model, oracle),
+                            tally=counts[name], index=index):
+                    tally[index] += 1
+                    return fn(*args)
+                setattr(model, oracle, counted)
+        assert run_pipeline(spec, str(tmp_path / stage)).exit_code == 0
+    calls = {stage: {name: tuple(c) for name, c in counts.items() if any(c)}
+             for stage, counts in calls.items()}
+    assert calls == PHYSICS_CALLS
 
 
 LAYERS = ("relation", "entropy", "simple", "thermal", "constants", "pipeline")

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -298,6 +299,37 @@ def test_monatomic_pressure_value():
     assert GAS.pressure(1.5, 1.0) == 1.0
 
 
+def textbook_vdw(n, a, b, U, V):
+    """P and S of a van der Waals gas, T first, in the order of operations
+    of the two-step formulas."""
+    c = 1.5
+    T = (U + a * n * n / V) / (c * n)
+    return (n * T / (V - n * b) - a * n * n / (V * V),
+            n * (math.log(V - n * b) + c * math.log(T)))
+
+
+def textbook_gas(n, U, V):
+    return 2.0 * U / (3.0 * V), n * math.log(V * U ** 1.5)
+
+
+# at 1 and 2 moles a*n*n and a*(n*n) are the same float; at 3 and 7/3 they
+# need not be, so a regrouped product shows
+@pytest.mark.parametrize("moles", [1, 3, Fraction(7, 3)])
+def test_gas_oracles_equal_the_textbook_formulas_bit_for_bit(moles):
+    n = float(moles)
+    a, b = 0.37, 0.031
+    cases = [(van_der_waals_gas(moles, a, b),
+              lambda U, V: textbook_vdw(n, a, b, U, V)),
+             (monatomic_ideal_gas(moles), lambda U, V: textbook_gas(n, U, V))]
+    rng = random.Random(20)
+    for model, textbook in cases:
+        (u_lo, v_lo), (u_hi, v_hi) = model.domain
+        for _ in range(1000):
+            U = u_lo + (0.01 + 0.98 * rng.random()) * (u_hi - u_lo)
+            V = v_lo + (0.01 + 0.98 * rng.random()) * (v_hi - v_lo)
+            assert (model.pressure(U, V), model.entropy(U, V)) == textbook(U, V)
+
+
 def test_pressure_matches_tangent_plane_slope():
     for model in (GAS, VDW):
         x = point(2.0, 1.5)
@@ -359,6 +391,18 @@ def test_model_from_spec_builds_each_kind():
 def test_model_from_spec_rejects_unknown_type():
     with pytest.raises(InputFormatError):
         model_from_spec({"type": "plasma"})
+
+
+@pytest.mark.parametrize("domain, message", [
+    ([[0, 1], [0.2, 0.5]], "domain must be an object, got [[0, 1], [0.2, 0.5]]"),
+    ({"V": [[0.5, 5]]},
+     "domain U must be a nonempty list of finite numbers, got None"),
+    ({"U": [0.5, 10]}, "domain V must be a list of one [lo, hi] range, got None"),
+])
+def test_model_from_spec_names_the_bad_part_of_a_domain(domain, message):
+    with pytest.raises(InputFormatError) as info:
+        model_from_spec({"type": "ideal_gas", "domain": domain})
+    assert str(info.value) == message
 
 
 def test_domain_is_open():
