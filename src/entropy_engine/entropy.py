@@ -9,10 +9,10 @@ located by bisection instead.
 
 import csv
 import io
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
-from operator import itemgetter
 
 from .errors import (
     CalibratorError,
@@ -23,6 +23,7 @@ from .errors import (
 from .rational import format_rational
 from .relation import (
     STRICTLY_PRECEDES,
+    _bits,
     accessible_signed,
     classify,
 )
@@ -38,8 +39,7 @@ EntropyTable = namedtuple(
 )
 EntropyTable.__doc__ = """Entropy values for the states of one space, normalized
 to [0, 1] at the two reference states.  clipped holds the sorted ids of the
-states whose bisection stopped at the top of the lambda window, where the
-mixture was still admissible; it is empty in grid mode."""
+states whose value a wider lambda window could raise (see construct_entropy)."""
 
 
 def _mixture_query(rel, space_id, x0, x1, lam, target_state):
@@ -63,13 +63,15 @@ def construct_entropy(
 
     mode "grid" scans multiples of `resolution` in [lambda_lo, lambda_hi] and
     keeps the largest admissible one, raising ComparabilityError when a
-    rejected fraction above it is not comparable the other way round; mode
-    "bisect" bisects down to `resolution`, and a state whose mixture is still
-    admissible at lambda_hi gets lambda_hi and is listed in the table's
-    `clipped`.  The default mode is the backend's
-    `search_mode`: explicit relations scan a 1/128 grid, oracle-backed
-    relations bisect to 2^-20.  Negative fractions and fractions above one are
-    handled by moving the negative part to the other side of the query.
+    rejected fraction above it is not comparable the other way round, and
+    listing the state in `clipped` when none above it was rejected and the
+    state does not reach the mixture at its value.  Mode "bisect" bisects
+    down to `resolution`; a state whose mixture is still admissible at
+    lambda_hi gets lambda_hi and is listed in `clipped`.  The default mode
+    is the backend's `search_mode`: explicit relations scan a 1/128 grid,
+    oracle-backed relations bisect to 2^-20.  Negative fractions and
+    fractions above one are handled by moving the negative part to the
+    other side of the query.
     """
     if mode is None:
         mode = rel.search_mode
@@ -86,26 +88,22 @@ def construct_entropy(
 
     resolution = Fraction(resolution)
     space = rel.spaces[space_id]
+    search = _sup_on_grid if mode == "grid" else _sup_by_bisection
     values = {}
     clipped = []
     for st in space.state_ids:
-        if mode == "grid":
-            values[st] = _sup_on_grid(
-                rel, space_id, ref_low, ref_high, st,
-                resolution, Fraction(lambda_lo), Fraction(lambda_hi),
-            )
-        else:
-            values[st], at_top = _sup_by_bisection(
-                rel, space_id, ref_low, ref_high, st,
-                resolution, Fraction(lambda_lo), Fraction(lambda_hi),
-            )
-            if at_top:
-                clipped.append(st)
+        values[st], at_top = search(
+            rel, space_id, ref_low, ref_high, st,
+            resolution, Fraction(lambda_lo), Fraction(lambda_hi),
+        )
+        if at_top:
+            clipped.append(st)
     return EntropyTable(space_id, values, ref_low, ref_high, resolution,
                         tuple(sorted(clipped)))
 
 
 def _sup_on_grid(rel, space_id, x0, x1, st, resolution, lo, hi):
+    """The largest admissible multiple of resolution, and whether it clips."""
     best = None
     failed = []
     k = -int(-lo / resolution)  # ceil
@@ -127,9 +125,8 @@ def _sup_on_grid(rel, space_id, x0, x1, st, resolution, lo, hi):
             "no reference mixture in the lambda window [%s, %s]" % (lo, hi),
             "%s.%s" % (space_id, st),
         ))
-    for lam in failed:
-        if lam < best:
-            continue
+    above = [lam for lam in failed if lam > best]
+    for lam in above:
         # the mixture must at least be comparable the other way round
         if not accessible_signed(
             rel,
@@ -139,7 +136,11 @@ def _sup_on_grid(rel, space_id, x0, x1, st, resolution, lo, hi):
             raise ComparabilityError(
                 ("((1-%s)%s, %s %s)" % (lam, x0, lam, x1), st)
             )
-    return best
+    return best, not above and not accessible_signed(
+        rel,
+        [(Fraction(1), space_id, st)],
+        [(1 - best, space_id, x0), (best, space_id, x1)],
+    )
 
 
 def _sup_by_bisection(rel, space_id, x0, x1, st, resolution, lo, hi):
@@ -204,7 +205,7 @@ class PrincipleReport:
         }
 
 
-def verify_entropy_principle(rel, tables, multipliers=None):
+def verify_entropy_principle(rel, tables, multipliers=None, limit=None):
     """Check monotonicity of weighted entropy sums over all facts.
 
     Facts whose per-space scale totals differ on the two sides are outside
@@ -212,15 +213,17 @@ def verify_entropy_principle(rel, tables, multipliers=None):
     violates when the entropy sum drops by more than the tolerance, the
     coarsest table resolution times max|a| times the summed scales of both
     sides; an equivalence violates when the sums differ by more than it.  The
-    report keeps every checked inequality with its margin, sorted by the text
-    of its two sides.
+    report keeps the checked inequalities with their margins, sorted by the
+    text of their two sides: all of them, or the first `limit`.
 
-    Each state of the universe is summarized once: its weighted entropy sum
-    (compound_entropy, exact on Fractions, a float on float tables or
-    multipliers) and its scale sum become integers over common denominators
-    through as_integer_ratio, which is exact on both.  Each fact then costs
-    integer subtractions and comparisons, and a reported margin is the
-    correctly rounded float of the exact difference of the two sums.
+    Each state of rel's fact store is summarized once: its weighted entropy
+    sum (compound_entropy, exact on Fractions, a float on float tables or
+    multipliers) becomes an integer over a common denominator through
+    as_integer_ratio, which is exact on both.  Both sides of a checked fact
+    have equal scale totals, so each succ row is checked against one mask
+    of states and one tolerance band, whose low and high ends are prefix
+    masks of that mask sorted by sum.  A margin is the correctly rounded
+    float of the exact difference of the two sums.
     """
     for sp in rel.spaces:
         if sp not in tables:
@@ -229,56 +232,60 @@ def verify_entropy_principle(rel, tables, multipliers=None):
         (t.lambda_resolution for t in tables.values()), default=Fraction(0)
     )
     amax = 1 if multipliers is None else max(abs(a) for a in multipliers.values())
-    succ = rel.successors
-    sums = {state: compound_entropy(tables, state, multipliers).as_integer_ratio()
-            for state in succ}
-    # entropy sums are integers over den, scales integers over sden
+    store = rel.store()
+    index, succ, pred, keys, state = (store.index, store.succ, store.pred,
+                                      store.keys, store.state)
+    sums = {sid: compound_entropy(tables, x, multipliers).as_integer_ratio()
+            for x, sid in index.items()}
     den = lcm(*(d for _n, d in sums.values()))
-    sden = lcm(*(lam.denominator for state in succ for _sp, _st, lam in state.parts))
-    # |m| / den > tol * c / sden with tol = tn / td, for margin m and scale c
+    # |m| / den > tol * c / store.den, tol = tn / td, c the scales of both sides
     tn, td = (Fraction(resolution) * Fraction(amax)).as_integer_ratio()
-    margin_weight, scale_weight = sden * td, den * tn
+    rows = sorted(index.values(), key=lambda sid: str(state(sid)))
+    rank = {sid: i for i, sid in enumerate(rows)}
 
-    texts = {state: str(state) for state in succ}
-    rank = {text: i for i, text in enumerate(sorted(set(texts.values())))}
-    # per state: sort rank, per-space totals, entropy sum, scale sum, parts
-    summary = {}
-    for state, text in texts.items():
+    # per signature: its ids sorted by sum, their prefix masks and the bound
+    total, sig_of, groups, by_len = {}, {}, {}, {}
+    for sid, (num, d) in sums.items():
         totals = {}
-        for sp, _st, lam in state.parts:
-            totals[sp] = totals.get(sp, 0) + lam.numerator * (sden // lam.denominator)
-        num, d = sums[state]
-        summary[state] = (rank[text], totals, num * (den // d),
-                          sum(totals.values()), len(state.parts))
-
-    width = len(rank)
-    rows = []
-    for left, reach in succ.items():
-        key = summary[left][0] * width
-        rows.extend((key + summary[right][0], left, right) for right in reach)
-    rows.sort(key=itemgetter(0))
+        for sp, _st, lam in keys[sid]:
+            totals[sp] = totals.get(sp, 0) + lam
+        sig_of[sid] = sig = tuple(totals.items())
+        total[sid] = num * (den // d)
+        groups.setdefault(sig, []).append(sid)
+        by_len[len(keys[sid])] = by_len.get(len(keys[sid]), 0) | 1 << sid
+    margin_weight = store.den * td
+    bands = {}
+    for sig, ids in groups.items():
+        ids.sort(key=total.__getitem__)
+        prefix = [0]
+        for sid in ids:
+            prefix.append(prefix[-1] | 1 << sid)
+        bound = den * tn * 2 * sum(t for _sp, t in sig)
+        bands[sig] = ([total[sid] * margin_weight for sid in ids], prefix, bound)
 
     report = PrincipleReport()
-    for _key, left, right in rows:
-        _rank, totals_left, s_left, scale_left, len_left = summary[left]
-        _rank, totals_right, s_right, scale_right, len_right = summary[right]
-        if totals_left != totals_right:
-            report.skipped_scale_mismatch += 1
+    for a in rows:
+        weighted, prefix, bound = bands[sig_of[a]]
+        checked = succ[a] & prefix[-1]
+        count = checked.bit_count()
+        report.skipped_scale_mismatch += succ[a].bit_count() - count
+        if not count:
             continue
-        report.max_parts_seen = max(report.max_parts_seen, len_left, len_right)
-        report.facts_checked += 1
-        m = s_right - s_left
-        bound = scale_weight * (scale_left + scale_right)
-        margin = m / den
-        if left in succ[right]:
-            kind = "equivalence"
-            violated = abs(m) * margin_weight > bound
-        else:
-            kind = "monotonicity"
-            violated = -m * margin_weight > bound
-        report.entries.append((left, right, kind, margin))
-        if violated:
-            report.violations.append(PrincipleViolation(kind, left, right, margin))
+        report.facts_checked += count
+        report.max_parts_seen = max(report.max_parts_seen, len(keys[a]),
+                                    *(n for n, m in by_len.items() if checked & m))
+        v = total[a] * margin_weight
+        low = prefix[bisect_left(weighted, v - bound)]
+        high = prefix[-1] ^ prefix[bisect_right(weighted, v + bound)]
+        bad = checked & (low | pred[a] & high)
+        full = limit is not None and len(report.entries) >= limit
+        for b in sorted(_bits(bad if full else checked), key=rank.__getitem__):
+            kind = "equivalence" if pred[a] >> b & 1 else "monotonicity"
+            left, right, margin = state(a), state(b), (total[b] - total[a]) / den
+            if limit is None or len(report.entries) < limit:
+                report.entries.append((left, right, kind, margin))
+            if bad >> b & 1:
+                report.violations.append(PrincipleViolation(kind, left, right, margin))
     return report
 
 

@@ -323,7 +323,7 @@ def _stage_close(ctx):
     ctx.relation = close(ctx.relation, max_parts=opts["max_parts"],
                          budget=opts["budget"])
     return {
-        "facts": len(ctx.relation.facts),
+        "facts": ctx.relation.fact_count(),
         "universe": len(ctx.relation.universe),
     }
 
@@ -399,16 +399,14 @@ def _stage_construct_entropy(ctx):
 def _stage_verify_principle(ctx):
     if not ctx.tables:
         return {"skipped": "no entropy tables were constructed"}
-    report = verify_entropy_principle(ctx.relation, ctx.tables)
+    report = verify_entropy_principle(ctx.relation, ctx.tables, limit=500)
     for v in report.violations[:20]:
         ctx.violations.append(
             "entropy principle %s: %s -> %s margin %g"
             % (v.kind, v.left, v.right, v.margin)
         )
-    truncated = len(report.entries) > 500
-    del report.entries[500:]  # format only the inequalities the report keeps
     out = report.to_json()
-    if truncated:
+    if report.facts_checked > 500:
         out["inequalities_truncated"] = True
     return out
 

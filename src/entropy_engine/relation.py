@@ -1,13 +1,12 @@
 """Finite adiabatic-accessibility relations and their closure.
 
-A Relation holds its facts once, in a successor map from each state of its
-universe to the states it reaches; add_fact adds a fact and rel.facts is a
-read-only view of the map as pairs.  close() saturates a relation under the
-structural rules: reflexivity, transitivity, consistency (facts compose side
-by side), scaling invariance over a finite rational grid,
-splitting/recombination of parts, and the cancellation law.  Closure is
-bounded by the grid and by a maximum part count, which keeps it decidable; a
-fact budget guards against blow-up.
+A Relation's facts live in one fact store; a hand-built relation also holds
+the successor map that add_fact extends and interns it on first use.  close()
+saturates a relation under the structural rules: reflexivity, transitivity,
+consistency (facts compose side by side), scaling invariance over a finite
+rational grid, splitting/recombination of parts, and the cancellation law.
+Closure is bounded by the grid and by a maximum part count, which keeps it
+decidable; a fact budget guards against blow-up.
 
 close() applies consistency with spectator states, as in Lieb-Yngvason's
 derivation of axiom A3 from its special case Y = Y': each fact X -> X' is
@@ -17,19 +16,20 @@ of facts.  If (X, Y) -> (X', Y') fits, the four part counts sum to at most
 2 * max_parts, so (X', Y) or (X, Y') fits as well, and transitivity passes
 through it.  The work grows with facts times states, not facts squared.
 
-close() and the axiom scan apply the rules on a private fact store
-(_FactStore).  It numbers the states in successor-map order, keyed by their
-parts with every scale written as an integer numerator over the least common
-denominator of the grid and of the scales in the input facts.  The facts are
-held as Python-int bitset rows, forward and backward, so transitivity is a
-row OR as in Warshall/Purdom closure, and each rule (scaling, side-by-side
-combination, split/merge variants, cancellation remainders) is a map
-memoized per id.  close() writes one canonical CompoundState per id into its
-result's successor map.  run_axiom_scan() interns a relation once and checks
-every structural rule on that one store, so hand-built relations are still
-scanned as they stand.  Its consistency check composes every pair of facts,
-not spectators, since a hand-built relation need not be transitive; as side
-by side composition commutes, it composes each unordered pair once.
+The fact store (_FactStore) numbers the states in successor-map order, keyed
+by their parts with every scale written as an integer numerator over the
+least common denominator of the grid and of the scales in the input facts.
+The facts are held as Python-int bitset rows, forward and backward, so
+transitivity is a row OR as in Warshall/Purdom closure, and each rule
+(scaling, side-by-side combination, split/merge variants, cancellation
+remainders) is a map memoized per id.  The relation close() returns keeps
+close()'s store, rows and memos, and builds CompoundState maps only on
+demand.  run_axiom_scan(), check_comparison_hypothesis() and
+verify_entropy_principle() read the rows of that store, or of a hand-built
+relation's, so hand-built relations are still scanned as they stand.  The
+scan's consistency check composes every pair of facts, not spectators, since
+a hand-built relation need not be transitive; as side by side composition
+commutes, it composes each unordered pair once.
 
 OracleRelation is the second backend: it answers the same queries lazily from
 a per-state entropy assignment and is used to generate ground-truth relations
@@ -38,7 +38,6 @@ rel.accessible(x, y).
 """
 
 from collections import deque, namedtuple
-from collections.abc import Set
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import lcm
@@ -88,62 +87,80 @@ EpsilonFamily.__doc__ = """A stability family: facts (X, eps*Z0) < (Y, eps*Z1)
 for shrinking eps."""
 
 
-class _FactView(Set):
-    """A successor map read as a set of (left, right) pairs, without add."""
-
-    _from_iterable = set  # so & | - ^ return plain sets
-
-    def __init__(self, successors):
-        self._successors = successors
-
-    def __len__(self):
-        return sum(map(len, self._successors.values()))
-
-    def __iter__(self):
-        for left, reach in self._successors.items():
-            for right in reach:
-                yield left, right
-
-    def __contains__(self, pair):
-        left, right = pair
-        return right in self._successors.get(left, ())
-
-
 class Relation:
     """An accessibility relation over declared state spaces.
 
-    successors maps each state of the universe to the set of states it
-    reaches; facts is a read-only view of it as ordered pairs.  After close()
-    the relation is immutable by convention and all queries are pure.
+    Queries and every scan read the relation's fact store.  A hand-built
+    relation holds `successors` (each state of its universe mapped to the
+    set of states it reaches), interns it into a store on first use, and
+    add_fact drops that store.  close() returns a relation holding its own
+    store; its `successors` and `facts` (a frozenset of pairs) are built only
+    when asked for.  After close() the relation is immutable by convention.
     """
 
     search_mode = "grid"  # construct_entropy's default for this backend
     __slots__ = ("spaces", "lambda_grid", "closed", "epsilon_families",
-                 "successors")
+                 "_successors", "_store", "_facts")
 
     def __init__(self, spaces, lambda_grid, closed=False, epsilon_families=(),
-                 successors=None):
+                 store=None):
         self.spaces = spaces
         self.lambda_grid = lambda_grid
         self.closed = closed
         self.epsilon_families = epsilon_families
-        self.successors = {} if successors is None else successors
+        self._successors = {} if store is None else None
+        self._store = store
+        self._facts = None
+
+    @property
+    def successors(self):
+        if self._successors is None:
+            store = self._store
+            state, succ = store.state, store.succ
+            self._successors = {x: {state(n) for n in _bits(succ[sid])}
+                                for x, sid in store.index.items()}
+        return self._successors
 
     @property
     def facts(self):
-        return _FactView(self.successors)
+        if self._facts is None:
+            self._facts = frozenset((x, y) for x, reach in self.successors.items()
+                                    for y in reach)
+        return self._facts
+
+    def store(self):
+        """The interned fact store, built from the successor map on first use."""
+        if self._store is None:
+            store, pairs = _store_of(self)
+            for left, right in pairs:
+                store.add(left, right)
+            self._store = store
+        return self._store
+
+    def fact_count(self):
+        store = self.store()
+        return sum(store.succ[sid].bit_count() for sid in store.index.values())
 
     @property
     def universe(self):
-        return set(self.successors)
+        return set(self.store().index)
 
     def in_universe(self, state):
-        return state in self.successors
+        return state in self.store().index
 
     def add_fact(self, left, right):
         """Record left -> right; both states join the universe."""
-        self.successors.setdefault(left, set()).add(right)
-        self.successors.setdefault(right, set())
+        successors = self.successors
+        successors.setdefault(left, set()).add(right)
+        successors.setdefault(right, set())
+        self._store = self._facts = None
+
+    def has(self, x, y):
+        """Is (x, y) a fact, whether or not the relation is closed?"""
+        index = self.store().index
+        left, right = index.get(x), index.get(y)
+        return left is not None and right is not None and bool(
+            self._store.has(left, right))
 
     def accessible(self, x, y):
         """Is (x, y) a fact?  Raises UnclosedRelationError before close()."""
@@ -151,7 +168,7 @@ class Relation:
             raise UnclosedRelationError(
                 "accessible() on an unclosed relation would give false negatives"
             )
-        return y in self.successors.get(x, ())
+        return self.has(x, y)
 
 
 def build_relation(spaces, facts, lambda_grid=None):
@@ -218,10 +235,12 @@ class _FactStore:
     every scale the store was built from.  No rule makes a scale outside
     that set, and the numerators sort like the Fractions they stand for.
     The facts are held once, as Python-int bitset rows indexed by id: succ
-    forward and pred backward.  Each rule map is memoized per id.
+    forward and pred backward.  Each rule map is memoized per id.  `index`
+    maps each state of the relation's universe to its id, in id order; the
+    rules may intern further ids, which hold no facts.
     """
 
-    def __init__(self, grid, states, max_parts=None):
+    def __init__(self, grid, states):
         den = lcm(*(q.denominator for q in grid),
                   *(lam.denominator for s in states for _sp, _st, lam in s.parts))
 
@@ -229,7 +248,6 @@ class _FactStore:
             return q.numerator * (den // q.denominator)
 
         self.den = den
-        self.max_parts = max_parts
         self.grid = {num(g) for g in grid}
         # (scale, numerator) for each grid scale other than 1
         self.factors = [(g, num(g)) for g in sorted(grid) if g != 1]
@@ -242,8 +260,10 @@ class _FactStore:
         self._variants = {}
         self._combined = {}
         self._remainders = {}
+        self.index = {}
         for state in states:
-            self.intern(tuple((sp, st, num(lam)) for sp, st, lam in state.parts), state)
+            key = tuple((sp, st, num(lam)) for sp, st, lam in state.parts)
+            self.index[state] = self.intern(key, state)
 
     def intern(self, key, state=None):
         sid = self.ids.get(key)
@@ -295,14 +315,15 @@ class _FactStore:
             out = self._scaled[sid] = tuple(out)
         return out
 
-    def variants(self, sid):
+    def variants(self, sid, max_parts):
         """Ids of all one-part splits and merges allowed by grid and size,
         one entry per way of reaching each."""
-        out = self._variants.get(sid)
+        memo = self._variants.setdefault(max_parts, {})
+        out = memo.get(sid)
         if out is None:
             den, grid, parts = self.den, self.grid, self.keys[sid]
             keys = []
-            if len(parts) < self.max_parts:
+            if len(parts) < max_parts:
                 for i, (sp, st, mu) in enumerate(parts):
                     rest = parts[:i] + parts[i + 1:]
                     for _lam, g in self.factors:
@@ -317,7 +338,7 @@ class _FactStore:
                 if sp == sp2 and st == st2 and mu + nu in grid:
                     rest = tuple(p for k, p in enumerate(parts) if k not in (i, j))
                     keys.append(tuple(sorted(rest + ((sp, st, mu + nu),))))
-            out = self._variants[sid] = [self.intern(k) for k in keys]
+            out = memo[sid] = [self.intern(k) for k in keys]
         return out
 
     def combine(self, a, b):
@@ -358,25 +379,17 @@ class _FactStore:
         return [(x, rem_right[sub]) for sub, x in rem_left.items() if sub in rem_right]
 
 
-def _store_of(rel, max_parts=None):
+def _store_of(rel):
     """A fresh store interning the states of rel's successor map in map order.
 
-    Returns the store, the facts as id pairs (not yet added to the store),
-    each row by ascending id so that no order depends on string hashing, and
-    the range of universe ids.  rel's CompoundStates are kept as the states.
+    Returns the store and the facts as id pairs (not yet added to the store),
+    each row by ascending id so that no order depends on string hashing.
+    rel's CompoundStates are kept as the states.
     """
-    index = {state: sid for sid, state in enumerate(rel.successors)}
+    store = _FactStore(rel.lambda_grid, rel.successors)
     pairs = [(sid, rid) for sid, reach in enumerate(rel.successors.values())
-             for rid in sorted(index[y] for y in reach)]
-    return _FactStore(rel.lambda_grid, list(index), max_parts), pairs, range(len(index))
-
-
-def _scan_store(rel, max_parts=None):
-    """_store_of with rel's facts added: what the axiom checks read."""
-    store, pairs, universe = _store_of(rel, max_parts)
-    for left, right in pairs:
-        store.add(left, right)
-    return store, pairs, universe
+             for rid in sorted(store.index[y] for y in reach)]
+    return store, pairs
 
 
 def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
@@ -395,7 +408,7 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
     composed once.  Only facts and states with room for another part are
     kept for this.
     """
-    store, pairs, _universe = _store_of(rel, max_parts)
+    store, pairs = _store_of(rel)
     keys, succ, pred, combine = store.keys, store.succ, store.pred, store.combine
     queue = deque()
     seen = set()
@@ -424,7 +437,7 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
             if sid not in seen:
                 seen.add(sid)
                 add_fact(sid, sid, "reflexive")
-                for variant in store.variants(sid):
+                for variant in store.variants(sid, max_parts):
                     add_fact(sid, variant, "split")
                     add_fact(variant, sid, "split")
                 size = len(keys[sid])
@@ -455,16 +468,14 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
         for a, b in store.cancelled(left, right):
             add_fact(a, b, "cancellation")
 
-    out = Relation(
+    store.index = {store.state(sid): sid for sid in sorted(seen)}
+    return Relation(
         spaces=dict(rel.spaces),
         lambda_grid=rel.lambda_grid,
         closed=True,
         epsilon_families=tuple(rel.epsilon_families),
+        store=store,
     )
-    state = store.state
-    for sid in sorted(seen):
-        out.successors[state(sid)] = {state(n) for n in _bits(succ[sid])}
-    return out
 
 
 def accessible_signed(rel, left, right):
@@ -496,19 +507,34 @@ def check_comparison_hypothesis(rel, universe=None):
     The universe defaults to rel's own, in string order.  Only pairs with
     equal per-space scale totals are required to be comparable (states of
     different total content never are).  Returns the first incomparable pair
-    as a witness on failure.
+    as a witness on failure.  A state is comparable with the ids of its succ
+    and pred rows; a state outside the relation, with nothing.
     """
-    universe = sorted(rel.universe, key=str) if universe is None else list(universe)
+    if not rel.closed:
+        raise UnclosedRelationError("the comparison hypothesis needs a closed relation")
+    store = rel.store()
+    index, succ, pred = store.index, store.succ, store.pred
+    universe = sorted(index, key=str) if universe is None else list(universe)
     by_signature = {}
     for state in universe:
         sig = tuple(sorted(state.total_scale_by_space().items()))
         by_signature.setdefault(sig, []).append(state)
     checked = 0
     for group in by_signature.values():
-        for x, y in combinations(group, 2):
-            checked += 1
-            if not rel.accessible(x, y) and not rel.accessible(y, x):
-                return CHResult(False, (x, y), checked, len(universe))
+        ids = [index.get(state) for state in group]
+        last = {sid: k for k, sid in enumerate(ids)}  # None: outside states
+        rest = sum(1 << sid for sid in last if sid is not None)  # ids still to come
+        n = len(ids)
+        for i, x in enumerate(ids):
+            near = 0 if x is None else succ[x] | pred[x]
+            if x is not None and last[x] == i:
+                rest ^= 1 << x
+            if rest & ~near or last.get(None, -1) > i:
+                j = next(j for j in range(i + 1, n)
+                         if ids[j] is None or not near >> ids[j] & 1)
+                checked += i * (2 * n - i - 1) // 2 + j - i
+                return CHResult(False, (group[i], group[j]), checked, len(universe))
+        checked += n * (n - 1) // 2
     return CHResult(True, None, checked, len(universe))
 
 
@@ -520,9 +546,9 @@ class AxiomReport(namedtuple("AxiomReport", "name checked violations")):
         return not self.violations
 
 
-def _reflexivity(store, universe):
-    viol = [store.state(sid) for sid in universe if not store.has(sid, sid)]
-    return AxiomReport("reflexivity", len(universe), viol)
+def _reflexivity(store, ids):
+    viol = [store.state(sid) for sid in ids if not store.has(sid, sid)]
+    return AxiomReport("reflexivity", len(ids), viol)
 
 
 def _transitivity(store, pairs):
@@ -589,13 +615,13 @@ def _scaling_invariance(store, pairs, universe, universe_only):
     return AxiomReport("scaling_invariance", checked, viol)
 
 
-def _splitting(store, universe, universe_only):
-    """Split/merge variants within the store's max_parts."""
+def _splitting(store, ids, universe, max_parts, universe_only):
+    """Split/merge variants within max_parts."""
     has, state = store.has, store.state
     viol = []
     checked = 0
-    for sid in universe:
-        for variant in store.variants(sid):
+    for sid in ids:
+        for variant in store.variants(sid, max_parts):
             if universe_only and variant not in universe:
                 continue
             checked += 1
@@ -629,17 +655,12 @@ def check_stability(rel, families=None):
     viol = []
     checked = 0
     for fam in families:
-        prem = True
-        for eps in fam.epsilons:
-            left = fam.X.combine(fam.Z0.scale(eps))
-            right = fam.Y.combine(fam.Z1.scale(eps))
-            if (left, right) not in rel.facts:
-                prem = False
-                break
-        if not prem:
+        if not all(rel.has(fam.X.combine(fam.Z0.scale(eps)),
+                           fam.Y.combine(fam.Z1.scale(eps)))
+                   for eps in fam.epsilons):
             continue
         checked += 1
-        if (fam.X, fam.Y) not in rel.facts:
+        if not rel.has(fam.X, fam.Y):
             viol.append(fam)
     return AxiomReport("stability", checked, viol)
 
@@ -647,18 +668,22 @@ def check_stability(rel, families=None):
 def run_axiom_scan(rel, max_parts=3, universe_only=False):
     """Run every structural check plus stability; returns reports by name.
 
-    rel is interned once; the six structural rules are checked on that one
-    store.  With universe_only=True, rule results falling outside the
-    relation's own universe are skipped; use it for relations materialized on
-    a hand-picked universe rather than produced by close().
+    The six structural rules are checked on rel's fact store, for a closed
+    relation close()'s own with its rule memos filled.  With
+    universe_only=True, rule results falling outside the relation's own
+    universe are skipped; use it for relations materialized on a hand-picked
+    universe rather than produced by close().
     """
-    store, pairs, universe = _scan_store(rel, max_parts)
+    store = rel.store()
+    ids = list(store.index.values())
+    universe = set(ids)
+    pairs = [(left, right) for left in ids for right in _bits(store.succ[left])]
     reports = [
-        _reflexivity(store, universe),
+        _reflexivity(store, ids),
         _transitivity(store, pairs),
         _consistency(store, pairs, universe, max_parts, universe_only),
         _scaling_invariance(store, pairs, universe, universe_only),
-        _splitting(store, universe, universe_only),
+        _splitting(store, ids, universe, max_parts, universe_only),
         _cancellation(store, pairs, universe, universe_only),
         check_stability(rel),
     ]

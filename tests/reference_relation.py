@@ -1,10 +1,10 @@
 """Frozen reference implementation of the relation layer's rule engine.
 
 These are the Fraction-level versions of close, the structural axiom
-scanners and verify_entropy_principle that the interned, integer-scaled fact
-store in entropy_engine.relation replaced.  They work directly on
-CompoundState pairs with Fraction scales and rescan the fact set for every
-rule, so they are slow but follow the rules as written.  Differential tests
+scanners, the comparison-hypothesis scan and verify_entropy_principle that
+the interned, integer-scaled fact store in entropy_engine.relation replaced.
+They work directly on CompoundState pairs with Fraction scales and rescan the
+fact set for every rule, so they are slow but follow the rules as written.  Differential tests
 compare the package against them.  Do not optimise this module.
 """
 
@@ -19,7 +19,7 @@ from entropy_engine.errors import (
     DegenerateTableError,
     UnclosedRelationError,
 )
-from entropy_engine.relation import AxiomReport
+from entropy_engine.relation import AxiomReport, CHResult
 from entropy_engine.states import CompoundState
 
 
@@ -44,6 +44,9 @@ class Relation:
     @property
     def universe(self):
         return set(self.successors)
+
+    def fact_count(self):
+        return len(self.facts)
 
     def in_universe(self, state):
         return state in self.successors
@@ -198,6 +201,23 @@ def close(rel, max_parts=3, budget=10 ** 6):
 
     out.closed = True
     return out
+
+
+def check_comparison_hypothesis(rel, universe=None):
+    """Scan a universe for an incomparable pair of equal scale totals, one
+    pair at a time through rel.accessible."""
+    universe = sorted(rel.universe, key=str) if universe is None else list(universe)
+    by_signature = {}
+    for state in universe:
+        sig = tuple(sorted(state.total_scale_by_space().items()))
+        by_signature.setdefault(sig, []).append(state)
+    checked = 0
+    for group in by_signature.values():
+        for x, y in combinations(group, 2):
+            checked += 1
+            if not rel.accessible(x, y) and not rel.accessible(y, x):
+                return CHResult(False, (x, y), checked, len(universe))
+    return CHResult(True, None, checked, len(universe))
 
 
 def check_reflexivity(rel):

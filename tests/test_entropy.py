@@ -112,6 +112,25 @@ def test_bisection_lists_the_states_clipped_at_the_window_top():
     assert grid_table.clipped == ()
 
 
+def test_grid_mode_lists_the_states_clipped_at_the_window_top():
+    # z is above the high reference y, but no mixture above y is in the
+    # universe: the window shows z = 1 = y and cannot show more
+    g = make_space("G", [1], ["x", "y", "z"])
+    x, y, z = (single("G", s) for s in "xyz")
+    mix = compound([(HALF, "G", "x"), (HALF, "G", "z")])
+    grid = [HALF, Fraction(1)]
+    window = dict(resolution=HALF, lambda_lo=Fraction(0), lambda_hi=Fraction(1))
+    for facts in ([(x, y), (y, z)], [(x, y), (y, z), (mix, y), (y, mix)]):
+        rel = close(build_relation([g], facts, grid))
+        table = construct_entropy(rel, "G", "x", "y", **window)
+        assert table.values == {"x": 0, "y": 1, "z": 1}
+        assert table.clipped == ("z",)
+    # with z as the high reference every value is inside the window
+    table = construct_entropy(rel, "G", "x", "z", **window)
+    assert table.values == {"x": 0, "y": HALF, "z": 1}
+    assert table.clipped == ()
+
+
 # ------------------------------------------------------ entropy principle
 
 

@@ -374,14 +374,21 @@ def test_axiom_scan_interns_the_relation_once(monkeypatch):
             built.append(1)
             super().__init__(*args, **kwargs)
 
-    closed = close(build_relation(
+    rel = build_relation(
         [space("wxyz")], [fact("w", "x"), fact("x", "y"), fact("y", "z")], GRID
-    ), max_parts=2)
+    )
     monkeypatch.setattr(relation, "_FactStore", CountingStore)
+    closed = close(rel, max_parts=2)
+    # the scan and CH read close()'s own store
     reports = run_axiom_scan(closed, max_parts=2)
+    check_comparison_hypothesis(closed)
     assert len(built) == 1
     assert all(rep.holds for rep in reports.values())
     assert reports["reflexivity"].checked == len(closed.universe)
+    # a hand-built relation is interned on first use, once
+    run_axiom_scan(rel, max_parts=2)
+    run_axiom_scan(rel, max_parts=2)
+    assert len(built) == 2
 
 
 # ------------------------------------------------------------- properties

@@ -14,7 +14,13 @@ from entropy_engine import relation
 from entropy_engine.entropy import EntropyTable, verify_entropy_principle
 from entropy_engine.errors import ClosureBudgetError
 from entropy_engine.pipeline import load_pipeline_spec, run_pipeline
-from entropy_engine.relation import Relation, build_relation, close, dyadic_grid
+from entropy_engine.relation import (
+    Relation,
+    build_relation,
+    close,
+    dyadic_grid,
+    relation_from_json,
+)
 from entropy_engine.states import compound, make_space
 from relation_fixtures import relation_from_oracle
 
@@ -248,7 +254,14 @@ CHAIN_RELATION = {
 }
 
 
+def truncated(report, limit):
+    del report.entries[limit:]
+    return report
+
+
 def test_chain_spec_report_bytes_match_reference(tmp_path, monkeypatch):
+    """The five relation stages give the reference's bytes, and never build
+    the closed relation's successor map."""
     spec = {
         "schema": "entropy-engine/1",
         "seed": 0,
@@ -261,11 +274,24 @@ def test_chain_spec_report_bytes_match_reference(tmp_path, monkeypatch):
     }
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
+    closed = []
+
+    def keep(rel, **options):
+        closed.append(close(rel, **options))
+        return closed[-1]
+
+    monkeypatch.setattr("entropy_engine.pipeline.close", keep)
     result = run_pipeline(load_pipeline_spec(str(spec_path)), str(tmp_path / "new"))
     assert result.exit_code == 0
+    # the stages read close()'s store: no CompoundState map of the closure
+    (rel,) = closed
+    assert rel._successors is None and rel._facts is None
     monkeypatch.setattr("entropy_engine.pipeline.close", ref.close)
+    monkeypatch.setattr("entropy_engine.pipeline.check_comparison_hypothesis",
+                        ref.check_comparison_hypothesis)
     monkeypatch.setattr("entropy_engine.pipeline.verify_entropy_principle",
-                        ref.verify_entropy_principle)
+                        lambda rel, tables, limit: truncated(
+                            ref.verify_entropy_principle(rel, tables), limit))
     monkeypatch.setattr(
         "entropy_engine.pipeline.run_axiom_scan",
         lambda rel, max_parts: dict(
@@ -278,3 +304,142 @@ def test_chain_spec_report_bytes_match_reference(tmp_path, monkeypatch):
         assert new == (tmp_path / "ref" / name).read_bytes()
     report = json.loads((tmp_path / "new" / "report.json").read_text())
     assert report["reports"]["close"]["facts"] > 1000
+
+
+def as_reference(rel):
+    """The reference container holding rel's facts."""
+    out = ref.Relation(spaces=dict(rel.spaces), facts=set(rel.facts),
+                       lambda_grid=rel.lambda_grid, closed=rel.closed)
+    for pair in out.facts:
+        ref._index_fact(out, pair)
+    return out
+
+
+def ch_universes(rel, rng):
+    """The default universe, and a shuffled one that holds states outside
+    the relation and repeated states."""
+    states = sorted(rel.universe, key=str)
+    space = next(iter(rel.spaces.values()))
+    outside = [compound([(F(1, 3), space.space_id, st)]) for st in space.state_ids]
+    outside += [compound([(1, space.space_id, st)] * 4) for st in space.state_ids]
+    mixed = rng.sample(states, min(len(states), 12)) + outside[:3]
+    mixed += mixed[:2]
+    rng.shuffle(mixed)
+    return None, mixed
+
+
+def assert_same_ch(rel, expected, rng):
+    for universe in ch_universes(rel, rng):
+        got = relation.check_comparison_hypothesis(rel, universe)
+        assert got == ref.check_comparison_hypothesis(expected, universe)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ch_and_scans_match_reference_on_every_kind_of_relation(seed):
+    rng = random.Random(6000 + seed)
+    failed = 0
+    for _ in range(8):
+        rel = random_relation(rng)
+        max_parts = rng.choice([1, 2, 3])
+        try:
+            closed = close(rel, max_parts=max_parts, budget=400)
+        except ClosureBudgetError:
+            continue
+        expected = ref.close(rel, max_parts=max_parts)
+        assert_same_ch(closed, expected, rng)
+        # the scan on close()'s store at another max_parts, then at its own
+        for parts in (max_parts % 3 + 1, max_parts):
+            assert scan_outcome(relation, closed, parts) == scan_outcome(
+                ref, expected, parts)
+        assert closed.fact_count() == len(expected.facts)
+        assert closed.universe == expected.universe
+
+        # hand-built, queried, then given one more fact
+        hand = hand_built(closed, rng)
+        hand.closed = True
+        assert_same_ch(hand, as_reference(hand), rng)
+        states = sorted(hand.universe, key=str)
+        new = rng.choice([(a, b) for a in states for b in states
+                          if (a, b) not in hand.facts])
+        hand.add_fact(*new)
+        assert hand.has(*new) and hand.fact_count() == len(hand.facts)
+        assert_same_ch(hand, as_reference(hand), rng)
+
+        # materialized from an oracle
+        spaces = list(rel.spaces.values())
+        sigma = {(sp.space_id, st): F(rng.randint(0, 3))
+                 for sp in spaces for st in sp.state_ids}
+        oracle = relation_from_oracle(spaces, sigma, states, rel.lambda_grid)
+        assert_same_ch(oracle, as_reference(oracle), rng)
+        failed += not relation.check_comparison_hypothesis(closed).holds
+    assert failed
+    chain = closed_chain()
+    assert relation.check_comparison_hypothesis(chain).holds
+    assert_same_ch(chain, as_reference(chain), rng)
+
+
+def closed_chain(two_spaces=False):
+    """The four-state midpoint chain closed on {1/2, 1}; with two_spaces,
+    beside a second space H with a cross fact whose scale totals differ."""
+    doc = dict(CHAIN_RELATION)
+    if two_spaces:
+        doc["spaces"] = CHAIN_RELATION["spaces"] + [
+            {"id": "H", "composition": ["2"], "states": ["p", "q"]}]
+        h = [{"lambda": "1", "space": "H", "state": s} for s in "pq"]
+        doc["facts"] = CHAIN_RELATION["facts"] + [
+            [[h[0]], [h[1]]],
+            [[_part("1", "x0"), _part("1", "x1")], [h[0]]],
+        ]
+    return close(relation_from_json(doc), max_parts=3)
+
+
+def test_ch_of_a_repeated_state_that_does_not_reach_itself():
+    x, y = (compound([(1, "G", s)]) for s in "xy")
+    rel = Relation(spaces={"G": make_space("G", [1], "xy")}, lambda_grid={F(1)})
+    rel.add_fact(x, y)
+    rel.add_fact(y, y)
+    rel.closed = True
+    expected = as_reference(rel)
+    for universe in ([x, y, x], [y, x, x], [x, y, y]):
+        got = relation.check_comparison_hypothesis(rel, universe)
+        assert got == ref.check_comparison_hypothesis(expected, universe)
+        assert got.holds == (universe == [x, y, y])
+
+
+def assert_same_verify(rel, tables, multipliers, limits=(None,)):
+    """verify_entropy_principle at each limit against the reference's full
+    report; returns the reference report."""
+    want = ref.verify_entropy_principle(as_reference(rel), tables,
+                                        multipliers=multipliers)
+    for limit in limits:
+        got = verify_entropy_principle(rel, tables, multipliers=multipliers,
+                                       limit=limit)
+        assert (got.facts_checked, got.skipped_scale_mismatch,
+                got.max_parts_seen) == (want.facts_checked,
+                                        want.skipped_scale_mismatch,
+                                        want.max_parts_seen)
+        assert got.violations == want.violations
+        assert got.entries == want.entries[:limit]
+    return want
+
+
+@pytest.mark.parametrize("two_spaces", [False, True], ids=["G", "G+H"])
+def test_verify_limit_keeps_the_head_of_the_full_report(two_spaces):
+    rel = closed_chain(two_spaces)
+    rng = random.Random(5)
+    tables = {"G": EntropyTable("G", {s: F(rng.randint(-3, 9), 4) for s in CHAIN},
+                                "x0", "x3", F(1, 4))}
+    if two_spaces:
+        tables["H"] = EntropyTable("H", {"p": 0.25, "q": -0.5}, "p", "q", F(1, 8))
+    for multipliers in (None, {sp: F(k + 1, 2) for k, sp in enumerate(rel.spaces)},
+                        {sp: 0.5 + k for k, sp in enumerate(rel.spaces)}):
+        want = assert_same_verify(rel, tables, multipliers, (None, 500, 3, 0))
+        assert want.facts_checked > 500 and want.violations
+        assert bool(want.skipped_scale_mismatch) == two_spaces
+    # hand-built, one with a right side longer than every left side
+    lone = Relation(spaces=dict(rel.spaces), lambda_grid=rel.lambda_grid)
+    lone.add_fact(compound([(1, "G", "x0")]),
+                  compound([(F(1, 2), "G", "x1"), (F(1, 2), "G", "x2")]))
+    for hand in (hand_built(rel, rng), hand_built(rel, rng), lone):
+        assert_same_verify(hand, tables, None, (None, 7))
+
