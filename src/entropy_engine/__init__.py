@@ -29,8 +29,7 @@ _EXPORTS = {
         "EQUIVALENT", "INCOMPARABLE", "STRICTLY_FOLLOWS", "STRICTLY_PRECEDES",
         "EpsilonFamily", "OracleRelation", "Relation", "accessible_signed",
         "build_relation", "check_comparison_hypothesis", "check_stability",
-        "classify", "close", "dyadic_grid", "relation_from_json",
-        "run_axiom_scan",
+        "classify", "close", "relation_from_json", "run_axiom_scan",
     ),
     "simple": (
         "AdiabatSurface", "Box", "SimpleSystemModel", "StatePoint",

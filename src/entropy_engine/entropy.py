@@ -232,7 +232,7 @@ def verify_entropy_principle(rel, tables, multipliers=None, limit=None):
         (t.lambda_resolution for t in tables.values()), default=Fraction(0)
     )
     amax = 1 if multipliers is None else max(abs(a) for a in multipliers.values())
-    store = rel.store()
+    store = rel.store
     index, succ, pred, keys, state = (store.index, store.succ, store.pred,
                                       store.keys, store.state)
     sums = {sid: compound_entropy(tables, x, multipliers).as_integer_ratio()
@@ -246,10 +246,7 @@ def verify_entropy_principle(rel, tables, multipliers=None, limit=None):
     # per signature: its ids sorted by sum, their prefix masks and the bound
     total, sig_of, groups, by_len = {}, {}, {}, {}
     for sid, (num, d) in sums.items():
-        totals = {}
-        for sp, _st, lam in keys[sid]:
-            totals[sp] = totals.get(sp, 0) + lam
-        sig_of[sid] = sig = tuple(totals.items())
+        sig_of[sid] = sig = store.signature(sid)
         total[sid] = num * (den // d)
         groups.setdefault(sig, []).append(sid)
         by_len[len(keys[sid])] = by_len.get(len(keys[sid]), 0) | 1 << sid

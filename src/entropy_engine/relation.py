@@ -1,7 +1,7 @@
 """Finite adiabatic-accessibility relations and their closure.
 
-A Relation's facts live in one fact store; a hand-built relation also holds
-the successor map that add_fact extends and interns it on first use.  close()
+Every Relation holds its facts in one fact store, interned from a fact list
+when the relation is built and filled by the rules when it is closed.  close()
 saturates a relation under the structural rules: reflexivity, transitivity,
 consistency (facts compose side by side), scaling invariance over a finite
 rational grid, splitting/recombination of parts, and the cancellation law.
@@ -16,7 +16,7 @@ of facts.  If (X, Y) -> (X', Y') fits, the four part counts sum to at most
 2 * max_parts, so (X', Y) or (X, Y') fits as well, and transitivity passes
 through it.  The work grows with facts times states, not facts squared.
 
-The fact store (_FactStore) numbers the states in successor-map order, keyed
+The fact store (_FactStore) numbers the states in first-seen order, keyed
 by their parts with every scale written as an integer numerator over the
 least common denominator of the grid and of the scales in the input facts.
 The facts are held as Python-int bitset rows, forward and backward, so
@@ -25,8 +25,8 @@ transitivity is a row OR as in Warshall/Purdom closure, and each rule
 remainders) is a map memoized per id.  The relation close() returns keeps
 close()'s store, rows and memos, and builds CompoundState maps only on
 demand.  run_axiom_scan(), check_comparison_hypothesis() and
-verify_entropy_principle() read the rows of that store, or of a hand-built
-relation's, so hand-built relations are still scanned as they stand.  The
+verify_entropy_principle() read the rows of a relation's store, so hand-built
+relations are scanned as they stand.  The
 scan's consistency check composes every pair of facts, not spectators, since
 a hand-built relation need not be transitive; as side by side composition
 commutes, it composes each unordered pair once.
@@ -68,20 +68,6 @@ INCOMPARABLE = "incomparable"
 DEFAULT_BUDGET = 10 ** 6
 
 
-def dyadic_grid(max_denominator=128):
-    """All dyadic rationals p/2^k in (0, 1] with 2^k <= max_denominator.
-
-    The default scale grid: exact, decidable, and fine enough for 1/128
-    resolution entropy sweeps.
-    """
-    grid = set()
-    q = 1
-    while q <= max_denominator:
-        grid.update(Fraction(p, q) for p in range(1, q + 1))
-        q *= 2
-    return frozenset(grid)
-
-
 EpsilonFamily = namedtuple("EpsilonFamily", "X Y Z0 Z1 epsilons")
 EpsilonFamily.__doc__ = """A stability family: facts (X, eps*Z0) < (Y, eps*Z1)
 for shrinking eps."""
@@ -90,32 +76,37 @@ for shrinking eps."""
 class Relation:
     """An accessibility relation over declared state spaces.
 
-    Queries and every scan read the relation's fact store.  A hand-built
-    relation holds `successors` (each state of its universe mapped to the
-    set of states it reaches), interns it into a store on first use, and
-    add_fact drops that store.  close() returns a relation holding its own
-    store; its `successors` and `facts` (a frozenset of pairs) are built only
-    when asked for.  After close() the relation is immutable by convention.
+    Its facts live only in `store`, a _FactStore: the given (left, right)
+    pairs are interned there, states in first-seen order, left before right,
+    unless close() passes the store it filled.  Queries and every scan read
+    the store; `successors` (each state of the universe mapped to the set of
+    states it reaches) and `facts` (a frozenset of pairs) are built from it
+    only when asked for.  A relation is immutable by convention.
     """
 
     search_mode = "grid"  # construct_entropy's default for this backend
-    __slots__ = ("spaces", "lambda_grid", "closed", "epsilon_families",
-                 "_successors", "_store", "_facts")
+    __slots__ = ("spaces", "lambda_grid", "closed", "epsilon_families", "store",
+                 "_successors", "_facts")
 
-    def __init__(self, spaces, lambda_grid, closed=False, epsilon_families=(),
-                 store=None):
+    def __init__(self, spaces, lambda_grid, facts=(), closed=False,
+                 epsilon_families=(), store=None):
         self.spaces = spaces
         self.lambda_grid = lambda_grid
         self.closed = closed
         self.epsilon_families = epsilon_families
-        self._successors = {} if store is None else None
-        self._store = store
-        self._facts = None
+        if store is None:
+            facts = list(facts)
+            store = _FactStore(lambda_grid, dict.fromkeys(
+                state for pair in facts for state in pair))
+            for left, right in facts:
+                store.add(store.index[left], store.index[right])
+        self.store = store
+        self._successors = self._facts = None
 
     @property
     def successors(self):
         if self._successors is None:
-            store = self._store
+            store = self.store
             state, succ = store.state, store.succ
             self._successors = {x: {state(n) for n in _bits(succ[sid])}
                                 for x, sid in store.index.items()}
@@ -128,39 +119,23 @@ class Relation:
                                     for y in reach)
         return self._facts
 
-    def store(self):
-        """The interned fact store, built from the successor map on first use."""
-        if self._store is None:
-            store, pairs = _store_of(self)
-            for left, right in pairs:
-                store.add(left, right)
-            self._store = store
-        return self._store
-
     def fact_count(self):
-        store = self.store()
+        store = self.store
         return sum(store.succ[sid].bit_count() for sid in store.index.values())
 
     @property
     def universe(self):
-        return set(self.store().index)
+        return set(self.store.index)
 
     def in_universe(self, state):
-        return state in self.store().index
-
-    def add_fact(self, left, right):
-        """Record left -> right; both states join the universe."""
-        successors = self.successors
-        successors.setdefault(left, set()).add(right)
-        successors.setdefault(right, set())
-        self._store = self._facts = None
+        return state in self.store.index
 
     def has(self, x, y):
         """Is (x, y) a fact, whether or not the relation is closed?"""
-        index = self.store().index
+        index = self.store.index
         left, right = index.get(x), index.get(y)
         return left is not None and right is not None and bool(
-            self._store.has(left, right))
+            self.store.has(left, right))
 
     def accessible(self, x, y):
         """Is (x, y) a fact?  Raises UnclosedRelationError before close()."""
@@ -171,15 +146,15 @@ class Relation:
         return self.has(x, y)
 
 
-def build_relation(spaces, facts, lambda_grid=None):
-    """Assemble an unclosed relation from declared spaces, facts and grid.
+def build_relation(spaces, facts, lambda_grid, epsilon_families=()):
+    """Assemble an unclosed relation from declared spaces, facts, grid and
+    stability families.
 
     The result contains exactly the given facts plus a reflexive fact for
-    every declared single state and every state mentioned in a fact.  With
-    no grid given, the dyadics with denominator up to 128 are used.
+    every declared single state and every state mentioned in a fact.  Every
+    state of a family must be declared, and its epsilons nonempty and
+    positive.
     """
-    if lambda_grid is None:
-        lambda_grid = dyadic_grid()
     space_map = {}
     comp_len = None
     for sp in spaces:
@@ -200,11 +175,22 @@ def build_relation(spaces, facts, lambda_grid=None):
     if Fraction(1) not in grid:
         raise RelationSpecError("lambda grid must contain 1")
 
-    rel = Relation(spaces=space_map, lambda_grid=grid)
+    families = tuple(epsilon_families)
+    for fam in families:
+        for state in (fam.X, fam.Y, fam.Z0, fam.Z1):
+            check_membership(space_map, state)
+        if not fam.epsilons:
+            raise RelationSpecError("an epsilon family needs at least one epsilon")
+        for eps in fam.epsilons:
+            if eps <= 0:
+                raise RelationSpecError(
+                    "epsilon family epsilons must be positive, got %s" % eps)
+
+    pairs = []
     for sp in space_map.values():
         for st in sp.state_ids:
             x = single(sp.space_id, st)
-            rel.add_fact(x, x)
+            pairs.append((x, x))
     for left, right in facts:
         check_membership(space_map, left)
         check_membership(space_map, right)
@@ -213,10 +199,9 @@ def build_relation(spaces, facts, lambda_grid=None):
                 "fact %s -> %s does not conserve element content"
                 % (left, right)
             )
-        rel.add_fact(left, left)
-        rel.add_fact(right, right)
-        rel.add_fact(left, right)
-    return rel
+        pairs += [(left, left), (right, right), (left, right)]
+    return Relation(spaces=space_map, lambda_grid=grid, facts=pairs,
+                    epsilon_families=families)
 
 
 def _bits(mask):
@@ -287,6 +272,14 @@ class _FactStore:
 
     def has(self, left, right):
         return self.succ[left] >> right & 1
+
+    def signature(self, sid):
+        """The per-space scale totals of a state, in space order, as integer
+        numerators over `den`."""
+        totals = {}
+        for sp, _st, mu in self.keys[sid]:
+            totals[sp] = totals.get(sp, 0) + mu
+        return tuple(totals.items())
 
     def add(self, left, right):
         """Record the fact left -> right; False when it was already known."""
@@ -379,19 +372,6 @@ class _FactStore:
         return [(x, rem_right[sub]) for sub, x in rem_left.items() if sub in rem_right]
 
 
-def _store_of(rel):
-    """A fresh store interning the states of rel's successor map in map order.
-
-    Returns the store and the facts as id pairs (not yet added to the store),
-    each row by ascending id so that no order depends on string hashing.
-    rel's CompoundStates are kept as the states.
-    """
-    store = _FactStore(rel.lambda_grid, rel.successors)
-    pairs = [(sid, rid) for sid, reach in enumerate(rel.successors.values())
-             for rid in sorted(store.index[y] for y in reach)]
-    return store, pairs
-
-
 def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
     """Saturate the relation under the structural rules.
 
@@ -408,7 +388,8 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
     composed once.  Only facts and states with room for another part are
     kept for this.
     """
-    store, pairs = _store_of(rel)
+    given = rel.store
+    store = _FactStore(rel.lambda_grid, given.index)
     keys, succ, pred, combine = store.keys, store.succ, store.pred, store.combine
     queue = deque()
     seen = set()
@@ -416,7 +397,7 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
     popped = {}  # part count of the larger side -> facts popped so far
     count = 0
 
-    def add_fact(left, right, rule):
+    def derive(left, right, rule):
         nonlocal count
         if not store.add(left, right):
             return
@@ -426,8 +407,11 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
                                      (len(keys[left]), len(keys[right])))
         queue.append((left, right))
 
-    for left, right in pairs:
-        add_fact(left, right, "input")
+    # the input rows by ascending id, so that no order depends on hashing
+    ids = dict(zip(given.index.values(), store.index.values()))
+    for sid in given.index.values():
+        for rid in _bits(given.succ[sid]):
+            derive(ids[sid], ids[rid], "input")
 
     while queue:
         left, right = queue.popleft()
@@ -436,37 +420,37 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
         for sid in (left, right):
             if sid not in seen:
                 seen.add(sid)
-                add_fact(sid, sid, "reflexive")
+                derive(sid, sid, "reflexive")
                 for variant in store.variants(sid, max_parts):
-                    add_fact(sid, variant, "split")
-                    add_fact(variant, sid, "split")
+                    derive(sid, variant, "split")
+                    derive(variant, sid, "split")
                 size = len(keys[sid])
                 if size < max_parts:
                     for n in popped:
                         if n + size <= max_parts:
                             for a, b in popped[n]:
-                                add_fact(combine(a, sid), combine(b, sid), "consistency")
+                                derive(combine(a, sid), combine(b, sid), "consistency")
                     spectators.setdefault(size, []).append(sid)
         # transitivity through both endpoints, new pairs only
         for nxt in _bits(succ[right] & ~succ[left]):
-            add_fact(left, nxt, "transitivity")
+            derive(left, nxt, "transitivity")
         for prev in _bits(pred[left] & ~pred[right]):
-            add_fact(prev, right, "transitivity")
+            derive(prev, right, "transitivity")
         # scaling invariance over the grid
         for a, b in zip(store.scaled(left), store.scaled(right)):
             if a is not None and b is not None:
-                add_fact(a, b, "scaling")
+                derive(a, b, "scaling")
         # consistency: the fact beside every state seen so far
         n = max(len(keys[left]), len(keys[right]))
         if n < max_parts:
             for size in spectators:
                 if n + size <= max_parts:
                     for z in spectators[size]:
-                        add_fact(combine(left, z), combine(right, z), "consistency")
+                        derive(combine(left, z), combine(right, z), "consistency")
             popped.setdefault(n, []).append((left, right))
         # cancellation law
         for a, b in store.cancelled(left, right):
-            add_fact(a, b, "cancellation")
+            derive(a, b, "cancellation")
 
     store.index = {store.state(sid): sid for sid in sorted(seen)}
     return Relation(
@@ -512,12 +496,19 @@ def check_comparison_hypothesis(rel, universe=None):
     """
     if not rel.closed:
         raise UnclosedRelationError("the comparison hypothesis needs a closed relation")
-    store = rel.store()
-    index, succ, pred = store.index, store.succ, store.pred
+    store = rel.store
+    index, succ, pred, den = store.index, store.succ, store.pred, store.den
     universe = sorted(index, key=str) if universe is None else list(universe)
     by_signature = {}
     for state in universe:
-        sig = tuple(sorted(state.total_scale_by_space().items()))
+        sid = index.get(state)
+        if sid is None:
+            # a total off the store's denominator stays a Fraction, equal to
+            # no integer total
+            sig = tuple(sorted((sp, t * den) for sp, t in
+                               state.total_scale_by_space().items()))
+        else:
+            sig = store.signature(sid)
         by_signature.setdefault(sig, []).append(state)
     checked = 0
     for group in by_signature.values():
@@ -674,7 +665,7 @@ def run_axiom_scan(rel, max_parts=3, universe_only=False):
     universe are skipped; use it for relations materialized on a hand-picked
     universe rather than produced by close().
     """
-    store = rel.store()
+    store = rel.store
     ids = list(store.index.values())
     universe = set(ids)
     pairs = [(left, right) for left in ids for right in _bits(store.succ[left])]
@@ -778,6 +769,4 @@ def relation_from_json(doc):
         raise RelationSpecError("missing relation field %s" % exc) from exc
     except TypeError as exc:
         raise RelationSpecError("malformed relation (%s)" % exc) from exc
-    rel = build_relation(spaces, facts, grid)
-    rel.epsilon_families = families
-    return rel
+    return build_relation(spaces, facts, grid, families)

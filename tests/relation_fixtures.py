@@ -14,11 +14,7 @@ def relation_from_oracle(spaces, sigma, universe, lambda_grid=(Fraction(1),)):
     to that universe, so it is returned with the closed flag set.
     """
     oracle = OracleRelation(spaces, sigma, lambda_grid)
-    rel = Relation(spaces=dict(oracle.spaces), lambda_grid=oracle.lambda_grid)
     universe = list(universe)
-    for x in universe:
-        for y in universe:
-            if oracle.accessible(x, y):
-                rel.add_fact(x, y)
-    rel.closed = True
-    return rel
+    facts = [(x, y) for x in universe for y in universe if oracle.accessible(x, y)]
+    return Relation(spaces=dict(oracle.spaces), lambda_grid=oracle.lambda_grid,
+                    facts=facts, closed=True)

@@ -203,13 +203,14 @@ def test_principle_tolerance_boundary():
     ]
     names = ["%s%d" % (side, i) for i in range(len(cases)) for side in "lr"]
     g, h = make_space("G", [1], names), make_space("H", [1], ["h"])
-    rel = build_relation([g, h], [], [Fraction(1)])
     values = {name: Fraction(0) for name in names}
+    facts = []
     for i, (margin, equivalence, _alone, _scaled) in enumerate(cases):
         values["r%d" % i] = margin
-        rel.add_fact(single("G", "l%d" % i), single("G", "r%d" % i))
+        facts.append((single("G", "l%d" % i), single("G", "r%d" % i)))
         if equivalence:
-            rel.add_fact(single("G", "r%d" % i), single("G", "l%d" % i))
+            facts.append((single("G", "r%d" % i), single("G", "l%d" % i)))
+    rel = build_relation([g, h], facts, [Fraction(1)])
     tables = {
         "G": EntropyTable("G", values, "l0", "r0", Fraction(1, 64)),
         "H": EntropyTable("H", {"h": Fraction(0)}, "h", "h", Fraction(1, 64)),

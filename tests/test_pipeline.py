@@ -534,6 +534,34 @@ def test_cli_one_sided_relation_fact_is_input_error(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def _part(state):
+    return [{"lambda": "1", "space": "G", "state": state}]
+
+
+FAMILY = {"X": _part("x"), "Y": _part("y"), "Z0": _part("x"), "Z1": _part("y"),
+          "epsilons": ["1/2"]}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"epsilons": ["1/2", "0"]}, "epsilon family epsilons must be positive, got 0"),
+    ({"Z0": _part("nope")}, "unknown state 'nope' in space 'G'"),
+    ({"epsilons": []}, "an epsilon family needs at least one epsilon"),
+], ids=["zero-epsilon", "undeclared-state", "no-epsilon"])
+def test_cli_bad_epsilon_family_is_input_error(tmp_path, capsys, change, message):
+    # checked at load: neither a failing run nor a family skipped unseen
+    relation = dict(CHAIN_RELATION, epsilon_families=[dict(FAMILY, **change)])
+    rel_path = write_json(tmp_path / "rel.json", relation)
+    spec_path = write_json(tmp_path / "spec.json",
+                           base_spec(stages=["close", "check_axioms"],
+                                     relation="rel.json"))
+    for args in (["validate", rel_path],
+                 ["run", spec_path, "--out", str(tmp_path / "out")]):
+        capsys.readouterr()
+        assert main(args) == 2, args
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 ENTROPY = {"space": "G", "ref_low": "x", "ref_high": "z"}
 
 

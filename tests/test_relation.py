@@ -68,10 +68,15 @@ def test_facts_is_a_read_only_view_of_successors():
     assert len(rel.facts) == 3 and (x, y) in rel.facts and (y, x) not in rel.facts
     with pytest.raises(AttributeError):
         rel.facts.add((y, x))
+    assert rel.successors == {x: {x, y}, y: {y}}
+    # a hand-built relation interns its states in first-seen order, left
+    # before right, into the one store that holds its facts
     z = single("G", "z")
-    rel.add_fact(y, z)
-    assert rel.successors == {x: {x, y}, y: {y, z}, z: set()}
-    assert (y, z) in rel.facts and len(rel.facts) == 4
+    rel = Relation(spaces=dict(rel.spaces), lambda_grid=rel.lambda_grid,
+                   facts=[(y, z), (x, y)])
+    assert list(rel.store.index) == [y, z, x]
+    assert rel.successors == {y: {z}, z: set(), x: {y}}
+    assert rel.fact_count() == len(rel.facts) == 2
 
 
 def test_build_duplicate_facts_stored_once():
@@ -310,10 +315,10 @@ def test_cancellation_holds_after_closing_single_fact():
 
 def test_cancellation_fails_on_hand_built_unclosed_relation():
     g = space()
-    rel = Relation(spaces={g.space_id: g}, lambda_grid=frozenset(GRID))
     xz = compound([(1, "G", "x"), (1, "G", "z")])
     yz = compound([(1, "G", "y"), (1, "G", "z")])
-    rel.add_fact(xz, yz)
+    rel = Relation(spaces={g.space_id: g}, lambda_grid=frozenset(GRID),
+                   facts=[(xz, yz)])
     report = run_axiom_scan(rel)["cancellation"]
     assert not report.holds
     (pair, reduced) = report.violations[0]
@@ -374,21 +379,23 @@ def test_axiom_scan_interns_the_relation_once(monkeypatch):
             built.append(1)
             super().__init__(*args, **kwargs)
 
+    monkeypatch.setattr(relation, "_FactStore", CountingStore)
+    # a hand-built relation is interned once, at construction, and its scans
+    # read that store
     rel = build_relation(
         [space("wxyz")], [fact("w", "x"), fact("x", "y"), fact("y", "z")], GRID
     )
-    monkeypatch.setattr(relation, "_FactStore", CountingStore)
+    assert len(built) == 1
+    run_axiom_scan(rel, max_parts=2)
+    run_axiom_scan(rel, max_parts=2)
+    assert len(built) == 1
+    # close() builds one store, and the scan and CH read it
     closed = close(rel, max_parts=2)
-    # the scan and CH read close()'s own store
     reports = run_axiom_scan(closed, max_parts=2)
     check_comparison_hypothesis(closed)
-    assert len(built) == 1
+    assert len(built) == 2
     assert all(rep.holds for rep in reports.values())
     assert reports["reflexivity"].checked == len(closed.universe)
-    # a hand-built relation is interned on first use, once
-    run_axiom_scan(rel, max_parts=2)
-    run_axiom_scan(rel, max_parts=2)
-    assert len(built) == 2
 
 
 # ------------------------------------------------------------- properties
@@ -429,17 +436,6 @@ def test_classify_strict_outcomes_are_antisymmetric(rel):
                 assert back == STRICTLY_FOLLOWS
             if fwd == EQUIVALENT:
                 assert back == EQUIVALENT
-
-
-def test_default_grid_is_dyadic_up_to_128():
-    from entropy_engine.relation import dyadic_grid
-
-    rel = build_relation([space("xy")], [])
-    assert rel.lambda_grid == dyadic_grid()
-    assert Fraction(1, 128) in rel.lambda_grid
-    assert Fraction(127, 128) in rel.lambda_grid
-    assert Fraction(1, 256) not in rel.lambda_grid
-    assert Fraction(1, 3) not in rel.lambda_grid
 
 
 # ------------------------------------------------------------------ JSON

@@ -18,7 +18,6 @@ from entropy_engine.relation import (
     Relation,
     build_relation,
     close,
-    dyadic_grid,
     relation_from_json,
 )
 from entropy_engine.states import compound, make_space
@@ -28,7 +27,7 @@ F = Fraction
 GRIDS = [
     frozenset([F(1, 2), F(1)]),
     frozenset([F(1, 4), F(1, 2), F(3, 4), F(1)]),
-    dyadic_grid(8),
+    frozenset(F(p, 8) for p in range(1, 9)),
 ]
 
 
@@ -67,16 +66,14 @@ def random_relation(rng):
 
 def hand_built(source, rng):
     """An unclosed relation: source's facts minus a few, plus a few planted
-    between its states, added with add_fact."""
-    rel = Relation(spaces=dict(source.spaces), lambda_grid=source.lambda_grid)
+    between its states."""
     facts = sorted(source.facts, key=str)
     states = sorted(source.universe, key=str)
     drop = set(rng.sample(range(len(facts)), min(len(facts), rng.randint(1, 4))))
     kept = [f for k, f in enumerate(facts) if k not in drop]
     kept += [(rng.choice(states), rng.choice(states)) for _ in range(3)]
-    for pair in kept:
-        rel.add_fact(*pair)
-    return rel
+    return Relation(spaces=dict(source.spaces), lambda_grid=source.lambda_grid,
+                    facts=kept)
 
 
 STRUCTURAL = ("reflexivity", "transitivity", "consistency", "scaling_invariance",
@@ -204,9 +201,8 @@ def test_consistency_scan_reports_a_missing_composite_in_both_orders():
     # (y, y) composes x < y with itself
     missing = {(x.combine(x), y.combine(z)), (x.combine(x), y.combine(y))}
     assert missing <= closed.facts
-    rel = Relation(spaces=dict(closed.spaces), lambda_grid=closed.lambda_grid)
-    for pair in sorted(closed.facts - missing, key=str):
-        rel.add_fact(*pair)
+    rel = Relation(spaces=dict(closed.spaces), lambda_grid=closed.lambda_grid,
+                   facts=sorted(closed.facts - missing, key=str))
     got = scan_outcome(relation, rel, 2)
     violations = got["consistency"][1]
     assert violations == Counter({((x, y), (x, z)): 1, ((x, z), (x, y)): 1,
@@ -354,14 +350,15 @@ def test_ch_and_scans_match_reference_on_every_kind_of_relation(seed):
         assert closed.fact_count() == len(expected.facts)
         assert closed.universe == expected.universe
 
-        # hand-built, queried, then given one more fact
+        # hand-built, then rebuilt with one more fact
         hand = hand_built(closed, rng)
         hand.closed = True
         assert_same_ch(hand, as_reference(hand), rng)
         states = sorted(hand.universe, key=str)
         new = rng.choice([(a, b) for a in states for b in states
                           if (a, b) not in hand.facts])
-        hand.add_fact(*new)
+        hand = Relation(spaces=dict(hand.spaces), lambda_grid=hand.lambda_grid,
+                        facts=sorted(hand.facts, key=str) + [new], closed=True)
         assert hand.has(*new) and hand.fact_count() == len(hand.facts)
         assert_same_ch(hand, as_reference(hand), rng)
 
@@ -395,10 +392,8 @@ def closed_chain(two_spaces=False):
 
 def test_ch_of_a_repeated_state_that_does_not_reach_itself():
     x, y = (compound([(1, "G", s)]) for s in "xy")
-    rel = Relation(spaces={"G": make_space("G", [1], "xy")}, lambda_grid={F(1)})
-    rel.add_fact(x, y)
-    rel.add_fact(y, y)
-    rel.closed = True
+    rel = Relation(spaces={"G": make_space("G", [1], "xy")}, lambda_grid={F(1)},
+                   facts=[(x, y), (y, y)], closed=True)
     expected = as_reference(rel)
     for universe in ([x, y, x], [y, x, x], [x, y, y]):
         got = relation.check_comparison_hypothesis(rel, universe)
@@ -437,9 +432,9 @@ def test_verify_limit_keeps_the_head_of_the_full_report(two_spaces):
         assert want.facts_checked > 500 and want.violations
         assert bool(want.skipped_scale_mismatch) == two_spaces
     # hand-built, one with a right side longer than every left side
-    lone = Relation(spaces=dict(rel.spaces), lambda_grid=rel.lambda_grid)
-    lone.add_fact(compound([(1, "G", "x0")]),
-                  compound([(F(1, 2), "G", "x1"), (F(1, 2), "G", "x2")]))
+    lone = Relation(spaces=dict(rel.spaces), lambda_grid=rel.lambda_grid,
+                    facts=[(compound([(1, "G", "x0")]),
+                            compound([(F(1, 2), "G", "x1"), (F(1, 2), "G", "x2")]))])
     for hand in (hand_built(rel, rng), hand_built(rel, rng), lone):
         assert_same_verify(hand, tables, None, (None, 7))
 
