@@ -540,22 +540,21 @@ class OffsetCriterionReport(namedtuple("OffsetCriterionReport",
         return not self.mismatches
 
 
-def check_entropy_offset_criterion(graph, accessible_fn, pairs=None):
+def check_entropy_offset_criterion(graph, accessible_fn):
     """Cross-space accessibility must coincide with the entropy criterion
     S(x) + F(space_x, space_y) <= S(y).
 
     accessible_fn(space_x, state_x, space_y, state_y) answers ground-truth
-    accessibility (typically a closed relation); every sampled pair must
-    agree exactly with the offset inequality.
+    accessibility (typically a closed relation); every pair of states of the
+    graph's simple spaces must agree exactly with the offset inequality.
     """
     ids = graph.simple_ids()
-    if pairs is None:
-        pairs = [
-            (a, x, b, y)
-            for a in ids for b in ids
-            for x in graph.nodes[a].entropy
-            for y in graph.nodes[b].entropy
-        ]
+    pairs = [
+        (a, x, b, y)
+        for a in ids for b in ids
+        for x in graph.nodes[a].entropy
+        for y in graph.nodes[b].entropy
+    ]
     mismatches = []
     checked = 0
     for a, x, b, y in pairs:

@@ -57,26 +57,24 @@ def construct_entropy(
     resolution=None,
     lambda_lo=Fraction(-1),
     lambda_hi=Fraction(2),
-    mode=None,
 ):
     """Build the entropy table of a space from its closed relation.
 
-    mode "grid" scans multiples of `resolution` in [lambda_lo, lambda_hi] and
-    keeps the largest admissible one, raising ComparabilityError when a
-    rejected fraction above it is not comparable the other way round, and
-    listing the state in `clipped` when none above it was rejected and the
-    state does not reach the mixture at its value.  Mode "bisect" bisects
-    down to `resolution`; a state whose mixture is still admissible at
-    lambda_hi gets lambda_hi and is listed in `clipped`.  The default mode
-    is the backend's `search_mode`: explicit relations scan a 1/128 grid,
-    oracle-backed relations bisect to 2^-20.  Negative fractions and
+    The search follows the backend's `search_mode`.  Mode "grid" scans
+    multiples of `resolution` in [lambda_lo, lambda_hi] and keeps the largest
+    admissible one, raising ComparabilityError when a rejected fraction above
+    it is not comparable the other way round, and listing the state in
+    `clipped` when none above it was rejected and the state does not reach
+    the mixture at its value.  Mode "bisect" bisects down to `resolution`; a
+    state whose mixture is still admissible at lambda_hi gets lambda_hi and
+    is listed in `clipped`.  By default explicit relations scan a 1/128 grid
+    and oracle-backed relations bisect to 2^-20.  Negative fractions and
     fractions above one are handled by moving the negative part to the
     other side of the query.
     """
-    if mode is None:
-        mode = rel.search_mode
+    on_grid = rel.search_mode == "grid"
     if resolution is None:
-        resolution = Fraction(1, 128) if mode == "grid" else ORACLE_RESOLUTION
+        resolution = Fraction(1, 128) if on_grid else ORACLE_RESOLUTION
     x0 = single(space_id, ref_low)
     x1 = single(space_id, ref_high)
     refs = classify(rel, x0, x1)
@@ -88,7 +86,7 @@ def construct_entropy(
 
     resolution = Fraction(resolution)
     space = rel.spaces[space_id]
-    search = _sup_on_grid if mode == "grid" else _sup_by_bisection
+    search = _sup_on_grid if on_grid else _sup_by_bisection
     values = {}
     clipped = []
     for st in space.state_ids:

@@ -258,6 +258,13 @@ def load_pipeline_spec(path, only_stages=None):
         calibration=load(doc.get("calibration"), graph_from_json, "calibration"),
     )
     entropy, thermal = spec.entropy, spec.thermal
+    if entropy is not None:
+        if entropy["ref_low"] == entropy["ref_high"]:
+            raise InputFormatError("entropy.ref_low and entropy.ref_high are both %r"
+                                   % entropy["ref_low"])
+        if entropy["lambda_lo"] > entropy["lambda_hi"]:
+            raise InputFormatError("entropy.lambda_lo %s exceeds entropy.lambda_hi %s"
+                                   % (entropy["lambda_lo"], entropy["lambda_hi"]))
     if entropy is not None and spec.relation is not None:
         space = spec.relation.spaces.get(entropy["space"])
         if space is None:
@@ -267,6 +274,11 @@ def load_pipeline_spec(path, only_stages=None):
             if entropy[key] not in space.state_ids:
                 raise InputFormatError("entropy.%s %r is not a state of space %r"
                                        % (key, entropy[key], space.space_id))
+        oracle = entropy["oracle_values"]
+        if oracle is not None and set(oracle) != set(space.state_ids):
+            raise InputFormatError("entropy.oracle_values must give exactly the "
+                                   "states of space %r, got %s"
+                                   % (space.space_id, sorted(oracle)))
     if thermal:
         join = ThermalJoin(thermal["left"], thermal["right"])
         for i, exp in enumerate(thermal["experiments"]):
@@ -333,7 +345,8 @@ def _stage_check_axioms(ctx):
     out = {}
     for name, rep in sorted(reports.items()):
         # scanner order follows set iteration; sort for stable bundles
-        shown = sorted(str(_jsonable(v)) for v in rep.violations)[:10]
+        shown = sorted(json.dumps(_jsonable(v), sort_keys=True)
+                       for v in rep.violations)[:10]
         out[name] = {
             "checked": rep.checked,
             "violations": shown,

@@ -1,5 +1,6 @@
 """Parsing and formatting of exact rational scale factors."""
 
+import math
 from fractions import Fraction
 
 from .errors import InputFormatError
@@ -28,12 +29,17 @@ def format_rational(value):
 
 
 def parse_number(value):
-    """Accept a JSON number or a rational string; Fractions stay exact."""
+    """Accept a finite JSON number or a rational string; Fractions stay exact.
+
+    Python's json reads NaN and Infinity as floats; they are rejected here.
+    """
     if isinstance(value, bool):
         raise InputFormatError("expected a number, got %r" % (value,))
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise InputFormatError("expected a finite number, got %r" % (value,))
         return value
     if isinstance(value, str):
         return parse_rational(value)

@@ -26,7 +26,7 @@ remainders) is a map memoized per id.  The relation close() returns keeps
 close()'s store, rows and memos, and builds CompoundState maps only on
 demand.  run_axiom_scan(), check_comparison_hypothesis() and
 verify_entropy_principle() read the rows of a relation's store, so hand-built
-relations are scanned as they stand.  The
+relations are scanned as they stand, on their own universe.  The
 scan's consistency check composes every pair of facts, not spectators, since
 a hand-built relation need not be transitive; as side by side composition
 commutes, it composes each unordered pair once.
@@ -84,7 +84,7 @@ class Relation:
     only when asked for.  A relation is immutable by convention.
     """
 
-    search_mode = "grid"  # construct_entropy's default for this backend
+    search_mode = "grid"  # how construct_entropy searches this backend
     __slots__ = ("spaces", "lambda_grid", "closed", "epsilon_families", "store",
                  "_successors", "_facts")
 
@@ -485,48 +485,35 @@ CHResult = namedtuple("CHResult", "holds witness pairs_checked universe_size",
                       defaults=(None, 0, 0))
 
 
-def check_comparison_hypothesis(rel, universe=None):
-    """Scan a universe of compound states for an incomparable pair.
+def check_comparison_hypothesis(rel):
+    """Scan the relation's universe of compound states for an incomparable pair.
 
-    The universe defaults to rel's own, in string order.  Only pairs with
-    equal per-space scale totals are required to be comparable (states of
-    different total content never are).  Returns the first incomparable pair
-    as a witness on failure.  A state is comparable with the ids of its succ
-    and pred rows; a state outside the relation, with nothing.
+    The universe is taken in string order.  Only pairs with equal per-space
+    scale totals are required to be comparable (states of different total
+    content never are).  Returns the first incomparable pair as a witness on
+    failure.  A state is comparable with the ids of its succ and pred rows.
     """
     if not rel.closed:
         raise UnclosedRelationError("the comparison hypothesis needs a closed relation")
     store = rel.store
-    index, succ, pred, den = store.index, store.succ, store.pred, store.den
-    universe = sorted(index, key=str) if universe is None else list(universe)
+    index, succ, pred = store.index, store.succ, store.pred
     by_signature = {}
-    for state in universe:
-        sid = index.get(state)
-        if sid is None:
-            # a total off the store's denominator stays a Fraction, equal to
-            # no integer total
-            sig = tuple(sorted((sp, t * den) for sp, t in
-                               state.total_scale_by_space().items()))
-        else:
-            sig = store.signature(sid)
-        by_signature.setdefault(sig, []).append(state)
+    for state in sorted(index, key=str):
+        by_signature.setdefault(store.signature(index[state]), []).append(state)
     checked = 0
     for group in by_signature.values():
-        ids = [index.get(state) for state in group]
-        last = {sid: k for k, sid in enumerate(ids)}  # None: outside states
-        rest = sum(1 << sid for sid in last if sid is not None)  # ids still to come
+        ids = [index[state] for state in group]
+        rest = sum(1 << sid for sid in ids)  # ids still to come
         n = len(ids)
         for i, x in enumerate(ids):
-            near = 0 if x is None else succ[x] | pred[x]
-            if x is not None and last[x] == i:
-                rest ^= 1 << x
-            if rest & ~near or last.get(None, -1) > i:
-                j = next(j for j in range(i + 1, n)
-                         if ids[j] is None or not near >> ids[j] & 1)
+            near = succ[x] | pred[x]
+            rest ^= 1 << x
+            if rest & ~near:
+                j = next(j for j in range(i + 1, n) if not near >> ids[j] & 1)
                 checked += i * (2 * n - i - 1) // 2 + j - i
-                return CHResult(False, (group[i], group[j]), checked, len(universe))
+                return CHResult(False, (group[i], group[j]), checked, len(index))
         checked += n * (n - 1) // 2
-    return CHResult(True, None, checked, len(universe))
+    return CHResult(True, None, checked, len(index))
 
 
 class AxiomReport(namedtuple("AxiomReport", "name checked violations")):
@@ -554,7 +541,7 @@ def _transitivity(store, pairs):
     return AxiomReport("transitivity", checked, viol)
 
 
-def _consistency(store, pairs, universe, max_parts, universe_only):
+def _consistency(store, pairs, max_parts):
     """Compose each unordered pair of facts once.  Side-by-side composition
     commutes, so a pair of two distinct facts counts as two checks and
     reports its violation in both orders, as a scan of ordered pairs would.
@@ -577,8 +564,6 @@ def _consistency(store, pairs, universe, max_parts, universe_only):
             for first, second in fact_pairs:
                 (a, b), (c, d) = first, second
                 left, right = combine(a, c), combine(b, d)
-                if universe_only and not (left in universe and right in universe):
-                    continue
                 twice = first != second
                 checked += 1 + twice
                 if not has(left, right):
@@ -589,7 +574,7 @@ def _consistency(store, pairs, universe, max_parts, universe_only):
     return AxiomReport("consistency", checked, viol)
 
 
-def _scaling_invariance(store, pairs, universe, universe_only):
+def _scaling_invariance(store, pairs):
     has, scaled, state = store.has, store.scaled, store.state
     lams = [lam for lam, _num in store.factors]
     viol = []
@@ -598,54 +583,46 @@ def _scaling_invariance(store, pairs, universe, universe_only):
         for lam, x, y in zip(lams, scaled(a), scaled(b)):
             if x is None or y is None:
                 continue
-            if universe_only and not (x in universe and y in universe):
-                continue
             checked += 1
             if not has(x, y):
                 viol.append(((state(a), state(b)), lam))
     return AxiomReport("scaling_invariance", checked, viol)
 
 
-def _splitting(store, ids, universe, max_parts, universe_only):
+def _splitting(store, ids, max_parts):
     """Split/merge variants within max_parts."""
     has, state = store.has, store.state
     viol = []
     checked = 0
     for sid in ids:
         for variant in store.variants(sid, max_parts):
-            if universe_only and variant not in universe:
-                continue
             checked += 1
             if not (has(sid, variant) and has(variant, sid)):
                 viol.append((state(sid), state(variant)))
     return AxiomReport("splitting_recombination", checked, viol)
 
 
-def _cancellation(store, pairs, universe, universe_only):
+def _cancellation(store, pairs):
     has, state = store.has, store.state
     viol = []
     checked = 0
     for a, b in pairs:
         for x, y in store.cancelled(a, b):
-            if universe_only and not (x in universe and y in universe):
-                continue
             checked += 1
             if not has(x, y):
                 viol.append(((state(a), state(b)), (state(x), state(y))))
     return AxiomReport("cancellation", checked, viol)
 
 
-def check_stability(rel, families=None):
-    """Flag epsilon families whose limit fact is missing from the relation.
+def check_stability(rel):
+    """Flag the relation's epsilon families whose limit fact is missing.
 
     A family asserts (X, eps Z0) < (Y, eps Z1) for every listed eps; if all
     those facts are present, the limit fact X < Y must have been declared too.
     """
-    if families is None:
-        families = rel.epsilon_families
     viol = []
     checked = 0
-    for fam in families:
+    for fam in rel.epsilon_families:
         if not all(rel.has(fam.X.combine(fam.Z0.scale(eps)),
                            fam.Y.combine(fam.Z1.scale(eps)))
                    for eps in fam.epsilons):
@@ -656,26 +633,23 @@ def check_stability(rel, families=None):
     return AxiomReport("stability", checked, viol)
 
 
-def run_axiom_scan(rel, max_parts=3, universe_only=False):
+def run_axiom_scan(rel, max_parts=3):
     """Run every structural check plus stability; returns reports by name.
 
     The six structural rules are checked on rel's fact store, for a closed
-    relation close()'s own with its rule memos filled.  With
-    universe_only=True, rule results falling outside the relation's own
-    universe are skipped; use it for relations materialized on a hand-picked
-    universe rather than produced by close().
+    relation close()'s own with its rule memos filled.  A rule result outside
+    the relation's universe holds no facts, so it counts as a violation.
     """
     store = rel.store
     ids = list(store.index.values())
-    universe = set(ids)
     pairs = [(left, right) for left in ids for right in _bits(store.succ[left])]
     reports = [
         _reflexivity(store, ids),
         _transitivity(store, pairs),
-        _consistency(store, pairs, universe, max_parts, universe_only),
-        _scaling_invariance(store, pairs, universe, universe_only),
-        _splitting(store, ids, universe, max_parts, universe_only),
-        _cancellation(store, pairs, universe, universe_only),
+        _consistency(store, pairs, max_parts),
+        _scaling_invariance(store, pairs),
+        _splitting(store, ids, max_parts),
+        _cancellation(store, pairs),
         check_stability(rel),
     ]
     return {rep.name: rep for rep in reports}

@@ -163,12 +163,13 @@ def thermal_split(join, U, V1, V2):
     )
 
 
-def in_thermal_equilibrium(model1, X1, model2, X2, tol=1e-9):
-    """True when re-splitting the thermal join reproduces the given energies."""
+def in_thermal_equilibrium(model1, X1, model2, X2):
+    """True when re-splitting the thermal join reproduces the given energies,
+    to within 1e-9 relative to the total energy."""
     join = ThermalJoin(model1, model2)
     U = X1.U + X2.U
     split = thermal_split(join, U, X1.V, X2.V)
-    return abs(split.X1.U - X1.U) <= tol * max(abs(U), 1.0)
+    return abs(split.X1.U - X1.U) <= 1e-9 * max(abs(U), 1.0)
 
 
 FlowReport = namedtuple("FlowReport", "T1 T2 dU1 ok note", defaults=("",))
@@ -211,7 +212,7 @@ class ZerothLawReport(namedtuple("ZerothLawReport",
         return not self.violations
 
 
-def check_zeroth_law(triples, tol=1e-9):
+def check_zeroth_law(triples):
     """Transitivity of thermal equilibrium over (model, state) triples.
 
     Triples whose first two pairs are not in equilibrium exercise nothing and
@@ -226,8 +227,8 @@ def check_zeroth_law(triples, tol=1e-9):
     violations = []
     for (m1, x1), (m2, x2), (m3, x3) in triples:
         try:
-            e12 = in_thermal_equilibrium(m1, x1, m2, x2, tol)
-            e23 = in_thermal_equilibrium(m2, x2, m3, x3, tol)
+            e12 = in_thermal_equilibrium(m1, x1, m2, x2)
+            e23 = in_thermal_equilibrium(m2, x2, m3, x3)
         except (SplitBoundaryError, DomainError):
             undecided += 1
             continue
@@ -235,7 +236,7 @@ def check_zeroth_law(triples, tol=1e-9):
             non_eq += 1
             continue
         try:
-            e13 = in_thermal_equilibrium(m1, x1, m3, x3, tol)
+            e13 = in_thermal_equilibrium(m1, x1, m3, x3)
         except (SplitBoundaryError, DomainError):
             undecided += 1
             continue
@@ -279,14 +280,14 @@ TransversalityReport = namedtuple(
 )
 
 
-def check_transversality(model, X, v_window=None):
+def check_transversality(model, X):
     """Find isothermal states strictly on both sides of X's adiabat.
 
-    Walks the isotherm through X's own temperature across the work-coordinate
-    window (the whole domain by default) and looks for entropies below and
+    Walks the isotherm through X's own temperature across the whole
+    work-coordinate range of the domain and looks for entropies below and
     above the entropy of X by more than 1e-9 relative.  Not finding a pair is
     reported, not raised: it is evidence of a state space splitting into
-    pieces, or of too small a probe window.
+    pieces.
     """
     if model.entropy is None:
         raise DomainError("transversality check needs an entropy oracle")
@@ -294,10 +295,7 @@ def check_transversality(model, X, v_window=None):
     T_probe = temperature(model, X)
     s_x = model.entropy(X.U, X.V)
     gap = 1e-9 * max(1.0, abs(s_x))
-    if v_window is not None:
-        lo, hi = v_window
-    else:
-        lo, hi = model.domain.lo[1], model.domain.hi[1]
+    lo, hi = model.domain.lo[1], model.domain.hi[1]
     pad = 1e-3 * (hi - lo)
     below = above = None
     probes = 0

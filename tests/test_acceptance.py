@@ -212,7 +212,7 @@ def test_criterion_07_zeroth_law_transitivity():
         x2 = point(1.5 * t - 0.2 / v2, v2)       # van der Waals state at t
         x3 = point(3.0 * t, v3)                  # two-mole gas at T = t
         triples.append(((g1, x1), (vdw, x2), (g2, x3)))
-    rep = check_zeroth_law(triples, tol=1e-9)
+    rep = check_zeroth_law(triples)
     ok = rep.holds and rep.checked == 200
     report(7, ok, "200 temperature-matched triples: %d checked, %d skipped, "
                   "%d violations" % (rep.checked, rep.non_equilibrium,

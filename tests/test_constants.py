@@ -456,13 +456,15 @@ def test_offset_criterion_reports_planted_mismatch():
 
 
 def test_same_space_offset_reduces_to_monotonicity():
-    g, accessible = tight_two_space_instance()
+    entropy = {"a%d" % k: k for k in range(4)}
+    facts = [fact(("A", x), ("A", y)) for x in entropy for y in entropy
+             if x != y and entropy[x] <= entropy[y]]
+    g = StateSpaceGraph({"A": node("A", entropy)}, facts)
+    assert compute_F(g, "A", "A") == 0
     report = check_entropy_offset_criterion(
-        g, accessible,
-        pairs=[("A", x, "A", y) for x in g.nodes["A"].entropy
-               for y in g.nodes["A"].entropy],
-    )
+        g, lambda a, x, b, y: entropy[x] <= entropy[y])
     assert report.holds
+    assert report.checked == 16
 
 
 # ------------------------------------------------------------------- misc

@@ -92,8 +92,8 @@ def test_bisection_mode_reaches_fine_resolution():
     rel = OracleRelation([g], sigma)
     lo = min(states, key=lambda s: sigma[("G", s)])
     hi = max(states, key=lambda s: sigma[("G", s)])
-    table = construct_entropy(rel, "G", lo, hi, mode="bisect",
-                              resolution=Fraction(1, 2 ** 20))
+    assert rel.search_mode == "bisect"
+    table = construct_entropy(rel, "G", lo, hi, resolution=Fraction(1, 2 ** 20))
     a, b, residual = fit_affine({s: sigma[("G", s)] for s in states}, table.values)
     assert residual <= 2.0 / 2 ** 20 + 1e-12
 
@@ -348,8 +348,8 @@ def test_calibrate_two_gas_ratio_matches_oracle_units():
     h = make_space("H", [1], ["h0", "h1"])
     oracle = OracleRelation([g, h], sigma)
     res = Fraction(1, 128)
-    tg = construct_entropy(oracle, "G", "g0", "g2", resolution=res, mode="grid")
-    th = construct_entropy(oracle, "H", "h0", "h1", resolution=res, mode="grid")
+    tg = construct_entropy(oracle, "G", "g0", "g2", resolution=res)
+    th = construct_entropy(oracle, "H", "h0", "h1", resolution=res)
     x0, x1, y0, y1 = find_calibrators(rel, "G", "H")
     result = calibrate_multiplicative(
         {"G": tg, "H": th}, [("G", "H", x0, x1, y0, y1)]
@@ -368,8 +368,8 @@ def test_additivity_holds_after_multiplicative_calibration():
     oracle = OracleRelation([g, h], sigma)
     res = Fraction(1, 128)
     tables = {
-        "G": construct_entropy(oracle, "G", "g0", "g2", resolution=res, mode="grid"),
-        "H": construct_entropy(oracle, "H", "h0", "h1", resolution=res, mode="grid"),
+        "G": construct_entropy(oracle, "G", "g0", "g2", resolution=res),
+        "H": construct_entropy(oracle, "H", "h0", "h1", resolution=res),
     }
     calibrators = [("G", "H") + find_calibrators(rel, "G", "H")[0:4]]
     result = calibrate_multiplicative(tables, calibrators)

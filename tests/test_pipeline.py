@@ -95,6 +95,34 @@ def test_broken_transitivity_is_reported_with_witness(tmp_path):
     result = run_pipeline(load_pipeline_spec(spec_path), str(tmp_path / "out"))
     assert result.exit_code == 1
     assert any("transitivity" in v for v in result.report["violations"])
+    for rep in result.report["reports"]["check_axioms"].values():
+        for shown in rep["violations"]:
+            json.loads(shown)
+
+
+def test_stability_violation_is_shown_as_json(tmp_path):
+    def part(lam, state):
+        return {"lambda": lam, "space": "G", "state": state}
+
+    # (y, x/2) -> (x, y/2) is declared, but the limit fact y -> x is not
+    premise = [[part("1", "y"), part("1/2", "x")], [part("1", "x"), part("1/2", "y")]]
+    family = {"X": [part("1", "y")], "Y": [part("1", "x")], "Z0": [part("1", "x")],
+              "Z1": [part("1", "y")], "epsilons": ["1/2"]}
+    relation = dict(CHAIN_RELATION, facts=CHAIN_RELATION["facts"] + [premise],
+                    epsilon_families=[family])
+    doc = base_spec(stages=["close", "check_axioms"], relation=relation)
+    spec_path = write_json(tmp_path / "spec.json", doc)
+    result = run_pipeline(load_pipeline_spec(spec_path), str(tmp_path / "out"))
+    assert result.exit_code == 1
+    want = {"X": {"parts": [["G", "y", "1"]]}, "Y": {"parts": [["G", "x", "1"]]},
+            "Z0": {"parts": [["G", "x", "1"]]}, "Z1": {"parts": [["G", "y", "1"]]},
+            "epsilons": ["1/2"]}
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    shown = report["reports"]["check_axioms"]["stability"]["violations"]
+    assert [json.loads(v) for v in shown] == [want]
+    (line,) = report["violations"]
+    assert line.startswith("stability: ")
+    assert json.loads(line[len("stability: "):]) == want
 
 
 def test_closed_chain_passes_axioms_and_entropy(tmp_path):
@@ -423,10 +451,20 @@ CALIBRATION_GRAPH = {
         {"id": "s1", "composition": ["-1"], "entropy": {"a": "0"}},
         {"id": "s2", "composition": ["-1"], "entropy": {"c": "5"}},
     ]},
+    # Python's json reads NaN and Infinity
+    {"spaces": [
+        {"id": "s1", "composition": ["1"], "entropy": {"a": math.nan}},
+        {"id": "s2", "composition": ["1"], "entropy": {"c": math.inf}},
+    ]},
+    {"spaces": [
+        {"id": "s1", "composition": [math.inf], "entropy": {"a": "0"}},
+        {"id": "s2", "composition": [math.inf], "entropy": {"c": "5"}},
+    ]},
 ], ids=["undeclared-space", "undeclared-state", "max-chain-word",
         "max-chain-zero", "undeclared-catalyst", "one-sided-fact",
         "space-without-composition", "uneven-element-amounts",
-        "negative-element-amount"])
+        "negative-element-amount", "non-finite-entropy",
+        "infinite-element-amount"])
 def test_cli_bad_calibration_graph_is_input_error(tmp_path, change):
     graph = dict(CALIBRATION_GRAPH, **change)
     graph_path = write_json(tmp_path / "graph.json", graph)
@@ -652,6 +690,21 @@ BAD_SPECS = {
     "entropy-undeclared-state": (
         {"stages": ["close", "construct_entropy"], "relation": CHAIN_RELATION,
          "entropy": {"space": "G", "ref_low": "x", "ref_high": "w"}}, {}),
+    "entropy-equal-references": (
+        {"stages": ["close", "construct_entropy"], "relation": CHAIN_RELATION,
+         "entropy": {"space": "G", "ref_low": "x", "ref_high": "x"}}, {}),
+    "entropy-lambda-window-reversed": (
+        {"stages": ["close", "construct_entropy"], "relation": CHAIN_RELATION,
+         "entropy": {"space": "G", "ref_low": "x", "ref_high": "z",
+                     "lambda_lo": "1", "lambda_hi": "0"}}, {}),
+    "entropy-oracle-values-missing-a-state": (
+        {"stages": ["close", "construct_entropy"], "relation": CHAIN_RELATION,
+         "entropy": {"space": "G", "ref_low": "x", "ref_high": "z",
+                     "oracle_values": {"x": "0", "z": "1"}}}, {}),
+    "entropy-oracle-values-with-an-undeclared-state": (
+        {"stages": ["close", "construct_entropy"], "relation": CHAIN_RELATION,
+         "entropy": {"space": "G", "ref_low": "x", "ref_high": "z",
+                     "oracle_values": {"x": "0", "y": "0", "z": "1", "w": "2"}}}, {}),
 }
 TABULATED = {"type": "tabulated", "u_grid": [1, 2, 3], "v_grid": [1, 2],
              "pressure_grid": [[1, 1], [1, 1], [1, 1]]}
@@ -851,7 +904,8 @@ DROP = object()
 
 @settings(max_examples=60, deadline=None)
 @given(path=st.sampled_from(sorted(_field_paths(SMALL_SPEC), key=repr)),
-       value=st.sampled_from([DROP, "x", 1.5, [1], None, -1]))
+       value=st.sampled_from([DROP, "x", 1.5, [1], None, -1,
+                              float("nan"), float("inf")]))
 def test_mutated_spec_never_raises_and_validate_agrees_with_run(
         tmp_path_factory, path, value):
     doc = json.loads(json.dumps(SMALL_SPEC))
@@ -867,3 +921,10 @@ def test_mutated_spec_never_raises_and_validate_agrees_with_run(
     validated = main(["validate", spec_path])
     ran = main(["run", spec_path, "--out", str(work / "out")])
     assert (validated == 2) == (ran == 2), (path, value, validated, ran)
+    report = work / "out" / "report.json"
+    if report.exists():
+        json.loads(report.read_text(), parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise ValueError("report.json holds %s, which strict JSON does not allow" % name)

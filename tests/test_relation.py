@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,10 +278,9 @@ def test_unequal_composition_always_incomparable():
 def test_ch_holds_on_total_order():
     rel = close(build_relation(
         [space()], [fact("x", "y"), fact("y", "z")], [Fraction(1)]
-    ))
-    result = check_comparison_hypothesis(
-        rel, universe=[single("G", s) for s in "xyz"]
-    )
+    ), max_parts=1)
+    assert rel.universe == {single("G", s) for s in "xyz"}
+    result = check_comparison_hypothesis(rel)
     assert result.holds
     assert result.pairs_checked == 3
 
@@ -348,13 +348,14 @@ def test_stability_flags_missing_limit_fact():
     facts = []
     for e in eps:
         facts.append((x.combine(z0.scale(e)), y.combine(z1.scale(e))))
-    rel = build_relation([g], facts, [Fraction(1, 4), HALF, Fraction(1)])
     family = EpsilonFamily(X=x, Y=y, Z0=z0, Z1=z1, epsilons=tuple(eps))
-    report = check_stability(rel, [family])
+    grid = [Fraction(1, 4), HALF, Fraction(1)]
+    rel = build_relation([g], facts, grid, [family])
+    report = check_stability(rel)
     assert not report.holds
 
-    rel2 = build_relation([g], facts + [(x, y)], [Fraction(1, 4), HALF, Fraction(1)])
-    assert check_stability(rel2, [family]).holds
+    rel2 = build_relation([g], facts + [(x, y)], grid, [family])
+    assert check_stability(rel2).holds
 
 
 def test_stability_skips_families_with_missing_premises():
@@ -363,8 +364,8 @@ def test_stability_skips_families_with_missing_premises():
     family = EpsilonFamily(
         X=x, Y=y, Z0=single("G", "z"), Z1=single("G", "w"), epsilons=(HALF,)
     )
-    rel = build_relation([g], [], [HALF, Fraction(1)])
-    report = check_stability(rel, [family])
+    rel = build_relation([g], [], [HALF, Fraction(1)], [family])
+    report = check_stability(rel)
     assert report.holds and report.checked == 0
 
 
@@ -487,11 +488,13 @@ def test_oracle_relation_respects_scale_signature():
 def test_materialized_oracle_relation_passes_scanners():
     g = make_space("G", [1], ["a", "b"])
     sigma = {("G", "a"): Fraction(0), ("G", "b"): Fraction(1)}
-    universe = [single("G", "a"), single("G", "b"),
-                compound([(HALF, "G", "a"), (HALF, "G", "a")]),
-                compound([(HALF, "G", "a"), (HALF, "G", "b")]),
-                compound([(HALF, "G", "b"), (HALF, "G", "b")]),
-                single("G", "a", HALF), single("G", "b", HALF)]
+    # every state of at most two parts over the grid: the rules at max_parts
+    # 2 lead nowhere else
+    parts = [(lam, "G", st) for st in "ab" for lam in GRID]
+    universe = [compound(c) for n in (1, 2)
+                for c in combinations_with_replacement(parts, n)]
     rel = relation_from_oracle([g], sigma, universe, lambda_grid=GRID)
-    reports = run_axiom_scan(rel, max_parts=2, universe_only=True)
+    assert close(rel, max_parts=2).universe == rel.universe
+    reports = run_axiom_scan(rel, max_parts=2)
+    assert all(rep.checked for rep in reports.values() if rep.name != "stability")
     assert all(rep.holds for rep in reports.values())

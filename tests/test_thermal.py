@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -259,11 +260,14 @@ def test_transversality_finds_straddling_isotherm_pair():
     assert in_thermal_equilibrium(G1, report.below, G1, report.above)
 
 
-def test_transversality_not_found_in_one_sided_probe_window():
-    x = point(2.0, 2.0)
-    report = check_transversality(G1, x, v_window=(0.55, 1.0))
+def test_transversality_not_found_when_entropy_ignores_the_work_coordinate():
+    # S depends on U alone, so the isotherm through x is an adiabat
+    model = SimpleSystemModel("U only", G1.domain, G1.pressure,
+                              entropy=lambda U, V: 1.5 * math.log(U))
+    report = check_transversality(model, point(2.5, 2.0))
     assert not report.found
-    assert report.above is None
+    assert report.below is None and report.above is None
+    assert report.probes == thermal.N_PROBES
 
 
 def test_every_work_coordinate_reaches_any_temperature():
@@ -275,7 +279,7 @@ def test_every_work_coordinate_reaches_any_temperature():
         y = isotherm_state(VDW, v, t)
         assert y is not None
         assert abs(temperature(VDW, y) - t) <= 1e-6 * t
-        assert in_thermal_equilibrium(G1, x, VDW, y, tol=1e-6)
+        assert in_thermal_equilibrium(G1, x, VDW, y)
 
 
 def test_isotherm_state_returns_none_outside_range():
