@@ -99,7 +99,9 @@ class InputFormatError(EngineError):
 
 
 def read_json(path):
-    """Parse a JSON file; an unreadable or malformed file is an InputFormatError."""
+    """Parse a JSON file; an unreadable or malformed file is an InputFormatError,
+    and so is one nested too deeply for the parser or holding an integer
+    too long to convert."""
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -110,6 +112,11 @@ def read_json(path):
         ) from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError("cannot read %s: %s" % (path, exc)) from exc
+    except RecursionError as exc:
+        raise InputFormatError("%s: nested too deeply to parse" % path) from exc
+    except ValueError as exc:
+        # int() refuses a literal longer than sys.get_int_max_str_digits()
+        raise InputFormatError("%s: %s" % (path, exc)) from exc
 
 
 def expect_list(value, what):

@@ -678,15 +678,30 @@ def run_pipeline(spec, out_dir, seed=None):
 
 
 def emit_report(report, csv_files, out_dir):
-    """Write report.json and CSV tables atomically; returns written paths."""
+    """Write report.json and CSV tables atomically; returns written paths.
+
+    report.json is encoded straight into its temp file, so the document is
+    never held as one string.  A failed write removes its temp file and
+    leaves the earlier file of that name in place.
+    """
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    for name, content in [("report.json", payload)] + sorted(csv_files.items()):
+    for name in ["report.json"] + sorted(csv_files):
         path = os.path.join(out_dir, name)
         tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w") as fh:
+                if name == "report.json":
+                    json.dump(report, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+                else:
+                    fh.write(csv_files[name])
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
+            raise
         written.append(path)
     return written

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import entropy_engine
 from entropy_engine.cli import main
 from entropy_engine.errors import InputFormatError
-from entropy_engine.pipeline import _jsonable, load_pipeline_spec, run_pipeline
+from entropy_engine.pipeline import (
+    _jsonable, emit_report, load_pipeline_spec, run_pipeline)
 from entropy_engine.simple import point
 from entropy_engine.states import compound, single
 
@@ -256,21 +258,23 @@ def test_adversarial_model_fails_the_simple_suite(tmp_path):
     assert result.exit_code == 1
 
 
+GAP_GRAPH = {
+    "spaces": [
+        {"id": "s1", "composition": ["1"],
+         "entropy": {"a": "0", "b": "7"}},
+        {"id": "s2", "composition": ["1"],
+         "entropy": {"c": "5", "d": "10"}},
+    ],
+    "facts": [
+        [[["s1", "a"]], [["s2", "c"]]],
+        [[["s2", "d"]], [["s1", "b"]]],
+    ],
+    "max_chain": 4,
+}
+
+
 def test_calibration_suite_emits_matrices_and_constants(tmp_path):
-    graph = {
-        "spaces": [
-            {"id": "s1", "composition": ["1"],
-             "entropy": {"a": "0", "b": "7"}},
-            {"id": "s2", "composition": ["1"],
-             "entropy": {"c": "5", "d": "10"}},
-        ],
-        "facts": [
-            [[["s1", "a"]], [["s2", "c"]]],
-            [[["s2", "d"]], [["s1", "b"]]],
-        ],
-        "max_chain": 4,
-    }
-    doc = base_spec(stages=["calibration_suite"], calibration=graph)
+    doc = base_spec(stages=["calibration_suite"], calibration=GAP_GRAPH)
     spec_path = write_json(tmp_path / "spec.json", doc)
     result = run_pipeline(load_pipeline_spec(spec_path), str(tmp_path / "out"))
     assert result.exit_code == 0
@@ -359,6 +363,30 @@ def test_cli_parse_error_reports_position(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "line 1" in err and "column" in err
+
+
+# Text the JSON parser rejects without a JSONDecodeError, and the words the
+# one line on stderr must hold.
+UNPARSABLE = {
+    "deep-nesting": ("[" * 100000 + "]" * 100000, "nested too deeply"),
+    "long-integer": ('{"schema": "entropy-engine/1", "seed": %s, "stages": []}'
+                     % ("7" * 5000), "digits"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("case", sorted(UNPARSABLE))
+def test_cli_unparsable_json_is_input_error(tmp_path, capsys, case, command):
+    text, words = UNPARSABLE[case]
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    args = [command, str(path)]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert words in line
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("doc", [
@@ -928,3 +956,60 @@ def test_mutated_spec_never_raises_and_validate_agrees_with_run(
 
 def _reject_constant(name):
     raise ValueError("report.json holds %s, which strict JSON does not allow" % name)
+
+
+# ----------------------------------------------------------------- emitting
+
+# Bundles whose report.json must be the one-string encoding, each with a
+# piece of text that shows the report holds what the case is for.
+EMITTED = {
+    "closed-chain": (base_spec(
+        stages=["close", "check_axioms", "check_ch", "construct_entropy",
+                "verify_principle"],
+        relation=CHAIN_RELATION, entropy=dict(ENTROPY, resolution="1")),
+        '"inequalities"'),
+    "physics": (PHYSICS_SPEC, '"isotherm_samples"'),
+    "calibration": (base_spec(stages=["calibration_suite"],
+                              calibration=GAP_GRAPH), '"gaps"'),
+    "inf-sentinels": (base_spec(stages=["calibration_suite"],
+                                calibration=CALIBRATION_GRAPH), '"inf"'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMITTED))
+def test_streamed_report_equals_the_one_string_encoding(tmp_path, case):
+    doc, shown = EMITTED[case]
+    spec_path = write_json(tmp_path / "spec.json", doc)
+    result = run_pipeline(load_pipeline_spec(spec_path), str(tmp_path / "out"))
+    # reference oracle: the whole document encoded as one string
+    want = json.dumps(result.report, indent=2, sort_keys=True) + "\n"
+    assert shown in want
+    assert (tmp_path / "out" / "report.json").read_bytes() == want.encode()
+
+
+def test_emit_report_peaks_far_below_the_size_of_the_file(tmp_path):
+    rows = [{"kind": "forward", "left": "1*G:x%d" % i, "right": "1*G:y%d" % i,
+             "S_left": i / 7, "S_right": i / 3, "margin": i / 21}
+            for i in range(2000)]
+    report = {"schema": "entropy-engine/1",
+              "reports": {"verify_principle": {"inequalities": rows}}}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        emit_report(report, {}, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    size = os.path.getsize(tmp_path / "report.json")
+    assert peak < size / 4, (peak, size)
+
+
+def test_failed_emit_keeps_the_earlier_report_and_leaves_no_temp_file(tmp_path):
+    emit_report({"run": 1}, {}, str(tmp_path))
+    old = (tmp_path / "report.json").read_bytes()
+    # keys sort before the bad value, so part of the document is written
+    with pytest.raises(TypeError):
+        emit_report({"run": 2, "unencodable": object()}, {}, str(tmp_path))
+    assert (tmp_path / "report.json").read_bytes() == old
+    assert list(tmp_path.glob("*.tmp")) == []
