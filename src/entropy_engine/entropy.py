@@ -3,7 +3,8 @@
 The entropy of a state is the largest fraction of a high reference state that
 can be converted, together with the complementary fraction of a low reference
 state, into the given state.  Scanning that fraction over a rational grid
-gives exact table values; against a lazy oracle relation the supremum is
+gives exact table values; only the fractions whose mixture the relation's
+universe holds are visited.  Against a lazy oracle relation the supremum is
 located by bisection instead.
 """
 
@@ -12,6 +13,7 @@ import io
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 from .errors import (
@@ -60,17 +62,17 @@ def construct_entropy(
 ):
     """Build the entropy table of a space from its closed relation.
 
-    The search follows the backend's `search_mode`.  Mode "grid" scans
-    multiples of `resolution` in [lambda_lo, lambda_hi] and keeps the largest
-    admissible one, raising ComparabilityError when a rejected fraction above
-    it is not comparable the other way round, and listing the state in
-    `clipped` when none above it was rejected and the state does not reach
-    the mixture at its value.  Mode "bisect" bisects down to `resolution`; a
-    state whose mixture is still admissible at lambda_hi gets lambda_hi and
-    is listed in `clipped`.  By default explicit relations scan a 1/128 grid
-    and oracle-backed relations bisect to 2^-20.  Negative fractions and
-    fractions above one are handled by moving the negative part to the
-    other side of the query.
+    The search follows the backend's `search_mode`.  Mode "grid" scans the
+    multiples of `resolution` in [lambda_lo, lambda_hi] whose mixture is in
+    the universe and keeps the largest admissible one, raising
+    ComparabilityError when a rejected fraction above it is not comparable
+    the other way round, and listing the state in `clipped` when none above
+    it was rejected and the state does not reach the mixture at its value.
+    Mode "bisect" bisects down to `resolution`; a state whose mixture is
+    still admissible at lambda_hi gets lambda_hi and is listed in `clipped`.
+    By default explicit relations scan a 1/128 grid and oracle-backed
+    relations bisect to 2^-20.  Negative fractions and fractions above one
+    are handled by moving the negative part to the other side of the query.
     """
     on_grid = rel.search_mode == "grid"
     if resolution is None:
@@ -85,63 +87,60 @@ def construct_entropy(
         )
 
     resolution = Fraction(resolution)
-    space = rel.spaces[space_id]
-    search = _sup_on_grid if on_grid else _sup_by_bisection
+    args = (rel, space_id, ref_low, ref_high, resolution,
+            Fraction(lambda_lo), Fraction(lambda_hi))
+    search = _grid_search(*args) if on_grid else partial(_sup_by_bisection, *args)
     values = {}
     clipped = []
-    for st in space.state_ids:
-        values[st], at_top = search(
-            rel, space_id, ref_low, ref_high, st,
-            resolution, Fraction(lambda_lo), Fraction(lambda_hi),
-        )
+    for st in rel.spaces[space_id].state_ids:
+        values[st], at_top = search(st)
         if at_top:
             clipped.append(st)
     return EntropyTable(space_id, values, ref_low, ref_high, resolution,
                         tuple(sorted(clipped)))
 
 
-def _sup_on_grid(rel, space_id, x0, x1, st, resolution, lo, hi):
-    """The largest admissible multiple of resolution, and whether it clips."""
-    best = None
-    failed = []
-    k = -int(-lo / resolution)  # ceil
-    lam = k * resolution
-    while lam <= hi:
-        lhs, rhs = signed_sides(
-            [(1 - lam, space_id, x0), (lam, space_id, x1)],
-            [(Fraction(1), space_id, st)],
-        )
-        if rel.in_universe(lhs) and rel.in_universe(rhs):
-            if _mixture_query(rel, space_id, x0, x1, lam, st):
-                if best is None or lam > best:
-                    best = lam
-            else:
-                failed.append(lam)
-        lam += resolution
-    if best is None:
-        raise ComparabilityError((
-            "no reference mixture in the lambda window [%s, %s]" % (lo, hi),
-            "%s.%s" % (space_id, st),
-        ))
-    above = [lam for lam in failed if lam > best]
-    for lam in above:
-        # the mixture must at least be comparable the other way round
-        if not accessible_signed(
-            rel,
-            [(Fraction(1), space_id, st)],
-            [(1 - lam, space_id, x0), (lam, space_id, x1)],
-        ):
-            raise ComparabilityError(
-                ("((1-%s)%s, %s %s)" % (lam, x0, lam, x1), st)
-            )
-    return best, not above and not accessible_signed(
-        rel,
-        [(Fraction(1), space_id, st)],
-        [(1 - best, space_id, x0), (best, space_id, x1)],
-    )
+def _grid_search(rel, space_id, x0, x1, resolution, lo, hi):
+    """Grid mode: a state's largest admissible fraction, and whether it clips.
+
+    Only a fraction whose normalized mixture side, ((1-lam) X0, lam X1),
+    (lam X1) or ((1-lam) X0), is in the universe can pass, so the fractions
+    are read once per table off the universe's parts lam X1 and (1-lam) X0.
+    """
+    universe = rel.universe
+    found = {mu if st == x1 else 1 - mu for state in universe
+             for sp, st, mu in state.parts if sp == space_id and st in (x0, x1)}
+    fractions = sorted(lam for lam in found
+                       if lo <= lam <= hi and (lam / resolution).denominator == 1)
+
+    def search(st):
+        best, above = None, []  # above: rejected fractions above the best
+        for lam in fractions:
+            lhs, rhs = signed_sides([(1 - lam, space_id, x0), (lam, space_id, x1)],
+                                    [(Fraction(1), space_id, st)])
+            if lhs in universe and rhs in universe:
+                if rel.accessible(lhs, rhs):
+                    best, above = (lam, lhs, rhs), []
+                else:
+                    above.append((lam, lhs, rhs))
+        if best is None:
+            raise ComparabilityError((
+                "no reference mixture in the lambda window [%s, %s]" % (lo, hi),
+                "%s.%s" % (space_id, st),
+            ))
+        for lam, lhs, rhs in above:
+            # the mixture must at least be comparable the other way round
+            if not rel.accessible(rhs, lhs):
+                raise ComparabilityError(
+                    ("((1-%s)%s, %s %s)" % (lam, x0, lam, x1), st)
+                )
+        lam, lhs, rhs = best
+        return lam, not above and not rel.accessible(rhs, lhs)
+
+    return search
 
 
-def _sup_by_bisection(rel, space_id, x0, x1, st, resolution, lo, hi):
+def _sup_by_bisection(rel, space_id, x0, x1, resolution, lo, hi, st):
     """The supremum to within resolution, and whether it is the window top."""
     if not _mixture_query(rel, space_id, x0, x1, lo, st):
         raise ComparabilityError((

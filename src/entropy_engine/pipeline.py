@@ -368,12 +368,7 @@ def _stage_check_ch(ctx):
             "comparison hypothesis fails: %s vs %s"
             % (result.witness[0], result.witness[1])
         )
-    return {
-        "holds": result.holds,
-        "witness": _jsonable(result.witness),
-        "pairs_checked": result.pairs_checked,
-        "universe_size": result.universe_size,
-    }
+    return result
 
 
 def _stage_construct_entropy(ctx):
@@ -608,10 +603,13 @@ def _stage_calibration_suite(ctx):
     sinks = check_no_sinks(graph)
     out["no_sinks"] = sinks.holds
     if not sinks.holds:
+        cycle = sinks.negative_cycle
+        if cycle is not None:  # its nodes are 1-tuples of space ids
+            cycle = ([node for (node,) in cycle[0]], cycle[1])
         ctx.violations.append(
             "sink structure: asymmetric %s, inequality %s, cycle %s"
-            % (sinks.asymmetric_pairs, sinks.inequality_violations,
-               _jsonable(sinks.negative_cycle))
+            % tuple(json.dumps(_jsonable(part), sort_keys=True) for part in (
+                sinks.asymmetric_pairs, sinks.inequality_violations, cycle))
         )
         return out
 

@@ -127,9 +127,6 @@ class Relation:
     def universe(self):
         return set(self.store.index)
 
-    def in_universe(self, state):
-        return state in self.store.index
-
     def has(self, x, y):
         """Is (x, y) a fact, whether or not the relation is closed?"""
         index = self.store.index
@@ -683,9 +680,6 @@ class OracleRelation:
         cached = (tuple(sorted(totals.items())), value)
         self._memo[state] = cached
         return cached
-
-    def in_universe(self, state):
-        return all((sp, st) in self.sigma for sp, st, _lam in state.parts)
 
     def accessible(self, x, y):
         tx, vx = self._weights(x)

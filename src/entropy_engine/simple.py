@@ -228,6 +228,12 @@ def model_from_spec(doc):
                     raise InputFormatError("domain V must be a list of one [lo, hi] "
                                            "range, got %r" % (v_range,))
                 v_lo, v_hi = _floats(v_range[0], "domain V", increasing=True)
+                # so that U ** 1.5, V * V and their products neither overflow
+                # nor underflow to 0 inside the box
+                if any(x and not 1e-100 <= abs(x) <= 1e100
+                       for x in (u_lo, u_hi, v_lo, v_hi)):
+                    raise InputFormatError("domain bounds must be 0 or of magnitude "
+                                           "1e-100 to 1e100, got %r" % (dom,))
                 kwargs["domain"] = ((u_lo, u_hi), (v_lo, v_hi))
             moles = Fraction(parse_number(doc.get("moles", 1)))
             if moles <= 0:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -284,6 +285,30 @@ def test_calibration_suite_emits_matrices_and_constants(tmp_path):
     assert rep["gaps"] == {"s1|s2": 2.0}
     csv_text = open(tmp_path / "out" / "def_matrices.csv").read()
     assert csv_text.splitlines()[0] == "from,to,D,E,F"
+
+
+def test_sink_violation_parts_are_json(tmp_path):
+    # a -> b -> a loses 1 unit of entropy, and c is reached without a way back
+    graph = {
+        "spaces": [
+            {"id": "a", "composition": ["1"], "entropy": {"p": "1", "r": "0"}},
+            {"id": "b", "composition": ["1"], "entropy": {"q": "0"}},
+            {"id": "c", "composition": ["1"], "entropy": {"s": "0"}},
+        ],
+        "facts": [[[["a", "p"]], [["b", "q"]]], [[["b", "q"]], [["a", "r"]]],
+                  [[["a", "p"]], [["c", "s"]]]],
+    }
+    doc = base_spec(stages=["calibration_suite"], calibration=graph)
+    spec_path = write_json(tmp_path / "spec.json", doc)
+    result = run_pipeline(load_pipeline_spec(spec_path), str(tmp_path / "out"))
+    assert result.exit_code == 1
+    [violation] = result.report["violations"]
+    match = re.fullmatch(r"sink structure: asymmetric (.*?), inequality (.*?), "
+                         r"cycle (.*)", violation)
+    asymmetric, inequality, cycle = (json.loads(part) for part in match.groups())
+    assert ["a", "c", "-2", "inf"] in asymmetric
+    assert ["a", "b", "-2", "-1"] in inequality
+    assert cycle == [["a", "b"], "-1"]
 
 
 def test_infinite_entries_use_string_sentinel(tmp_path):
@@ -749,6 +774,13 @@ BAD_MODELS = {
     "gas-two-v-ranges": {"type": "ideal_gas",
                          "domain": {"U": [0.5, 10], "V": [[0.5, 5], [1, 2]]}},
     "gas-infinite-moles": {"type": "ideal_gas", "moles": math.inf},
+    # finite bounds whose oracle floats overflow or underflow to 0
+    "gas-u-bound-overflows": {"type": "ideal_gas",
+                              "domain": {"U": [1, 1e300], "V": [[0.5, 5]]}},
+    "gas-u-bound-underflows": {"type": "ideal_gas",
+                               "domain": {"U": [0, 1e-250], "V": [[0.5, 5]]}},
+    "vdw-v-bound-underflows": {"type": "van_der_waals", "a": 0.2, "b": 0,
+                               "domain": {"U": [1, 8], "V": [[0, 1e-200]]}},
     "tabulated-ragged-pressure": dict(TABULATED, pressure_grid=[[1, 1], [1]]),
     "tabulated-word-in-entropy": dict(
         TABULATED, entropy_grid=[[1, 1], [1, "hot"], [1, 1]]),
@@ -792,7 +824,7 @@ def test_cli_bad_spec_is_input_error(tmp_path, case):
                  ["run", spec_path, "--out", str(tmp_path / "out")]):
         proc = run_cli(args)
         assert proc.returncode == 2, (args, proc.stdout, proc.stderr)
-        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 @pytest.mark.parametrize("case, message", [
