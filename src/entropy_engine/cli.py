@@ -1,4 +1,9 @@
-"""Command-line front end: run verification pipelines, validate instance files."""
+"""Command-line front end: run verification pipelines, validate instance files.
+
+`validate` loads a file through the spec module's loaders, which import a
+layer on first use, so it compiles only the layers the file's instances
+need; `run` imports the pipeline, and with it every layer.
+"""
 
 import argparse
 import os
@@ -27,38 +32,17 @@ def _detect_kind(doc):
     raise InputFormatError("cannot tell what kind of instance this file is")
 
 
-# Each loader imports only its own layer, so `validate` on an instance file
-# compiles that layer and no other.
-def _load_model(path, doc):
-    from .simple import model_from_spec
-    model_from_spec(doc)
-
-
-def _load_relation(path, doc):
-    from .relation import relation_from_json
-    relation_from_json(doc)
-
-
-def _load_graph(path, doc):
-    from .constants import graph_from_json
-    graph_from_json(doc)
-
-
-def _load_spec(path, doc):
-    from .pipeline import load_pipeline_spec
-    load_pipeline_spec(path)
-
-
-LOADERS = {"model": _load_model, "relation": _load_relation,
-           "graph": _load_graph, "pipeline": _load_spec}
-
-
 def cmd_validate(args):
+    from .spec import LOADERS, load_pipeline_spec
+
     kind = "instance"
     try:
         doc = read_json(args.file)
         kind = _detect_kind(doc)
-        LOADERS[kind](args.file, doc)
+        if kind == "pipeline":
+            load_pipeline_spec(args.file)
+        else:
+            LOADERS[kind](doc)
     except EngineError as exc:
         print("%s: invalid %s: %s" % (args.file, kind, exc), file=sys.stderr)
         return EXIT_INPUT

@@ -1,5 +1,6 @@
-"""Exception types shared across the engine, and the JSON file reader and
-list check that raise InputFormatError; this module imports no layer."""
+"""Exception types shared across the engine, the default closure budget, and
+the JSON file reader and list check that raise InputFormatError; this module
+imports no layer."""
 
 import json
 
@@ -22,6 +23,10 @@ class CompositionMismatchError(EngineError):
 
 class UnclosedRelationError(EngineError):
     """Query against a relation that has not been closed."""
+
+
+# the fact budget of close() when none is given, and of a spec's options
+DEFAULT_BUDGET = 10 ** 6
 
 
 class ClosureBudgetError(EngineError):
@@ -103,7 +108,8 @@ def read_json(path):
     and so is one nested too deeply for the parser or holding an integer
     too long to convert."""
     try:
-        with open(path) as fh:
+        # JSON is UTF-8 (RFC 8259), whatever the locale's encoding
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputFormatError(

@@ -43,6 +43,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 
 from .errors import (
+    DEFAULT_BUDGET,
     ClosureBudgetError,
     CompositionMismatchError,
     InputFormatError,
@@ -64,8 +65,6 @@ EQUIVALENT = "equivalent"
 STRICTLY_PRECEDES = "strictly_precedes"
 STRICTLY_FOLLOWS = "strictly_follows"
 INCOMPARABLE = "incomparable"
-
-DEFAULT_BUDGET = 10 ** 6
 
 
 EpsilonFamily = namedtuple("EpsilonFamily", "X Y Z0 Z1 epsilons")

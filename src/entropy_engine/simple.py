@@ -407,8 +407,9 @@ def adiabat_energy_at(model, X, v_targets, tol=SECTOR_TOL):
     is one Dormand-Prince 5(4) run as in integrate_adiabat, from an initial
     step of 1/100 of the domain span, carrying its step proposal and slope from
     target to target and keeping only the energy at each.  A target on or
-    outside the open V range raises DomainError before anything is integrated.
-    A sweep that leaves the domain through the energy floor or ceiling
+    outside the open V range raises DomainError before anything is integrated,
+    and so does an X outside the open domain when some target differs from
+    X.V.  A sweep that leaves the domain through the energy floor or ceiling
     records -inf or +inf for the remaining targets in that direction instead
     of raising; a step that falls under MIN_STEP raises.
     """
@@ -422,6 +423,10 @@ def adiabat_energy_at(model, X, v_targets, tol=SECTOR_TOL):
     mid_u = 0.5 * (model.domain.lo[0] + model.domain.hi[0])
     result = {}
     base = X.V
+    if any(t != base for t in targets):
+        # every later segment starts where _dp_segment accepted a step,
+        # strictly inside the box, so X is the one start to check
+        model.require_interior(X)
     rights = sorted(t for t in targets if t >= base)
     lefts = sorted((t for t in targets if t < base), reverse=True)
     for chain in (rights, lefts):
@@ -429,7 +434,6 @@ def adiabat_energy_at(model, X, v_targets, tol=SECTOR_TOL):
         escaped = None
         for t in chain:
             if escaped is None and t != v:
-                model.require_interior(StatePoint(u, v))
                 try:
                     u, k, h = _dp_segment(model, u, k, v, t, h, tol)
                 except IntegrationError as exc:

@@ -14,8 +14,9 @@ import entropy_engine
 from entropy_engine.cli import main
 from entropy_engine.errors import InputFormatError
 from entropy_engine.pipeline import (
-    _jsonable, emit_report, load_pipeline_spec, run_pipeline)
+    STAGE_FUNCS, _jsonable, emit_report, load_pipeline_spec, run_pipeline)
 from entropy_engine.simple import point
+from entropy_engine.spec import STAGE_TABLE
 from entropy_engine.states import compound, single
 
 CHAIN_RELATION = {
@@ -900,12 +901,21 @@ print(json.dumps([code, sorted(
 """ % (LAYERS,)
 
 
-@pytest.mark.parametrize("kind, layer, doc", [
+@pytest.mark.parametrize("kind, layers, doc", [
     ("model", "simple", {"type": "van_der_waals"}),
     ("relation", "relation", CHAIN_RELATION),
     ("graph", "constants", CALIBRATION_GRAPH),
+    # a spec loads the layers of the instances it names, and thermal only
+    # for the cross-check of a thermal section; never pipeline or entropy
+    ("pipeline", "relation", base_spec(
+        stages=["close", "check_axioms", "check_ch", "construct_entropy",
+                "verify_principle"], relation=CHAIN_RELATION, entropy=ENTROPY)),
+    ("pipeline", "simple thermal", PHYSICS_SPEC),
+    ("pipeline", "constants relation", base_spec(
+        stages=["close", "check_axioms", "calibration_suite"],
+        relation=CHAIN_RELATION, calibration=CALIBRATION_GRAPH)),
 ])
-def test_validate_imports_only_the_layer_of_its_file_kind(tmp_path, kind, layer,
+def test_validate_imports_only_the_layer_of_its_file_kind(tmp_path, kind, layers,
                                                           doc):
     path = write_json(tmp_path / (kind + ".json"), doc)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
@@ -919,7 +929,11 @@ def test_validate_imports_only_the_layer_of_its_file_kind(tmp_path, kind, layer,
     assert message == "%s: valid %s instance" % (path, kind)
     code, imported = json.loads(listing)
     assert code == 0
-    assert imported == ["entropy_engine." + layer]
+    assert imported == ["entropy_engine." + layer for layer in layers.split()]
+
+
+def test_spec_stage_table_names_the_pipeline_stages():
+    assert list(STAGE_TABLE) == list(STAGE_FUNCS)
 
 
 def test_validate_spec_output_is_unchanged(tmp_path):
@@ -1045,3 +1059,36 @@ def test_failed_emit_keeps_the_earlier_report_and_leaves_no_temp_file(tmp_path):
         emit_report({"run": 2, "unencodable": object()}, {}, str(tmp_path))
     assert (tmp_path / "report.json").read_bytes() == old
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+# A locale whose encoding is ASCII: no C-locale coercion and no UTF-8 mode.
+ASCII_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+                "LC_ALL": "C", "LANG": "C"}
+
+
+@pytest.mark.parametrize("ensure_ascii", [False, True], ids=["utf8", "escaped"])
+def test_bundle_does_not_depend_on_the_locale_encoding(tmp_path, ensure_ascii):
+    # JSON is UTF-8 (RFC 8259): a state named "zé" is read from the raw UTF-8
+    # bytes or from é escapes, and written into entropy_tables.csv, the
+    # same under an ASCII locale as under a UTF-8 one
+    relation = json.loads(json.dumps(CHAIN_RELATION).replace('"z"', '"zé"'))
+    doc = base_spec(stages=["close", "check_axioms", "construct_entropy",
+                            "verify_principle"], relation=relation,
+                    entropy=dict(ENTROPY, ref_high="zé", resolution="1"))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_bytes(json.dumps(doc, ensure_ascii=ensure_ascii).encode())
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(entropy_engine.__file__)))
+    bundles = {}
+    for name, locale in (("ascii", ASCII_LOCALE), ("utf8", {"PYTHONUTF8": "1"})):
+        out = tmp_path / name
+        for args in (["validate", str(spec_path)],
+                     ["run", str(spec_path), "--out", str(out)]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "entropy_engine.cli"] + args,
+                capture_output=True, env=dict(env, **locale), timeout=60)
+            assert proc.returncode == 0, (name, args, proc.stderr)
+        bundles[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(bundles["ascii"]) == ["entropy_tables.csv", "report.json"]
+    assert "zé".encode() in bundles["ascii"]["entropy_tables.csv"]
+    assert bundles["ascii"] == bundles["utf8"]

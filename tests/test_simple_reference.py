@@ -227,6 +227,20 @@ def test_exterior_base_matches_reference():
     assert simple.adiabat_energy_at(GAS, outside, [1.0, 1.0]) == [20.0] * 2
 
 
+def test_sweeps_check_only_their_base(monkeypatch):
+    # every segment after the first starts where the stepper accepted a step
+    # strictly inside the box, so X is the one start to check
+    checked = []
+    check = SimpleSystemModel.require_interior
+    monkeypatch.setattr(SimpleSystemModel, "require_interior",
+                        lambda model, state: check(model, checked.append(state)
+                                                   or state))
+    x = point(5.25, 2.75)
+    energies = simple.adiabat_energy_at(GAS, x, [1.5, 2.0, 3.5, 4.0, 4.9])
+    assert checked == [x]
+    assert all(GAS.domain.lo[0] < u < GAS.domain.hi[0] for u in energies)
+
+
 def test_domain_exit_error_matches_reference():
     x = point(9.5, 4.5)
     got = outcome(simple.integrate_adiabat, GAS, x, [0.6])
