@@ -33,14 +33,14 @@ def _detect_kind(doc):
 
 
 def cmd_validate(args):
-    from .spec import LOADERS, load_pipeline_spec
+    from .spec import LOADERS, load_spec_document
 
     kind = "instance"
     try:
         doc = read_json(args.file)
         kind = _detect_kind(doc)
         if kind == "pipeline":
-            load_pipeline_spec(args.file)
+            load_spec_document(doc, os.path.dirname(os.path.abspath(args.file)))
         else:
             LOADERS[kind](doc)
     except EngineError as exc:
@@ -95,6 +95,10 @@ def main(argv=None):
     val_p.set_defaults(func=cmd_validate)
 
     args = parser.parse_args(argv)
+    # a state name the locale cannot encode prints escaped, not as a traceback
+    reconfigure = getattr(sys.stdout, "reconfigure", None)
+    if reconfigure is not None:
+        reconfigure(errors="backslashreplace")
     return args.func(args)
 
 

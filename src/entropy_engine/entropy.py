@@ -23,13 +23,9 @@ from .errors import (
     NoReferencePairError,
 )
 from .rational import format_rational
-from .relation import (
-    STRICTLY_PRECEDES,
-    _bits,
-    accessible_signed,
-    classify,
-)
+from .relation import STRICTLY_PRECEDES, accessible_signed, classify
 from .states import signed_sides, single
+from .store import _bits
 
 ORACLE_RESOLUTION = Fraction(1, 2 ** 20)
 

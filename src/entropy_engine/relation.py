@@ -8,28 +8,17 @@ rational grid, splitting/recombination of parts, and the cancellation law.
 Closure is bounded by the grid and by a maximum part count, which keeps it
 decidable; a fact budget guards against blow-up.
 
-close() applies consistency with spectator states, as in Lieb-Yngvason's
-derivation of axiom A3 from its special case Y = Y': each fact X -> X' is
-composed with every state Z that leaves both sides within the part bound,
-giving (X, Z) -> (X', Z).  This reaches the closure of composing every pair
-of facts.  If (X, Y) -> (X', Y') fits, the four part counts sum to at most
-2 * max_parts, so (X', Y) or (X, Y') fits as well, and transitivity passes
-through it.  The work grows with facts times states, not facts squared.
-
-The fact store (_FactStore) numbers the states in first-seen order, keyed
-by their parts with every scale written as an integer numerator over the
-least common denominator of the grid and of the scales in the input facts.
-The facts are held as Python-int bitset rows, forward and backward, so
-transitivity is a row OR as in Warshall/Purdom closure, and each rule
-(scaling, side-by-side combination, split/merge variants, cancellation
-remainders) is a map memoized per id.  The relation close() returns keeps
-close()'s store, rows and memos, and builds CompoundState maps only on
-demand.  run_axiom_scan(), check_comparison_hypothesis() and
-verify_entropy_principle() read the rows of a relation's store, so hand-built
-relations are scanned as they stand, on their own universe.  The
-scan's consistency check composes every pair of facts, not spectators, since
-a hand-built relation need not be transitive; as side by side composition
-commutes, it composes each unordered pair once.
+The fact store (store._FactStore) holds the facts as Python-int bitset rows
+by state id, forward and backward, with each rule map memoized per id.  close()
+is semi-naive evaluation on those rows (Bancilhon; Warshall): it queues
+states with their delta rows, the facts each gained since it was last popped,
+so transitivity is an OR of rows, every rule adds its results as a row mask,
+and cancellation reads `holders`, per part bundle the mask of the states that
+hold it.  The relation close() returns keeps close()'s store and memos, and
+builds CompoundState maps only on demand.  run_axiom_scan(),
+check_comparison_hypothesis() and verify_entropy_principle() read the rows of
+a relation's store, so hand-built relations are scanned as they stand, on
+their own universe.
 
 OracleRelation is the second backend: it answers the same queries lazily from
 a per-state entropy assignment and is used to generate ground-truth relations
@@ -37,10 +26,11 @@ over grids far too large to materialize.  Both backends answer
 rel.accessible(x, y).
 """
 
-from collections import deque, namedtuple
+from bisect import bisect_left
+from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
-from math import lcm
+from heapq import heappop, heappush
+from itertools import combinations_with_replacement, product
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -53,13 +43,13 @@ from .errors import (
 )
 from .rational import parse_rational
 from .states import (
-    CompoundState,
     check_membership,
     compound,
     make_space,
     signed_sides,
     single,
 )
+from .store import _bits, _FactStore
 
 EQUIVALENT = "equivalent"
 STRICTLY_PRECEDES = "strictly_precedes"
@@ -97,8 +87,10 @@ class Relation:
             facts = list(facts)
             store = _FactStore(lambda_grid, dict.fromkeys(
                 state for pair in facts for state in pair))
+            index, succ, pred = store.index, store.succ, store.pred
             for left, right in facts:
-                store.add(store.index[left], store.index[right])
+                succ[index[left]] |= 1 << index[right]
+                pred[index[right]] |= 1 << index[left]
         self.store = store
         self._successors = self._facts = None
 
@@ -200,255 +192,107 @@ def build_relation(spaces, facts, lambda_grid, epsilon_families=()):
                     epsilon_families=families)
 
 
-def _bits(mask):
-    """Indices of the set bits of a Python-int bitset, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-class _FactStore:
-    """Interned compound states and facts between them, by integer id.
-
-    A state's key is its part tuple with each scale replaced by its integer
-    numerator over `den`, the least common denominator of the grid and of
-    every scale the store was built from.  No rule makes a scale outside
-    that set, and the numerators sort like the Fractions they stand for.
-    The facts are held once, as Python-int bitset rows indexed by id: succ
-    forward and pred backward.  Each rule map is memoized per id.  `index`
-    maps each state of the relation's universe to its id, in id order; the
-    rules may intern further ids, which hold no facts.
-    """
-
-    def __init__(self, grid, states):
-        den = lcm(*(q.denominator for q in grid),
-                  *(lam.denominator for s in states for _sp, _st, lam in s.parts))
-
-        def num(q):
-            return q.numerator * (den // q.denominator)
-
-        self.den = den
-        self.grid = {num(g) for g in grid}
-        # (scale, numerator) for each grid scale other than 1
-        self.factors = [(g, num(g)) for g in sorted(grid) if g != 1]
-        self.keys = []
-        self.ids = {}
-        self.states = []
-        self.succ = []
-        self.pred = []
-        self._scaled = {}
-        self._variants = {}
-        self._combined = {}
-        self._remainders = {}
-        self.index = {}
-        for state in states:
-            key = tuple((sp, st, num(lam)) for sp, st, lam in state.parts)
-            self.index[state] = self.intern(key, state)
-
-    def intern(self, key, state=None):
-        sid = self.ids.get(key)
-        if sid is None:
-            sid = self.ids[key] = len(self.keys)
-            self.keys.append(key)
-            self.states.append(state)
-            self.succ.append(0)
-            self.pred.append(0)
-        return sid
-
-    def state(self, sid):
-        """The canonical CompoundState of an id, built once."""
-        state = self.states[sid]
-        if state is None:
-            den = self.den
-            state = self.states[sid] = CompoundState(tuple(
-                (sp, st, Fraction(n, den)) for sp, st, n in self.keys[sid]
-            ))
-        return state
-
-    def has(self, left, right):
-        return self.succ[left] >> right & 1
-
-    def signature(self, sid):
-        """The per-space scale totals of a state, in space order, as integer
-        numerators over `den`."""
-        totals = {}
-        for sp, _st, mu in self.keys[sid]:
-            totals[sp] = totals.get(sp, 0) + mu
-        return tuple(totals.items())
-
-    def add(self, left, right):
-        """Record the fact left -> right; False when it was already known."""
-        if self.has(left, right):
-            return False
-        self.succ[left] |= 1 << right
-        self.pred[right] |= 1 << left
-        return True
-
-    def scaled(self, sid):
-        """Per entry of `factors`: the id of the state scaled by it, or None
-        when a part scale leaves the grid."""
-        out = self._scaled.get(sid)
-        if out is None:
-            den, grid = self.den, self.grid
-            out = []
-            for _lam, g in self.factors:
-                parts = []
-                for sp, st, mu in self.keys[sid]:
-                    q, rem = divmod(mu * g, den)
-                    if rem or q not in grid:
-                        parts = None
-                        break
-                    parts.append((sp, st, q))
-                out.append(None if parts is None else self.intern(tuple(sorted(parts))))
-            out = self._scaled[sid] = tuple(out)
-        return out
-
-    def variants(self, sid, max_parts):
-        """Ids of all one-part splits and merges allowed by grid and size,
-        one entry per way of reaching each."""
-        memo = self._variants.setdefault(max_parts, {})
-        out = memo.get(sid)
-        if out is None:
-            den, grid, parts = self.den, self.grid, self.keys[sid]
-            keys = []
-            if len(parts) < max_parts:
-                for i, (sp, st, mu) in enumerate(parts):
-                    rest = parts[:i] + parts[i + 1:]
-                    for _lam, g in self.factors:
-                        if g >= den:
-                            continue
-                        a, rem_a = divmod(mu * g, den)
-                        b, rem_b = divmod(mu * (den - g), den)
-                        if not (rem_a or rem_b) and a in grid and b in grid:
-                            keys.append(tuple(sorted(rest + ((sp, st, a), (sp, st, b)))))
-            for i, j in combinations(range(len(parts)), 2):
-                (sp, st, mu), (sp2, st2, nu) = parts[i], parts[j]
-                if sp == sp2 and st == st2 and mu + nu in grid:
-                    rest = tuple(p for k, p in enumerate(parts) if k not in (i, j))
-                    keys.append(tuple(sorted(rest + ((sp, st, mu + nu),))))
-            out = memo[sid] = [self.intern(k) for k in keys]
-        return out
-
-    def combine(self, a, b):
-        """Id of the two states side by side (multiset union of parts)."""
-        pair = (a, b) if a <= b else (b, a)
-        sid = self._combined.get(pair)
-        if sid is None:
-            sid = self._combined[pair] = self.intern(
-                tuple(sorted(self.keys[a] + self.keys[b]))
-            )
-        return sid
-
-    def remainders(self, sid):
-        """Each nonempty proper sub-multiset of the parts, as a part tuple,
-        mapped to the id of the parts left over."""
-        out = self._remainders.get(sid)
-        if out is None:
-            parts = self.keys[sid]
-            n = len(parts)
-            out = {}
-            for r in range(1, n):
-                for combo in combinations(range(n), r):
-                    sub = tuple(parts[k] for k in combo)
-                    if sub not in out:
-                        out[sub] = self.intern(tuple(sorted(
-                            p for k, p in enumerate(parts) if k not in combo
-                        )))
-            self._remainders[sid] = out
-        return out
-
-    def cancelled(self, left, right):
-        """Facts the cancellation law derives from left -> right: drop a
-        part bundle the two sides share, keeping both sides nonempty."""
-        rem_left = self.remainders(left)
-        if not rem_left:
-            return ()
-        rem_right = self.remainders(right)
-        return [(x, rem_right[sub]) for sub, x in rem_left.items() if sub in rem_right]
-
-
 def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
     """Saturate the relation under the structural rules.
 
-    Returns a new, closed relation.  Generated compound states are restricted
-    to at most max_parts parts with scales inside the lambda grid; rule
-    applications that would leave those bounds are skipped.  Raises
-    ClosureBudgetError, naming the rule and the part counts of the fact that
-    overflowed, when the fact count exceeds `budget`.
+    Returns a new, closed relation whose states have at most max_parts parts,
+    with scales in the lambda grid.  Raises ClosureBudgetError when the fact
+    count exceeds `budget`, naming the rule and the part counts of the fact
+    past it, a row's new bits counted lowest first.
 
-    Consistency composes facts with spectator states, not with other facts:
-    a fact (l, r) takes a spectator Z when max(len(l), len(r)) + len(Z) <=
-    max_parts.  Each popped fact meets every state seen so far, and each
-    newly seen state meets every fact popped so far, so every such pair is
-    composed once.  Only facts and states with room for another part are
-    kept for this.
+    The queue holds states with their delta rows, the bits each succ row
+    gained since it was last popped.  Every delta bit meets every rule, since
+    the bounded rules do not commute with transitivity.  Consistency composes
+    facts with spectator states, as Lieb-Yngvason derive A3 from its case
+    Y = Y': (l, r) takes Z when max(len(l), len(r)) + len(Z) <= max_parts.
+    If (X, Y) -> (X', Y') fits, so does (X', Y) or (X, Y'), and transitivity
+    passes through it.  A popped delta meets every state seen so far, and a
+    newly seen state every fact popped before it.  The rule maps are one to
+    one, so the sums of bits below are ORs.
     """
     given = rel.store
     store = _FactStore(rel.lambda_grid, given.index)
     keys, succ, pred, combine = store.keys, store.succ, store.pred, store.combine
-    queue = deque()
-    seen = set()
-    spectators = {}  # part count -> states seen so far
-    popped = {}  # part count of the larger side -> facts popped so far
-    count = 0
+    scaled, remainders, holders = store.scaled, store.remainders, store.holders
+    queue = []  # (part count, id): popping fewer-part states first pops least
+    pending = {}  # queued id -> its delta row
+    seen = count = 0
+    fits = [0] * max_parts  # k -> mask of the seen states with at most k parts
 
-    def derive(left, right, rule):
+    def add(left, mask, rule):
         nonlocal count
-        if not store.add(left, right):
-            return
-        count += 1
-        if count > budget:
-            raise ClosureBudgetError(budget, count, rule,
-                                     (len(keys[left]), len(keys[right])))
-        queue.append((left, right))
+        new = mask & ~succ[left]
+        if new:
+            if count + new.bit_count() > budget:
+                right = _bits(new)[budget - count]
+                raise ClosureBudgetError(budget, budget + 1, rule,
+                                         (len(keys[left]), len(keys[right])))
+            count += new.bit_count()
+            succ[left] |= new
+            if left not in pending:
+                heappush(queue, (len(keys[left]), left))
+            pending[left] = pending.get(left, 0) | new
+
+    def meet(sid):
+        """Once per state: reflexive, split and held, and beside popped facts."""
+        add(sid, 1 << sid, "reflexive")
+        for variant in store.variants(sid, max_parts):
+            add(sid, 1 << variant, "split")
+            add(variant, 1 << sid, "split")
+        store.hold(sid)
+        size = len(keys[sid])
+        if size < max_parts:
+            room = max_parts - size
+            for a in _bits(fits[room]):
+                done = _bits(succ[a] & ~pending.get(a, 0) & fits[room])
+                if done:
+                    add(combine(a, sid), sum(1 << combine(b, sid) for b in done),
+                        "consistency")
+            for k in range(size, max_parts):
+                fits[k] |= 1 << sid
 
     # the input rows by ascending id, so that no order depends on hashing
     ids = dict(zip(given.index.values(), store.index.values()))
     for sid in given.index.values():
-        for rid in _bits(given.succ[sid]):
-            derive(ids[sid], ids[rid], "input")
+        add(ids[sid], sum(1 << ids[rid] for rid in _bits(given.succ[sid])), "input")
 
     while queue:
-        left, right = queue.popleft()
-        # reflexivity and splitting/recombination once per state, and the
-        # state as a spectator beside every fact popped before it
-        for sid in (left, right):
-            if sid not in seen:
-                seen.add(sid)
-                derive(sid, sid, "reflexive")
-                for variant in store.variants(sid, max_parts):
-                    derive(sid, variant, "split")
-                    derive(variant, sid, "split")
-                size = len(keys[sid])
-                if size < max_parts:
-                    for n in popped:
-                        if n + size <= max_parts:
-                            for a, b in popped[n]:
-                                derive(combine(a, sid), combine(b, sid), "consistency")
-                    spectators.setdefault(size, []).append(sid)
-        # transitivity through both endpoints, new pairs only
-        for nxt in _bits(succ[right] & ~succ[left]):
-            derive(left, nxt, "transitivity")
-        for prev in _bits(pred[left] & ~pred[right]):
-            derive(prev, right, "transitivity")
+        left = heappop(queue)[1]
+        delta = pending.pop(left)
+        fresh = (delta | 1 << left) & ~seen
+        seen |= fresh
+        for sid in _bits(fresh):
+            meet(sid)
+        rights = _bits(delta)
+        for r in rights:
+            pred[r] |= 1 << left
+        # consistency: the new facts beside every state seen so far
+        size = len(keys[left])
+        if size < max_parts:
+            fit = [_bits(delta & mask) for mask in fits]
+            for z in _bits(fits[max_parts - size]):
+                rs = fit[max_parts - len(keys[z])]
+                if rs:
+                    add(combine(left, z), sum(1 << combine(r, z) for r in rs), "consistency")
+        # transitivity: on through the new facts, and back through popped ones
+        reach = 0
+        for r in rights:
+            reach |= succ[r]
+        add(left, reach, "transitivity")
+        for prev in _bits(pred[left]):
+            add(prev, delta, "transitivity")
         # scaling invariance over the grid
-        for a, b in zip(store.scaled(left), store.scaled(right)):
-            if a is not None and b is not None:
-                derive(a, b, "scaling")
-        # consistency: the fact beside every state seen so far
-        n = max(len(keys[left]), len(keys[right]))
-        if n < max_parts:
-            for size in spectators:
-                if n + size <= max_parts:
-                    for z in spectators[size]:
-                        derive(combine(left, z), combine(right, z), "consistency")
-            popped.setdefault(n, []).append((left, right))
-        # cancellation law
-        for a, b in store.cancelled(left, right):
-            derive(a, b, "cancellation")
+        for k, a in enumerate(scaled(left)):
+            if a is not None:
+                add(a, sum(1 << b for b in (scaled(r)[k] for r in rights) if b is not None),
+                    "scaling")
+        # cancellation law: drop a part bundle that both sides hold
+        for sub, x in remainders(left).items():
+            hits = delta & holders[sub]
+            if hits:
+                add(x, sum(1 << remainders(r)[sub] for r in _bits(hits)), "cancellation")
 
-    store.index = {store.state(sid): sid for sid in sorted(seen)}
+    store.index = {store.state(sid): sid for sid in _bits(seen)}
     return Relation(
         spaces=dict(rel.spaces),
         lambda_grid=rel.lambda_grid,
@@ -525,63 +369,70 @@ def _reflexivity(store, ids):
     return AxiomReport("reflexivity", len(ids), viol)
 
 
-def _transitivity(store, pairs):
+def _transitivity(store, ids):
     succ, state = store.succ, store.state
     viol = []
     checked = 0
-    for left, right in pairs:
-        reach = succ[right]
-        checked += reach.bit_count()
-        for nxt in _bits(reach & ~succ[left]):
-            viol.append((state(left), state(right), state(nxt)))
+    for left in ids:
+        row = succ[left]
+        for right in _bits(row):
+            reach = succ[right]
+            checked += reach.bit_count()
+            if reach & ~row:
+                viol += [(state(left), state(right), state(n)) for n in _bits(reach & ~row)]
     return AxiomReport("transitivity", checked, viol)
 
 
-def _consistency(store, pairs, max_parts):
+def _consistency(store, ids, max_parts):
     """Compose each unordered pair of facts once.  Side-by-side composition
     commutes, so a pair of two distinct facts counts as two checks and
     reports its violation in both orders, as a scan of ordered pairs would.
-    Every pair is composed: a hand-built relation need not be transitive."""
-    has, keys, combine, state = store.has, store.keys, store.combine, store.state
+    Every pair is composed: a hand-built relation need not be transitive.
+    Facts a -> b and c -> d meet per unordered pair of left sides, so the
+    row of their composite answers every (b, d)."""
+    keys, succ, combine, state = store.keys, store.succ, store.combine, store.state
     viol = []
     checked = 0
-    buckets = {}
-    for pair in pairs:
-        buckets.setdefault((len(keys[pair[0]]), len(keys[pair[1]])), []).append(pair)
-    groups = list(buckets.items())
-    for i, ((l1, r1), bucket1) in enumerate(groups):
-        for (l2, r2), bucket2 in groups[i:]:
-            if l1 + l2 > max_parts or r1 + r2 > max_parts:
-                continue
-            if bucket1 is bucket2:
-                fact_pairs = combinations_with_replacement(bucket1, 2)
-            else:
-                fact_pairs = product(bucket1, bucket2)
-            for first, second in fact_pairs:
-                (a, b), (c, d) = first, second
-                left, right = combine(a, c), combine(b, d)
-                twice = first != second
-                checked += 1 + twice
-                if not has(left, right):
-                    x, y = (state(a), state(b)), (state(c), state(d))
-                    viol.append((x, y))
-                    if twice:
-                        viol.append((y, x))
+    groups = {}  # part count -> the states with room for another part
+    for sid in ids:
+        if len(keys[sid]) < max_parts:
+            groups.setdefault(len(keys[sid]), []).append(sid)
+    fit = [sum(1 << sid for n in groups if n <= k for sid in groups[n])
+           for k in range(max_parts)]
+    # per state with room and per k: its successors with at most k parts
+    rows = {sid: [_bits(succ[sid] & mask) for mask in fit]
+            for group in groups.values() for sid in group}
+    for la, lc in combinations_with_replacement(sorted(groups), 2):
+        if la + lc > max_parts:
+            continue
+        lefts = (combinations_with_replacement(groups[la], 2) if la == lc
+                 else product(groups[la], groups[lc]))
+        for a, c in lefts:
+            row = succ[combine(a, c)]
+            for b in rows[a][max_parts - 1]:
+                ds = rows[c][max_parts - len(keys[b])]
+                if a == c:
+                    ds = ds[bisect_left(ds, b):]
+                checked += 2 * len(ds) - (a == c and ds[:1] == [b])
+                for d in ds:
+                    if not row >> combine(b, d) & 1:
+                        x, y = (state(a), state(b)), (state(c), state(d))
+                        viol += [(x, y), (y, x)] if x != y else [(x, y)]
     return AxiomReport("consistency", checked, viol)
 
 
-def _scaling_invariance(store, pairs):
-    has, scaled, state = store.has, store.scaled, store.state
-    lams = [lam for lam, _num in store.factors]
+def _scaling_invariance(store, ids):
+    succ, scaled, state = store.succ, store.scaled, store.state
     viol = []
     checked = 0
-    for a, b in pairs:
-        for lam, x, y in zip(lams, scaled(a), scaled(b)):
-            if x is None or y is None:
-                continue
-            checked += 1
-            if not has(x, y):
-                viol.append(((state(a), state(b)), lam))
+    for a in ids:
+        rights = _bits(succ[a])
+        for k, ((lam, _num), x) in enumerate(zip(store.factors, scaled(a))):
+            if x is not None:
+                images = [(b, y) for b in rights if (y := scaled(b)[k]) is not None]
+                checked += len(images)
+                viol += [((state(a), state(b)), lam) for b, y in images
+                         if not succ[x] >> y & 1]
     return AxiomReport("scaling_invariance", checked, viol)
 
 
@@ -598,15 +449,18 @@ def _splitting(store, ids, max_parts):
     return AxiomReport("splitting_recombination", checked, viol)
 
 
-def _cancellation(store, pairs):
-    has, state = store.has, store.state
+def _cancellation(store, ids):
+    succ, remainders, state = store.succ, store.remainders, store.state
+    for sid in ids:
+        store.hold(sid)
     viol = []
     checked = 0
-    for a, b in pairs:
-        for x, y in store.cancelled(a, b):
-            checked += 1
-            if not has(x, y):
-                viol.append(((state(a), state(b)), (state(x), state(y))))
+    for a in ids:
+        for sub, x in remainders(a).items():
+            hits = _bits(succ[a] & store.holders[sub])
+            checked += len(hits)
+            viol += [((state(a), state(b)), (state(x), state(y))) for b in hits
+                     if not succ[x] >> (y := remainders(b)[sub]) & 1]
     return AxiomReport("cancellation", checked, viol)
 
 
@@ -638,14 +492,13 @@ def run_axiom_scan(rel, max_parts=3):
     """
     store = rel.store
     ids = list(store.index.values())
-    pairs = [(left, right) for left in ids for right in _bits(store.succ[left])]
     reports = [
         _reflexivity(store, ids),
-        _transitivity(store, pairs),
-        _consistency(store, pairs, max_parts),
-        _scaling_invariance(store, pairs),
+        _transitivity(store, ids),
+        _consistency(store, ids, max_parts),
+        _scaling_invariance(store, ids),
         _splitting(store, ids, max_parts),
-        _cancellation(store, pairs),
+        _cancellation(store, ids),
         check_stability(rel),
     ]
     return {rep.name: rep for rep in reports}

@@ -1,8 +1,9 @@
 """Pipeline specs: the stage table, the section field table and the loader.
 
-`load_pipeline_spec` checks the stage list against STAGE_TABLE and each spec
-section against FIELDS, and loads every instance the spec names, so bad input
-fails before any stage runs and stages read only parsed values.  This module
+`load_pipeline_spec` reads a spec file and `load_spec_document` loads a
+parsed one: it checks the stage list against STAGE_TABLE and each section
+against FIELDS, and loads every instance the spec names, so bad input fails
+before any stage runs and stages read only parsed values.  This module
 imports no layer.  Instances are built by a table of loaders, one per kind of
 instance file; the default table, LOADERS, imports each loader's layer on its
 first call, so checking a spec compiles only the layers its instances need.
@@ -174,15 +175,20 @@ PipelineSpec.__doc__ = """A checked spec: parsed sections and loaded instances
 
 
 def load_pipeline_spec(path, only_stages=None, loaders=LOADERS):
-    """Read a spec and load every instance it names, inline or as a file name
-    relative to the spec; any problem raises an EngineError.
+    """Read a spec file and load it with load_spec_document."""
+    return load_spec_document(read_json(path), os.path.dirname(os.path.abspath(path)),
+                              only_stages, loaders)
+
+
+def load_spec_document(doc, base_dir, only_stages=None, loaders=LOADERS):
+    """Load every instance a parsed spec names, inline or as a file name
+    relative to `base_dir`; any problem raises an EngineError.
 
     With `only_stages`, the spec's stages are narrowed to those named, in
     spec order.  Each name must be a stage of the spec, and every stage a
     chosen one needs must be chosen too.  `loaders` maps "model", "relation"
     and "graph" to the function that builds that instance from its object.
     """
-    doc = read_json(path)
     if not isinstance(doc, dict):
         raise InputFormatError("a pipeline spec must be a JSON object")
     if doc.get("schema") != SCHEMA:
@@ -215,7 +221,6 @@ def load_pipeline_spec(path, only_stages=None, loaders=LOADERS):
                 if need not in stages:
                     raise InputFormatError("selected stage %r requires %r, which "
                                            "is not selected" % (st, need))
-    base_dir = os.path.dirname(os.path.abspath(path))
 
     def load(value, kind, what):
         """An instance given inline or as a file name relative to the spec."""

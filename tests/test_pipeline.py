@@ -1092,3 +1092,39 @@ def test_bundle_does_not_depend_on_the_locale_encoding(tmp_path, ensure_ascii):
     assert sorted(bundles["ascii"]) == ["entropy_tables.csv", "report.json"]
     assert "zé".encode() in bundles["ascii"]["entropy_tables.csv"]
     assert bundles["ascii"] == bundles["utf8"]
+
+
+def test_run_prints_violations_under_an_ascii_locale(tmp_path):
+    # the CH violation names the state "zé", which ASCII cannot encode
+    relation = json.loads(json.dumps(CHAIN_RELATION).replace('"z"', '"zé"'))
+    doc = base_spec(stages=["close", "check_axioms", "check_ch", "construct_entropy",
+                            "verify_principle"], relation=relation,
+                    entropy=dict(ENTROPY, ref_high="zé", resolution="1"))
+    spec_path = write_json(tmp_path / "spec.json", doc)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(entropy_engine.__file__)), **ASCII_LOCALE)
+    proc = subprocess.run(
+        [sys.executable, "-m", "entropy_engine.cli", "run", spec_path,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, errors="replace", env=env, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "violation: " in proc.stdout and "\\xe9" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+def test_validate_reads_each_file_once(tmp_path, monkeypatch):
+    from entropy_engine import cli, spec
+
+    reads = []
+
+    def counting(path, read=spec.read_json):
+        reads.append(os.path.basename(path))
+        return read(path)
+
+    monkeypatch.setattr(cli, "read_json", counting)
+    monkeypatch.setattr(spec, "read_json", counting)
+    write_json(tmp_path / "rel.json", CHAIN_RELATION)
+    spec_path = write_json(tmp_path / "spec.json", base_spec(
+        stages=["close"], relation="rel.json"))
+    assert main(["validate", spec_path]) == 0
+    assert sorted(reads) == ["rel.json", "spec.json"]

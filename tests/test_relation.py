@@ -142,10 +142,10 @@ def test_close_is_idempotent():
     assert again.facts == rel.facts
 
 
-def midpoint_chain(n, rng):
+def midpoint_chain(n, rng, grid=GRID):
     """The chain x0 < ... < x{n-1} plus the midpoint equivalences
-    (x_{i-1}/2, x_{i+1}/2) ~ x_i, with facts and states declared in an
-    order shuffled by rng."""
+    (x_{i-1}/2, x_{i+1}/2) ~ x_i over `grid`, with facts and states declared
+    in an order shuffled by rng."""
     chain = ["x%d" % i for i in range(n)]
     facts = [fact(a, b) for a, b in zip(chain, chain[1:])]
     for lo, mid, hi in zip(chain, chain[1:], chain[2:]):
@@ -153,16 +153,32 @@ def midpoint_chain(n, rng):
         facts += [(mix, single("G", mid)), (single("G", mid), mix)]
     rng.shuffle(facts)
     rng.shuffle(chain)
-    return build_relation([space(chain)], facts, GRID)
+    return build_relation([space(chain)], facts, grid)
 
 
-@pytest.mark.parametrize("n, facts, states", [(5, 10243, 285), (6, 26522, 454)])
-def test_chain_closure_sizes_do_not_depend_on_declaration_order(n, facts, states):
-    closures = [close(midpoint_chain(n, random.Random(seed)), max_parts=3)
+QUARTERS = [Fraction(k, 4) for k in range(1, 5)]
+
+# per-rule checked counts of run_axiom_scan on the 4-state quarters chain,
+# pinned from the per-fact closure and scan that the row-based ones replaced
+QUARTERS_CHECKED = {"cancellation": 36624, "consistency": 180770, "reflexivity": 968,
+                    "scaling_invariance": 3891, "splitting_recombination": 592,
+                    "stability": 0, "transitivity": 3037004}
+
+
+@pytest.mark.parametrize("n, grid, facts, states", [
+    pytest.param(5, GRID, 10243, 285, id="5-10243-285"),
+    pytest.param(6, GRID, 26522, 454, id="6-26522-454"),
+    pytest.param(4, QUARTERS, 60826, 968, id="4-quarters-60826-968")])
+def test_chain_closure_sizes_do_not_depend_on_declaration_order(n, grid, facts, states):
+    closures = [close(midpoint_chain(n, random.Random(seed), grid), max_parts=3)
                 for seed in range(3)]
     for closed in closures:
         assert (len(closed.facts), len(closed.successors)) == (facts, states)
         assert closed.successors == closures[0].successors
+    if grid is QUARTERS:
+        reports = run_axiom_scan(closures[0], max_parts=3)
+        assert {name: rep.checked for name, rep in reports.items()} == QUARTERS_CHECKED
+        assert all(rep.holds for rep in reports.values())
 
 
 def test_close_budget_exceeded_raises():
@@ -192,11 +208,13 @@ for lo, mid, hi in zip(chain, chain[1:], chain[2:]):
     mix = compound([("1/2", "G", lo), ("1/2", "G", hi)])
     facts += [(mix, single("G", mid)), (single("G", mid), mix)]
 rel = build_relation([make_space("G", [1], chain)], facts, ["1/2", "1"])
-for budget in (40, 200, 1000):
+# the chain closes to 3,307 facts: 3306 is the last budget it exceeds
+for budget in (40, 200, 1000, 3306, 3307):
     try:
-        close(rel, max_parts=3, budget=budget)
+        closed = close(rel, max_parts=3, budget=budget)
+        print("closed within %d: %d facts" % (budget, closed.fact_count()))
     except ClosureBudgetError as exc:
-        print(exc)
+        print(exc.budget, exc.facts, exc)
 """
 
 
@@ -210,7 +228,10 @@ def test_close_budget_message_does_not_depend_on_string_hashing():
             env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.count("closure exceeded the fact budget") == 3
+        assert proc.stdout.count("closure exceeded the fact budget") == 4
+        lines = proc.stdout.splitlines()
+        assert lines[3].startswith("3306 3307 ")
+        assert lines[4] == "closed within 3307: 3307 facts"
         outputs.add(proc.stdout)
     assert len(outputs) == 1, outputs
 
