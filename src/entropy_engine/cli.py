@@ -33,14 +33,14 @@ def _detect_kind(doc):
 
 
 def cmd_validate(args):
-    from .spec import LOADERS, load_spec_document
+    from .spec import LOADERS, load_spec_document, spec_dir
 
     kind = "instance"
     try:
         doc = read_json(args.file)
         kind = _detect_kind(doc)
         if kind == "pipeline":
-            load_spec_document(doc, os.path.dirname(os.path.abspath(args.file)))
+            load_spec_document(doc, spec_dir(args.file))
         else:
             LOADERS[kind](doc)
     except EngineError as exc:

@@ -244,7 +244,9 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
         if size < max_parts:
             room = max_parts - size
             for a in _bits(fits[room]):
-                done = _bits(succ[a] & ~pending.get(a, 0) & fits[room])
+                done = succ[a] & ~pending.get(a, 0) & fits[room]
+                # left's delta meets sid in the consistency step below
+                done = _bits(done & ~delta if a == left else done)
                 if done:
                     add(combine(a, sid), sum(1 << combine(b, sid) for b in done),
                         "consistency")
@@ -293,6 +295,7 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
                 add(x, sum(1 << remainders(r)[sub] for r in _bits(hits)), "cancellation")
 
     store.index = {store.state(sid): sid for sid in _bits(seen)}
+    store.held = True  # meet() entered every seen state in `holders`
     return Relation(
         spaces=dict(rel.spaces),
         lambda_grid=rel.lambda_grid,
@@ -451,13 +454,12 @@ def _splitting(store, ids, max_parts):
 
 def _cancellation(store, ids):
     succ, remainders, state = store.succ, store.remainders, store.state
-    for sid in ids:
-        store.hold(sid)
+    holders = store.index_holders()
     viol = []
     checked = 0
     for a in ids:
         for sub, x in remainders(a).items():
-            hits = _bits(succ[a] & store.holders[sub])
+            hits = _bits(succ[a] & holders[sub])
             checked += len(hits)
             viol += [((state(a), state(b)), (state(x), state(y))) for b in hits
                      if not succ[x] >> (y := remainders(b)[sub]) & 1]

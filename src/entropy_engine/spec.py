@@ -174,10 +174,14 @@ PipelineSpec.__doc__ = """A checked spec: parsed sections and loaded instances
 (None if absent)."""
 
 
+def spec_dir(path):
+    """The directory a spec file's instance file names are relative to."""
+    return os.path.dirname(os.path.abspath(path))
+
+
 def load_pipeline_spec(path, only_stages=None, loaders=LOADERS):
     """Read a spec file and load it with load_spec_document."""
-    return load_spec_document(read_json(path), os.path.dirname(os.path.abspath(path)),
-                              only_stages, loaders)
+    return load_spec_document(read_json(path), spec_dir(path), only_stages, loaders)
 
 
 def load_spec_document(doc, base_dir, only_stages=None, loaders=LOADERS):

@@ -9,18 +9,12 @@ imports no layer.
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from re import compile as _regex
 
 from .states import CompoundState
 
-_ONE = _regex("1")  # a set bit in the text of bin()
-
 
 def _bits(mask):
-    """Indices of the set bits of a Python-int bitset, lowest first: by
-    isolating the low bit for a few bits, else by scanning its binary text."""
-    if mask.bit_count() > 32:
-        return [m.start() for m in _ONE.finditer(bin(mask)[:1:-1])]
+    """Indices of the set bits of a Python-int bitset, lowest first."""
     out = []
     while mask:
         low = mask & -mask
@@ -63,6 +57,7 @@ class _FactStore:
         self._combined = {}
         self._remainders = {}
         self.holders = {}
+        self.held = False  # does `holders` cover every state of `index`?
         self.index = {}
         for state in states:
             key = tuple((sp, st, num(lam)) for sp, st, lam in state.parts)
@@ -159,6 +154,14 @@ class _FactStore:
         entered states that hold it as a proper sub-bundle."""
         for sub in self.remainders(sid):
             self.holders[sub] = self.holders.get(sub, 0) | 1 << sid
+
+    def index_holders(self):
+        """`holders` for every state of `index`, entered once per store."""
+        if not self.held:
+            for sid in self.index.values():
+                self.hold(sid)
+            self.held = True
+        return self.holders
 
     def remainders(self, sid):
         """Each nonempty proper sub-multiset of the parts, as a part tuple,

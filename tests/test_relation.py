@@ -420,6 +420,26 @@ def test_axiom_scan_interns_the_relation_once(monkeypatch):
     assert reports["reflexivity"].checked == len(closed.universe)
 
 
+def test_holders_are_entered_once_per_store(monkeypatch):
+    held = []
+    monkeypatch.setattr(relation._FactStore, "hold",
+                        lambda store, sid, hold=relation._FactStore.hold:
+                        held.append(sid) or hold(store, sid))
+    rel = build_relation(
+        [space("wxyz")], [fact("w", "x"), fact("x", "y"), fact("y", "z")], GRID
+    )
+    # a hand-built relation enters its universe on its first scan only
+    for _ in range(2):
+        assert run_axiom_scan(rel, max_parts=2)["cancellation"].holds
+        assert sorted(held) == sorted(rel.store.index.values())
+    # close() enters each state it meets, and the scan reads that index
+    held.clear()
+    closed = close(rel, max_parts=2)
+    assert sorted(held) == sorted(closed.store.index.values())
+    run_axiom_scan(closed, max_parts=2)
+    assert len(held) == len(closed.universe)
+
+
 # ------------------------------------------------------------- properties
 
 
