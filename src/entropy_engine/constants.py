@@ -25,6 +25,16 @@ from .errors import InfeasibleConstantsError, InputFormatError, expect_list
 from .rational import parse_number
 
 INF = math.inf
+# A float value lies below another only by more than this share of the
+# larger magnitude (at least 1); int and Fraction values compare exactly.
+FLOAT_REL_TOL = 1e-12
+
+
+def _below(x, y, exact):
+    """x < y, and by more than float rounding unless exact."""
+    if exact:
+        return x < y
+    return x < y - FLOAT_REL_TOL * max(1.0, abs(x), abs(y))
 
 
 SpaceNode = namedtuple("SpaceNode", "space_id composition entropy")
@@ -52,7 +62,8 @@ class StateSpaceGraph:
     declared fact.  `e_table`
     and `f_table`, built on first use, are the chain tables over the simple
     spaces and over node_ids() plus the composite of every simple space with
-    every catalyst: one node set, whatever the catalog order.
+    every catalyst: one node set, whatever the catalog order.  `exact` says
+    that no entropy is a float, so that every D, E and F value is exact too.
     """
 
     def __init__(self, nodes, facts, catalysts=(), max_chain=4):
@@ -69,6 +80,8 @@ class StateSpaceGraph:
             if any(c < 0 for c in node.composition):
                 raise InputFormatError("negative element amount in space %r"
                                        % sp)
+        self.exact = not any(isinstance(v, float) for node in nodes.values()
+                             for v in node.entropy.values())
         self.steps = {}
         entropy = {}
         for left, right in self.facts:
@@ -133,6 +146,24 @@ def _fact_side(side, declared):
     )
 
 
+def _space_node(entry):
+    """One declared space.  Its id is a string without "->" or "|", which
+    join ids in report keys, and its entropies are at most 1e100 in
+    magnitude, so that sums of them stay finite floats."""
+    sp = entry["id"]
+    if not isinstance(sp, str) or "->" in sp or "|" in sp:
+        raise InputFormatError("space id must be a string without '->' or "
+                               "'|', got %r" % (sp,))
+    composition = tuple(parse_number(c) for c in expect_list(
+        entry["composition"], "space %r composition" % (sp,)))
+    entropy = {st: parse_number(v) for st, v in entry["entropy"].items()}
+    for st, v in entropy.items():
+        if abs(v) > 1e100:
+            raise InputFormatError("entropy of %r in space %r exceeds 1e100 "
+                                   "in magnitude" % (st, sp))
+    return SpaceNode(sp, composition, entropy)
+
+
 def graph_from_json(doc):
     """Build a StateSpaceGraph from its JSON form; malformed entries and
     undeclared spaces or states raise InputFormatError."""
@@ -142,17 +173,9 @@ def graph_from_json(doc):
             raise InputFormatError("max_chain must be an integer, got %r"
                                    % (max_chain,))
         nodes = {
-            entry["id"]: SpaceNode(
-                space_id=entry["id"],
-                composition=tuple(
-                    parse_number(c) for c in expect_list(
-                        entry["composition"], "space %r composition" % (entry["id"],))
-                ),
-                entropy={
-                    st: parse_number(v) for st, v in entry["entropy"].items()
-                },
-            )
-            for entry in expect_list(doc.get("spaces", []), "spaces")
+            node.space_id: node
+            for node in map(_space_node,
+                            expect_list(doc.get("spaces", []), "spaces"))
         }
         declared = {(sp, st) for sp in nodes for st in nodes[sp].entropy}
         facts = [
@@ -264,15 +287,22 @@ def compute_F(graph, a, b):
 
 
 def detect_negative_cycle(d_matrix, node_ids):
-    """Bellman-Ford negative-cycle certificate: (cycle nodes, total) or None."""
+    """Bellman-Ford negative-cycle certificate: (cycle nodes, total) or None.
+
+    Int and Fraction weights relax exactly; when any weight is a float, a
+    distance must drop by more than rounding (FLOAT_REL_TOL).  A cycle is
+    returned only when the predecessor walk closes on one.
+    """
+    exact = not any(isinstance(w, float) for w in d_matrix.values())
     dist = {n: 0 for n in node_ids}
     pred = {n: None for n in node_ids}
     last_changed = None
     for _ in range(len(node_ids)):
         last_changed = None
         for (u, v), w in d_matrix.items():
-            if dist[u] + w < dist[v] - 1e-15:
-                dist[v] = dist[u] + w
+            cand = dist[u] + w
+            if _below(cand, dist[v], exact):
+                dist[v] = cand
                 pred[v] = u
                 last_changed = v
     if last_changed is None:
@@ -281,6 +311,8 @@ def detect_negative_cycle(d_matrix, node_ids):
     node = last_changed
     for _ in range(len(node_ids)):
         node = pred[node]
+        if node is None:
+            return None
     cycle = [node]
     cur = pred[node]
     while cur != node:
@@ -316,7 +348,7 @@ def check_no_sinks(graph):
             fab, fba = f[(a, b)], f[(b, a)]
             if (fab < INF) != (fba < INF):
                 asymmetric.append((a, b, fab, fba))
-            elif fab < INF and -fba > fab + 1e-12:
+            elif fab < INF and _below(fab, -fba, graph.exact):
                 bad_pairs.append((a, b, fab, fba))
     nodes = [(s,) for s in ids]
     matrix = {
@@ -399,12 +431,7 @@ def solve_additive_constants(graph):
     """
     ids = graph.simple_ids()
     constraints = _collect_constraints(graph)
-    exact = all(
-        isinstance(w, (int, Fraction)) for _c, w in constraints
-    ) and all(
-        isinstance(v, (int, Fraction))
-        for node in graph.nodes.values() for v in node.entropy.values()
-    )
+    exact = graph.exact
     zero = Fraction(0) if exact else 0.0
 
     touching = [

@@ -8,6 +8,8 @@ into one schema-versioned JSON report plus CSV tables, written atomically
 as UTF-8 and byte-identical for identical spec and seed.
 """
 
+import csv
+import io
 import json
 import math
 import os
@@ -359,18 +361,15 @@ def _stage_calibration_suite(ctx):
     graph = ctx.spec.calibration
     out = {"max_chain": graph.max_chain}
     out["matrices"] = matrix_json(graph)
-    rows = ["from,to,D,E,F"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["from", "to", "D", "E", "F"])
     ids = graph.simple_ids()
     for a in ids:
         for b in ids:
             key = "%s->%s" % (a, b)
-            rows.append("%s,%s,%s,%s,%s" % (
-                a, b,
-                out["matrices"]["D"][key],
-                out["matrices"]["E"][key],
-                out["matrices"]["F"][key],
-            ))
-    ctx.csv_files["def_matrices.csv"] = "\n".join(rows) + "\n"
+            writer.writerow([a, b] + [out["matrices"][m][key] for m in "DEF"])
+    ctx.csv_files["def_matrices.csv"] = buf.getvalue()
 
     sinks = check_no_sinks(graph)
     out["no_sinks"] = sinks.holds

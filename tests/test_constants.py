@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -294,6 +295,79 @@ def test_inequality_holds_on_sink_free_instances():
                     fyx = compute_F(g, y, x)
                     if fxy < INF and fyx < INF:
                         assert -fyx <= fxy + 1e-12
+
+
+def simple_cycle_totals(matrix, names):
+    """Total of every simple cycle of the matrix, each listed from its
+    least node."""
+    totals = []
+    for length in range(2, len(names) + 1):
+        for cycle in itertools.permutations(names, length):
+            if cycle[0] != min(cycle):
+                continue
+            edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+            if all(edge in matrix for edge in edges):
+                totals.append(sum(matrix[edge] for edge in edges))
+    return totals
+
+
+def test_negative_cycle_matches_brute_force_on_fraction_weights():
+    # weights up to about 200 in magnitude around a potential, so that a
+    # cycle totals exactly 0 or a few thirds, sevenths or thirteenths, which
+    # an absolute float epsilon misjudges at that magnitude
+    rng = random.Random(2024)
+    found = 0
+    for _ in range(300):
+        names = [(nm,) for nm in "abcde"[:rng.randint(2, 5)]]
+        potential = {u: Fraction(rng.randint(-300, 300), rng.choice([3, 7, 13]))
+                     for u in names}
+        matrix = {}
+        for u in names:
+            for v in names:
+                if u != v and rng.random() < 0.6:
+                    slack = rng.choice([0, 0, 0, 1, 2, -1]) * Fraction(
+                        1, rng.choice([3, 7, 13]))
+                    matrix[(u, v)] = potential[v] - potential[u] + slack
+        negative = any(t < 0 for t in simple_cycle_totals(matrix, names))
+        cert = detect_negative_cycle(matrix, names)
+        assert (cert is not None) == negative, matrix
+        if cert is not None:
+            found += 1
+            cycle, total = cert
+            assert len(set(cycle)) == len(cycle)
+            assert total == sum(matrix[(u, v)] for u, v in zip(
+                cycle, cycle[1:] + cycle[:1]))
+            assert total < 0
+    assert 0 < found < 300
+
+
+def test_two_node_cycles_of_positive_total_have_no_certificate():
+    # every step weight k/d with its way back 1 - k/d: each cycle totals +1
+    for d in (3, 7, 13):
+        for k in range(-400, 401):
+            w = Fraction(k, d)
+            matrix = {(("a",), ("b",)): w, (("b",), ("a",)): 1 - w}
+            assert detect_negative_cycle(matrix, [("a",), ("b",)]) is None, w
+
+
+@pytest.mark.parametrize("k", [1, 100001, 3 * 10 ** 9 + 1])
+def test_exact_equivalence_has_no_sinks_at_any_magnitude(k):
+    g = StateSpaceGraph(
+        {"X": node("X", {"x": 0}), "Y": node("Y", {"y": Fraction(k, 3)})},
+        [fact(("X", "x"), ("Y", "y")), fact(("Y", "y"), ("X", "x"))])
+    report = check_no_sinks(g)
+    assert report.holds, report
+    assert solve_additive_constants(g).B == {"X": 0, "Y": Fraction(-k, 3)}
+
+
+def test_float_weights_relax_only_beyond_rounding():
+    # 0.1 + 0.2 - 0.3 reads 5.6e-17 in floats: a zero cycle, not a negative one
+    matrix = {(("a",), ("b",)): 0.1, (("b",), ("c",)): 0.2,
+              (("c",), ("a",)): -0.30000000000000004}
+    assert detect_negative_cycle(matrix, [("a",), ("b",), ("c",)]) is None
+    matrix[(("c",), ("a",))] = -0.3001
+    cycle, total = detect_negative_cycle(matrix, [("a",), ("b",), ("c",)])
+    assert sorted(cycle) == [("a",), ("b",), ("c",)] and total < 0
 
 
 # ----------------------------------------------------------------- solver

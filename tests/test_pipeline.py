@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -288,6 +289,34 @@ def test_calibration_suite_emits_matrices_and_constants(tmp_path):
     assert csv_text.splitlines()[0] == "from,to,D,E,F"
 
 
+def _cal_space(sid, **entropy):
+    return {"id": sid, "composition": ["1"], "entropy": entropy}
+
+
+def test_def_matrices_csv_quotes_space_ids(tmp_path):
+    # plain ids keep their rows; a comma or a quote in an id is quoted
+    plain = base_spec(stages=["calibration_suite"], calibration=GAP_GRAPH)
+    run_pipeline(load_pipeline_spec(write_json(tmp_path / "plain.json", plain)),
+                 str(tmp_path / "plain"))
+    assert (tmp_path / "plain" / "def_matrices.csv").read_bytes() == (
+        b"from,to,D,E,F\ns1,s1,0.0,0.0,0.0\ns1,s2,5.0,5.0,5.0\n"
+        b"s2,s1,-3.0,-3.0,-3.0\ns2,s2,0.0,0.0,0.0\n")
+    graph = {
+        "spaces": [_cal_space("p,q", x="0"), _cal_space('r"s', y="0")],
+        "facts": [[[["p,q", "x"]], [['r"s', "y"]]],
+                  [[['r"s', "y"]], [["p,q", "x"]]]],
+    }
+    doc = base_spec(stages=["calibration_suite"], calibration=graph)
+    run_pipeline(load_pipeline_spec(write_json(tmp_path / "spec.json", doc)),
+                 str(tmp_path / "out"))
+    with open(tmp_path / "out" / "def_matrices.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["from", "to", "D", "E", "F"]
+    assert [row[:2] for row in rows[1:]] == [
+        ["p,q", "p,q"], ["p,q", 'r"s'], ['r"s', "p,q"], ['r"s', 'r"s']]
+    assert all(len(row) == 5 for row in rows)
+
+
 def test_sink_violation_parts_are_json(tmp_path):
     # a -> b -> a loses 1 unit of entropy, and c is reached without a way back
     graph = {
@@ -514,11 +543,24 @@ CALIBRATION_GRAPH = {
         {"id": "s1", "composition": [math.inf], "entropy": {"a": "0"}},
         {"id": "s2", "composition": [math.inf], "entropy": {"c": "5"}},
     ]},
+    # space ids are strings without "->" or "|", which join them in report
+    # keys: (a, b->c) and (a->b, c) would share the key a->b->c
+    {"spaces": [_cal_space(1, x="0"), _cal_space("a", y="0")],
+     "facts": [[[[1, "x"]], [["a", "y"]]]]},
+    {"spaces": [_cal_space("a", s="0"), _cal_space("b->c", s="5"),
+                _cal_space("a->b", s="0"), _cal_space("c", s="1")],
+     "facts": [[[["a", "s"]], [["b->c", "s"]]], [[["a->b", "s"]], [["c", "s"]]]]},
+    {"spaces": [_cal_space("a|b", s="0"), _cal_space("c", s="0")], "facts": []},
+    {"spaces": [_cal_space("a", x="1e308"), _cal_space("b", y="-1e308")],
+     "facts": [[[["a", "x"]], [["b", "y"]]], [[["b", "y"]], [["a", "x"]]]]},
+    {"spaces": [_cal_space("a", x=1e308), _cal_space("b", y=-1e308)],
+     "facts": [[[["a", "x"]], [["b", "y"]]], [[["b", "y"]], [["a", "x"]]]]},
 ], ids=["undeclared-space", "undeclared-state", "max-chain-word",
         "max-chain-zero", "undeclared-catalyst", "one-sided-fact",
         "space-without-composition", "uneven-element-amounts",
         "negative-element-amount", "non-finite-entropy",
-        "infinite-element-amount"])
+        "infinite-element-amount", "integer-space-id", "arrow-in-space-id",
+        "bar-in-space-id", "huge-exact-entropy", "huge-float-entropy"])
 def test_cli_bad_calibration_graph_is_input_error(tmp_path, change):
     graph = dict(CALIBRATION_GRAPH, **change)
     graph_path = write_json(tmp_path / "graph.json", graph)
@@ -594,6 +636,29 @@ def run_cli(args):
         [sys.executable, "-m", "entropy_engine.cli"] + args,
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+@pytest.mark.parametrize("graph", [
+    {"spaces": [_cal_space("a", s0="0", s1="-55/3"),
+                _cal_space("b", s0="58/3", s1="0")],
+     "facts": [[[["a", "s0"]], [["b", "s0"]]], [[["b", "s1"]], [["a", "s1"]]]]},
+    {"spaces": [_cal_space("a", x="0"), _cal_space("b", y="100001/3")],
+     "facts": [[[["a", "x"]], [["b", "y"]]], [[["b", "y"]], [["a", "x"]]]]},
+], ids=["two-way-at-58/3", "equivalence-at-100001/3"])
+def test_cli_exact_round_trip_of_large_weight_has_no_sinks(tmp_path, graph):
+    # each round trip totals exactly 0, which a float epsilon misread
+    graph_path = write_json(tmp_path / "graph.json", graph)
+    spec_path = write_json(
+        tmp_path / "spec.json",
+        base_spec(stages=["calibration_suite"], calibration="graph.json"),
+    )
+    out = tmp_path / "out"
+    for args in (["validate", graph_path],
+                 ["run", spec_path, "--out", str(out)]):
+        proc = run_cli(args)
+        assert proc.returncode == 0, (args, proc.stderr)
+    report = json.loads((out / "report.json").read_text())
+    assert report["reports"]["calibration_suite"]["no_sinks"] is True
 
 
 def test_u_flat_tabulated_entropy_is_reported_as_a_stage_error(tmp_path):
@@ -1128,3 +1193,24 @@ def test_validate_reads_each_file_once(tmp_path, monkeypatch):
         stages=["close"], relation="rel.json"))
     assert main(["validate", spec_path]) == 0
     assert sorted(reads) == ["rel.json", "spec.json"]
+
+
+EXIT_WITH_FREEZE_COUNT = """
+import atexit, gc, sys
+from entropy_engine import cli
+atexit.register(lambda: print(gc.get_freeze_count() > 0))
+sys.argv[1:] = ["validate", sys.argv[1]]
+cli.entry()
+"""
+
+
+def test_cli_entry_freezes_the_heap_before_exit(tmp_path):
+    # so that interpreter shutdown skips collecting what the run built
+    path = write_json(tmp_path / "graph.json", GAP_GRAPH)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(entropy_engine.__file__)))
+    proc = subprocess.run([sys.executable, "-c", EXIT_WITH_FREEZE_COUNT, path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "%s: valid graph instance" % path, "True"]
