@@ -25,16 +25,9 @@ from .errors import InfeasibleConstantsError, InputFormatError, expect_list
 from .rational import parse_number
 
 INF = math.inf
-# A float value lies below another only by more than this share of the
-# larger magnitude (at least 1); int and Fraction values compare exactly.
+# StateSpaceGraph.tol's share of the largest |entropy|: the rounding of a
+# chain of entropy differences scales with the entropies, not with the result.
 FLOAT_REL_TOL = 1e-12
-
-
-def _below(x, y, exact):
-    """x < y, and by more than float rounding unless exact."""
-    if exact:
-        return x < y
-    return x < y - FLOAT_REL_TOL * max(1.0, abs(x), abs(y))
 
 
 SpaceNode = namedtuple("SpaceNode", "space_id composition entropy")
@@ -59,11 +52,14 @@ class StateSpaceGraph:
     raises InputFormatError.  Construction builds `steps`, the one-step
     table: per (left signature, right signature) pair of the facts, the
     least side_entropy(right) - side_entropy(left), ties going to the first
-    declared fact.  `e_table`
-    and `f_table`, built on first use, are the chain tables over the simple
-    spaces and over node_ids() plus the composite of every simple space with
-    every catalyst: one node set, whatever the catalog order.  `exact` says
-    that no entropy is a float, so that every D, E and F value is exact too.
+    declared fact.  `d_matrix`, `e_table` and `f_table`, built on first use,
+    are the one-step matrix over the simple spaces and the chain tables over
+    the simple spaces and over node_ids() plus the composite of every simple
+    space with every catalyst: one node set, whatever the catalog order.
+
+    One D, E, F or B value lies below another only by more than `tol`: 0
+    when no entropy is a float, so int and Fraction graphs compare exactly,
+    else FLOAT_REL_TOL times the largest |entropy| of the graph, at least 1.
     """
 
     def __init__(self, nodes, facts, catalysts=(), max_chain=4):
@@ -80,8 +76,10 @@ class StateSpaceGraph:
             if any(c < 0 for c in node.composition):
                 raise InputFormatError("negative element amount in space %r"
                                        % sp)
-        self.exact = not any(isinstance(v, float) for node in nodes.values()
-                             for v in node.entropy.values())
+        values = [v for node in nodes.values() for v in node.entropy.values()]
+        self.tol = 0
+        if any(isinstance(v, float) for v in values):
+            self.tol = FLOAT_REL_TOL * max(1.0, *map(abs, values))
         self.steps = {}
         entropy = {}
         for left, right in self.facts:
@@ -123,9 +121,13 @@ class StateSpaceGraph:
         return sorted(ids)
 
     @cached_property
+    def d_matrix(self):
+        return _d_matrix(self, [(s,) for s in self.simple_ids()])
+
+    @cached_property
     def e_table(self):
         nodes = [(s,) for s in self.simple_ids()]
-        return _chain_table(_d_matrix(self, nodes), nodes, self.max_chain)
+        return _chain_table(self.d_matrix, nodes, self.max_chain)
 
     @cached_property
     def f_table(self):
@@ -262,7 +264,7 @@ def _signature_D(graph, sig_u, sig_v):
             rest_u = list(sig_u); rest_u.remove(cat)
             rest_v = list(sig_v); rest_v.remove(cat)
             d = compute_D(graph, rest_u[0], rest_v[0])
-            d_cat = min(compute_D(graph, cat, cat), 0)
+            d_cat = compute_D(graph, cat, cat)
             if d < INF:
                 best = min(best, d + d_cat)
     return best
@@ -286,14 +288,13 @@ def compute_F(graph, a, b):
     return best
 
 
-def detect_negative_cycle(d_matrix, node_ids):
+def detect_negative_cycle(d_matrix, node_ids, tol=0):
     """Bellman-Ford negative-cycle certificate: (cycle nodes, total) or None.
 
-    Int and Fraction weights relax exactly; when any weight is a float, a
-    distance must drop by more than rounding (FLOAT_REL_TOL).  A cycle is
-    returned only when the predecessor walk closes on one.
+    A distance is relaxed only when it drops by more than tol (a graph's
+    `tol`; the default 0 compares exactly).  A cycle is returned only when
+    the predecessor walk closes on one.
     """
-    exact = not any(isinstance(w, float) for w in d_matrix.values())
     dist = {n: 0 for n in node_ids}
     pred = {n: None for n in node_ids}
     last_changed = None
@@ -301,7 +302,7 @@ def detect_negative_cycle(d_matrix, node_ids):
         last_changed = None
         for (u, v), w in d_matrix.items():
             cand = dist[u] + w
-            if _below(cand, dist[v], exact):
+            if cand < dist[v] - tol:
                 dist[v] = cand
                 pred[v] = u
                 last_changed = v
@@ -337,7 +338,7 @@ def check_no_sinks(graph):
 
     Verifies that finiteness of F is symmetric, that -F(b,a) <= F(a,b) on
     finite pairs, and that no negative-total cycle makes the chain infimum
-    unbounded below.
+    unbounded below, each within the graph's tol.
     """
     ids = graph.simple_ids()
     f = {(a, b): compute_F(graph, a, b) for a in ids for b in ids}
@@ -348,13 +349,10 @@ def check_no_sinks(graph):
             fab, fba = f[(a, b)], f[(b, a)]
             if (fab < INF) != (fba < INF):
                 asymmetric.append((a, b, fab, fba))
-            elif fab < INF and _below(fab, -fba, graph.exact):
+            elif fab < INF and fab < -fba - graph.tol:
                 bad_pairs.append((a, b, fab, fba))
-    nodes = [(s,) for s in ids]
-    matrix = {
-        (u, v): d for (u, v), d in _d_matrix(graph, nodes).items() if u != v
-    }
-    cycle = detect_negative_cycle(matrix, nodes)
+    matrix = {(u, v): d for (u, v), d in graph.d_matrix.items() if u != v}
+    cycle = detect_negative_cycle(matrix, [(s,) for s in ids], graph.tol)
     holds = not asymmetric and not bad_pairs and cycle is None
     return SinkReport(holds, asymmetric, bad_pairs, cycle)
 
@@ -427,12 +425,13 @@ def solve_additive_constants(graph):
     per-component gauge (the lexicographically first space of the component,
     pinned to zero); on a pure pairwise system this reproduces shortest-path
     potentials exactly.  Spaces no bound ever touches keep a free zero gauge
-    of their own.  Infeasibility raises with a negative-cycle certificate.
+    of their own.  A bound moves, and bounds conflict, only by more than the
+    graph's tol.  Infeasibility raises with a negative-cycle certificate.
     """
     ids = graph.simple_ids()
     constraints = _collect_constraints(graph)
-    exact = graph.exact
-    zero = Fraction(0) if exact else 0.0
+    tol = graph.tol
+    zero = 0.0 if tol else Fraction(0)
 
     touching = [
         (a, b) for coeffs, _w in constraints
@@ -458,7 +457,7 @@ def solve_additive_constants(graph):
                 key = ((b,), (a,))
                 if w < pair_matrix.get(key, INF):
                     pair_matrix[key] = w
-        cert = detect_negative_cycle(pair_matrix, [(s,) for s in ids])
+        cert = detect_negative_cycle(pair_matrix, [(s,) for s in ids], tol)
         if cert:
             raise InfeasibleConstantsError([n[0] for n in cert[0]], cert[1])
         raise InfeasibleConstantsError(ids, -INF)
@@ -483,12 +482,12 @@ def solve_additive_constants(graph):
                         continue
                     if c > 0:
                         new_hi = (w - rest) / c
-                        if new_hi < hi[s]:
+                        if new_hi < hi[s] - tol:
                             hi[s] = new_hi
                             changed = True
                     else:
                         new_lo = (w - rest) / c
-                        if new_lo > lo[s]:
+                        if new_lo > lo[s] + tol:
                             lo[s] = new_lo
                             changed = True
             if not changed:
@@ -511,7 +510,7 @@ def solve_additive_constants(graph):
 
     B = {}
     for s in ids:
-        if lo[s] > hi[s] + (0 if exact else 1e-12):
+        if lo[s] > hi[s] + tol:
             raise InfeasibleConstantsError([s], float(lo[s] - hi[s]))
         if not math.isinf(hi[s]):
             B[s] = hi[s]
@@ -522,7 +521,7 @@ def solve_additive_constants(graph):
     for coeffs, w in constraints:
         total = sum(c * B[s] for s, c in coeffs)
         max_violation = max(max_violation, float(total - w))
-    if max_violation > 1e-9:
+    if max_violation > tol:
         raise InfeasibleConstantsError(ids, max_violation)
     return AdditiveConstants(
         B=B, component_id=dict(components), gauges=gauges,
@@ -547,15 +546,16 @@ def detect_gap(graph, a, b):
 
     The admissible interval is [-F(b,a), F(a,b)]; a strict gap leaves the
     additive constant difference under-determined by its width.  has_gap
-    means a finite width above 1e-12: when either F is infinite the difference
-    is not bounded at all, and has_gap is False with an infinite width.
+    means a finite width above the graph's tol: when either F is infinite the
+    difference is not bounded at all, and has_gap is False with an infinite
+    width.
     """
     fab = compute_F(graph, a, b)
     fba = compute_F(graph, b, a)
     if math.isinf(fab) or math.isinf(fba):
         return GapResult(False, INF, -fba if fba < INF else -INF, fab)
     width = fab + fba
-    return GapResult(width > 1e-12, float(width), float(-fba), float(fab))
+    return GapResult(width > graph.tol, float(width), float(-fba), float(fab))
 
 
 class OffsetCriterionReport(namedtuple("OffsetCriterionReport",
@@ -573,7 +573,8 @@ def check_entropy_offset_criterion(graph, accessible_fn):
 
     accessible_fn(space_x, state_x, space_y, state_y) answers ground-truth
     accessibility (typically a closed relation); every pair of states of the
-    graph's simple spaces must agree exactly with the offset inequality.
+    graph's simple spaces must agree with the offset inequality, taken
+    within the graph's tol.
     """
     ids = graph.simple_ids()
     pairs = [
@@ -589,7 +590,7 @@ def check_entropy_offset_criterion(graph, accessible_fn):
         lhs = accessible_fn(a, x, b, y)
         s_x = graph.nodes[a].entropy[x]
         s_y = graph.nodes[b].entropy[y]
-        rhs = f < INF and s_x + f <= s_y
+        rhs = f < INF and s_x + f <= s_y + graph.tol
         checked += 1
         if lhs != rhs:
             mismatches.append((a, x, b, y, lhs, rhs))

@@ -1,11 +1,12 @@
 """Batch pipeline: load a spec and its instances, run stages, emit reports.
 
-`load_pipeline_spec` is the spec module's loader (`spec.py`: the stage
-list checked against its STAGE_TABLE, each section against FIELDS, every
-instance loaded before any stage runs), given the layer loaders this module
-imports.  STAGE_FUNCS maps each stage to its function.  Stage outputs go
-into one schema-versioned JSON report plus CSV tables, written atomically
-as UTF-8 and byte-identical for identical spec and seed.
+`load_pipeline_spec` reads a spec file and loads it with the spec module's
+`load_spec_document` (`spec.py`: the stage list checked against its
+STAGE_TABLE, each section against FIELDS, every instance loaded before any
+stage runs), given the layer loaders this module imports.  STAGE_FUNCS maps
+each stage to its function.  Stage outputs go into one schema-versioned JSON
+report plus CSV tables, written atomically as UTF-8 and byte-identical for
+identical spec and seed.
 """
 
 import csv
@@ -30,7 +31,7 @@ from .entropy import (
     fit_affine,
     verify_entropy_principle,
 )
-from .errors import DomainError, EngineError, SplitBoundaryError
+from .errors import DomainError, EngineError, SplitBoundaryError, read_json
 from .rational import format_rational
 from .relation import (
     check_comparison_hypothesis,
@@ -47,7 +48,7 @@ from .simple import (
     model_from_spec,
     pressure_consistency,
 )
-from .spec import SCHEMA, load_pipeline_spec as _load_spec
+from .spec import SCHEMA, load_spec_document, spec_dir
 from .states import CompoundState
 from .thermal import (
     ThermalJoin,
@@ -62,13 +63,13 @@ from .thermal import (
 
 
 def load_pipeline_spec(path, only_stages=None):
-    """`spec.load_pipeline_spec` with this module's instance loaders.
+    """Read a spec file and load it with this module's instance loaders.
 
     The loaders are read from this module when it is called, so a wrapper
     set on `model_from_spec`, `relation_from_json` or `graph_from_json` here
     sees every instance `run` loads.
     """
-    return _load_spec(path, only_stages, {
+    return load_spec_document(read_json(path), spec_dir(path), only_stages, {
         "model": model_from_spec, "relation": relation_from_json,
         "graph": graph_from_json})
 

@@ -1,12 +1,12 @@
 """Pipeline specs: the stage table, the section field table and the loader.
 
-`load_pipeline_spec` reads a spec file and `load_spec_document` loads a
-parsed one: it checks the stage list against STAGE_TABLE and each section
-against FIELDS, and loads every instance the spec names, so bad input fails
-before any stage runs and stages read only parsed values.  This module
-imports no layer.  Instances are built by a table of loaders, one per kind of
-instance file; the default table, LOADERS, imports each loader's layer on its
-first call, so checking a spec compiles only the layers its instances need.
+`load_spec_document` loads a parsed spec: it checks the stage list against
+STAGE_TABLE and each section against FIELDS, and loads every instance the
+spec names, so bad input fails before any stage runs and stages read only
+parsed values.  This module imports no layer.  Instances are built by a
+table of loaders, one per kind of instance file; the default table, LOADERS,
+imports each loader's layer on its first call, so checking a spec compiles
+only the layers its instances need.
 """
 
 import math
@@ -177,11 +177,6 @@ PipelineSpec.__doc__ = """A checked spec: parsed sections and loaded instances
 def spec_dir(path):
     """The directory a spec file's instance file names are relative to."""
     return os.path.dirname(os.path.abspath(path))
-
-
-def load_pipeline_spec(path, only_stages=None, loaders=LOADERS):
-    """Read a spec file and load it with load_spec_document."""
-    return load_spec_document(read_json(path), spec_dir(path), only_stages, loaders)
 
 
 def load_spec_document(doc, base_dir, only_stages=None, loaders=LOADERS):

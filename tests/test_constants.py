@@ -370,6 +370,50 @@ def test_float_weights_relax_only_beyond_rounding():
     assert sorted(cycle) == [("a",), ("b",), ("c",)] and total < 0
 
 
+def float_equivalence_graph(rng, magnitude):
+    """Spaces p0-p2 whose states s0 and s1 sit at U(-M, M) less a per-space
+    offset from U(-M, M), with s0 -> s0 facts between every ordered pair of
+    spaces: a consistent graph whose F round trips total 0 up to rounding."""
+    offsets = [rng.uniform(-magnitude, magnitude) for _ in range(3)]
+    nodes = {
+        "p%d" % k: SpaceNode("p%d" % k, (Fraction(1),), {
+            st: rng.uniform(-magnitude, magnitude) - off for st in ("s0", "s1")})
+        for k, off in enumerate(offsets)
+    }
+    facts = [fact((a, "s0"), (b, "s0")) for a in nodes for b in nodes if a != b]
+    return StateSpaceGraph(nodes, facts)
+
+
+@pytest.mark.parametrize("magnitude", [1e2, 1e4, 1e10])
+def test_float_equivalences_have_no_sinks_and_solve_within_tol(magnitude):
+    rng = random.Random(5)
+    for _ in range(300):
+        g = float_equivalence_graph(rng, magnitude)
+        report = check_no_sinks(g)
+        assert report.holds, report
+        B = solve_additive_constants(g).B
+        for a in g.nodes:
+            for b in g.nodes:
+                assert B[a] - B[b] <= compute_F(g, a, b) + g.tol
+                if a < b:
+                    assert not detect_gap(g, a, b).has_gap
+
+
+def test_float_negative_cycle_beyond_tol_is_still_reported():
+    # the largest |S| is 1e4, so tol is 1e-8; X -> Y -> X totals -1e-3
+    g = StateSpaceGraph(
+        {"X": SpaceNode("X", (Fraction(1),), {"a": 1e4}),
+         "Y": SpaceNode("Y", (Fraction(1),), {"b": 5000.0, "c": 5000.001})},
+        [fact(("X", "a"), ("Y", "b")), fact(("Y", "c"), ("X", "a"))])
+    report = check_no_sinks(g)
+    assert not report.holds
+    cycle, total = report.negative_cycle
+    assert sorted(cycle) == [("X",), ("Y",)]
+    assert total == pytest.approx(-1e-3)
+    with pytest.raises(InfeasibleConstantsError):
+        solve_additive_constants(g)
+
+
 # ----------------------------------------------------------------- solver
 
 

@@ -376,7 +376,7 @@ def test_tabulated_model_interpolates_pressure():
 
 def test_model_from_spec_builds_each_kind():
     gas = model_from_spec({"type": "ideal_gas", "moles": "2"})
-    assert gas.moles == 2
+    assert gas.name == "ideal_gas(n=2)"
     vdw = model_from_spec({"type": "van_der_waals", "a": 0.1, "b": 0.01})
     assert "van_der_waals" in vdw.name
     adv = model_from_spec({"type": "sqrt_singularity"})

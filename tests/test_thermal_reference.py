@@ -32,12 +32,12 @@ def _twin_peaks():
     # S(U) is piecewise linear with two equal maxima, at U = 1 and U = 3
     us = [0.0, 1.0, 2.0, 3.0, 4.0]
     s = [[x, x] for x in (0.0, 2.0, 1.0, 2.0, 0.0)]
-    return tabulated_model(us, [1.0, 2.0], [[1.0, 1.0]] * 5, s, name="twin")
+    return tabulated_model(us, [1.0, 2.0], [[1.0, 1.0]] * 5, s)
 
 
 def _flat():
     us, vs = [0.0, 10.0], [1.0, 2.0]
-    return tabulated_model(us, vs, [[1.0, 1.0]] * 2, [[0.0, 0.0]] * 2, name="flat")
+    return tabulated_model(us, vs, [[1.0, 1.0]] * 2, [[0.0, 0.0]] * 2)
 
 
 def outcome(fn, *args):
