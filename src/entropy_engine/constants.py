@@ -364,22 +364,22 @@ connected component."""
 
 
 def _components(ids, finite_pairs):
-    comp = {}
-    next_id = 0
+    """Component number of each id, and the first id of each component."""
+    comp, roots = {}, []
     for s in ids:
         if s in comp:
             continue
+        comp[s] = len(roots)
+        roots.append(s)
         stack = [s]
-        comp[s] = next_id
         while stack:
             u = stack.pop()
             for a, b in finite_pairs:
                 for x, y in ((a, b), (b, a)):
                     if x == u and y not in comp:
-                        comp[y] = next_id
+                        comp[y] = comp[s]
                         stack.append(y)
-        next_id += 1
-    return comp
+    return comp, roots
 
 
 def _collect_constraints(graph):
@@ -437,11 +437,7 @@ def solve_additive_constants(graph):
         (a, b) for coeffs, _w in constraints
         for a, _ca in coeffs for b, _cb in coeffs if a != b
     ]
-    components = _components(ids, touching)
-    by_comp = {}
-    for s in ids:
-        by_comp.setdefault(components[s], []).append(s)
-    gauges = [min(members) for _cid, members in sorted(by_comp.items())]
+    components, gauges = _components(ids, touching)
 
     lo = {s: -INF for s in ids}
     hi = {s: INF for s in ids}

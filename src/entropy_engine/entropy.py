@@ -5,7 +5,7 @@ can be converted, together with the complementary fraction of a low reference
 state, into the given state.  Scanning that fraction over a rational grid
 gives exact table values; only the fractions whose mixture the relation's
 universe holds are visited.  Against a lazy oracle relation the supremum is
-located by bisection instead.
+located by bisection instead, to an exact fraction as well.
 """
 
 import csv
@@ -23,7 +23,7 @@ from .errors import (
     NoReferencePairError,
 )
 from .rational import format_rational
-from .relation import STRICTLY_PRECEDES, accessible_signed, classify
+from .relation import STRICTLY_PRECEDES, classify
 from .states import signed_sides, single
 from .store import _bits
 
@@ -40,11 +40,11 @@ to [0, 1] at the two reference states.  clipped holds the sorted ids of the
 states whose value a wider lambda window could raise (see construct_entropy)."""
 
 
-def _mixture_query(rel, space_id, x0, x1, lam, target_state):
-    """Is ((1-lam) X0, lam X1) below `target_state`?  lam may leave [0, 1]."""
-    left = [(1 - lam, space_id, x0), (lam, space_id, x1)]
-    right = [(Fraction(1), space_id, target_state)]
-    return accessible_signed(rel, left, right)
+def _mixture_sides(space_id, x0, x1, lam, st):
+    """The query ((1-lam) X0, lam X1) precedes (1 st) as two positive
+    compound states; lam may leave [0, 1]."""
+    return signed_sides([(1 - lam, space_id, x0), (lam, space_id, x1)],
+                        [(Fraction(1), space_id, st)])
 
 
 def construct_entropy(
@@ -67,8 +67,9 @@ def construct_entropy(
     Mode "bisect" bisects down to `resolution`; a state whose mixture is
     still admissible at lambda_hi gets lambda_hi and is listed in `clipped`.
     By default explicit relations scan a 1/128 grid and oracle-backed
-    relations bisect to 2^-20.  Negative fractions and fractions above one
-    are handled by moving the negative part to the other side of the query.
+    relations bisect to 2^-20.  Both modes return exact Fractions.  Negative
+    fractions and fractions above one are handled by moving the negative
+    part to the other side of the query.
     """
     on_grid = rel.search_mode == "grid"
     if resolution is None:
@@ -112,8 +113,7 @@ def _grid_search(rel, space_id, x0, x1, resolution, lo, hi):
     def search(st):
         best, above = None, []  # above: rejected fractions above the best
         for lam in fractions:
-            lhs, rhs = signed_sides([(1 - lam, space_id, x0), (lam, space_id, x1)],
-                                    [(Fraction(1), space_id, st)])
+            lhs, rhs = _mixture_sides(space_id, x0, x1, lam, st)
             if lhs in universe and rhs in universe:
                 if rel.accessible(lhs, rhs):
                     best, above = (lam, lhs, rhs), []
@@ -138,21 +138,21 @@ def _grid_search(rel, space_id, x0, x1, resolution, lo, hi):
 
 def _sup_by_bisection(rel, space_id, x0, x1, resolution, lo, hi, st):
     """The supremum to within resolution, and whether it is the window top."""
-    if not _mixture_query(rel, space_id, x0, x1, lo, st):
+    if not rel.accessible(*_mixture_sides(space_id, x0, x1, lo, st)):
         raise ComparabilityError((
             "reference mixture at the window floor lambda=%s" % lo,
             "%s.%s" % (space_id, st),
         ))
-    if _mixture_query(rel, space_id, x0, x1, hi, st):
-        return float(hi), True
+    if rel.accessible(*_mixture_sides(space_id, x0, x1, hi, st)):
+        return hi, True
     # invariant: lo admissible, hi not
     while hi - lo > resolution:
         mid = (lo + hi) / 2
-        if _mixture_query(rel, space_id, x0, x1, mid, st):
+        if rel.accessible(*_mixture_sides(space_id, x0, x1, mid, st)):
             lo = mid
         else:
             hi = mid
-    return float(lo), False
+    return lo, False
 
 
 def compound_entropy(tables, state, multipliers=None):
@@ -282,17 +282,14 @@ def verify_entropy_principle(rel, tables, multipliers=None, limit=None):
 def fit_affine(v1, v2):
     """Least-squares affine map v1 -> v2: returns (a, b, max_residual).
 
-    v1 and v2 map states to entropy values; computation stays in exact
-    rationals when every value is rational.
+    v1 and v2 map states to entropy values.  The fit computes in the values'
+    own arithmetic, so it is exact when they are Fractions.
     """
     if set(v1) != set(v2):
         raise CalibratorError("tables cover different state sets")
     keys = sorted(v1)
-    exact = all(
-        isinstance(v, (int, Fraction)) for v in list(v1.values()) + list(v2.values())
-    )
-    xs = [v1[k] if exact else float(v1[k]) for k in keys]
-    ys = [v2[k] if exact else float(v2[k]) for k in keys]
+    xs = [v1[k] for k in keys]
+    ys = [v2[k] for k in keys]
     n = len(keys)
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n

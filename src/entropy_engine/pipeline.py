@@ -32,7 +32,7 @@ from .entropy import (
     verify_entropy_principle,
 )
 from .errors import DomainError, EngineError, SplitBoundaryError, read_json
-from .rational import format_rational
+from .rational import format_rational, to_float
 from .relation import (
     check_comparison_hypothesis,
     close,
@@ -166,13 +166,10 @@ def _stage_construct_entropy(ctx):
         out["clipped"] = list(table.clipped)
     oracle = cfg["oracle_values"]
     if oracle:
-        a, b, residual = fit_affine(
-            {k: float(v) for k, v in oracle.items()},
-            {k: float(v) for k, v in table.values.items()},
-        )
-        out["oracle_fit"] = {"a": a, "b": b, "max_residual": residual}
-        tol = 2.0 * float(table.lambda_resolution)
-        if residual > tol or a <= 0:
+        a, b, residual = fit_affine(oracle, table.values)
+        out["oracle_fit"] = {"a": to_float(a), "b": to_float(b),
+                             "max_residual": to_float(residual)}
+        if residual > 2 * table.lambda_resolution or a <= 0:
             ctx.violations.append(
                 "entropy table deviates from its oracle: residual %g" % residual
             )

@@ -28,6 +28,14 @@ def format_rational(value):
     return "%d/%d" % (value.numerator, value.denominator)
 
 
+def to_float(value):
+    """The float nearest a rational; a signed infinity past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def parse_number(value):
     """Accept a finite JSON number or a rational string; Fractions stay exact.
 

@@ -520,9 +520,10 @@ def check_convexity(model, X, Y):
     model.require_interior(Y)
     violations = []
     checked = 0
+    s_x, s_y = model.entropy(X.U, X.V), model.entropy(Y.U, Y.V)
     for t in (0.25, 0.5, 0.75):
         mix = StatePoint(t * X.U + (1 - t) * Y.U, t * X.V + (1 - t) * Y.V)
-        lhs = t * model.entropy(X.U, X.V) + (1 - t) * model.entropy(Y.U, Y.V)
+        lhs = t * s_x + (1 - t) * s_y
         rhs = model.entropy(mix.U, mix.V)
         checked += 1
         scale = max(1.0, abs(lhs), abs(rhs))

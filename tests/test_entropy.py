@@ -112,6 +112,30 @@ def test_bisection_lists_the_states_clipped_at_the_window_top():
     assert grid_table.clipped == ()
 
 
+def test_bisection_values_are_exact_and_bracket_sigma():
+    g = make_space("G", [1], ["lo", "third", "mid", "hi", "far"])
+    sigma = {("G", "lo"): Fraction(0), ("G", "third"): Fraction(1, 3),
+             ("G", "mid"): HALF, ("G", "hi"): Fraction(1), ("G", "far"): Fraction(3)}
+    res = Fraction(1, 2 ** 20)
+    table = construct_entropy(OracleRelation([g], sigma), "G", "lo", "hi",
+                              resolution=res)
+    assert all(type(v) is Fraction for v in table.values.values())
+    assert table.clipped == ("far",)
+    assert table.values["far"] == 2
+    for st in ("lo", "third", "mid", "hi"):
+        assert table.values[st] <= sigma[("G", st)] < table.values[st] + res
+
+
+def test_bisection_names_the_state_below_the_window_floor():
+    g = make_space("G", [1], ["lo", "hi", "low"])
+    sigma = {("G", "lo"): Fraction(0), ("G", "hi"): Fraction(1),
+             ("G", "low"): Fraction(-2)}
+    with pytest.raises(ComparabilityError) as info:
+        construct_entropy(OracleRelation([g], sigma), "G", "lo", "hi",
+                          lambda_lo=Fraction(-1))
+    assert info.value.witness[1] == "G.low"
+
+
 def test_grid_mode_lists_the_states_clipped_at_the_window_top():
     # z is above the high reference y, but no mixture above y is in the
     # universe: the window shows z = 1 = y and cannot show more
