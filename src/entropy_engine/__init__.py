@@ -27,7 +27,7 @@ _EXPORTS = {
     "errors": ("EngineError",),
     "relation": (
         "EQUIVALENT", "INCOMPARABLE", "STRICTLY_FOLLOWS", "STRICTLY_PRECEDES",
-        "EpsilonFamily", "OracleRelation", "Relation", "accessible_signed",
+        "EpsilonFamily", "OracleRelation", "Relation",
         "build_relation", "check_comparison_hypothesis", "check_stability",
         "classify", "close", "relation_from_json", "run_axiom_scan",
     ),

@@ -22,12 +22,9 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import InfeasibleConstantsError, InputFormatError, expect_list
-from .rational import parse_number
+from .rational import exact, parse_number
 
 INF = math.inf
-# StateSpaceGraph.tol's share of the largest |entropy|: the rounding of a
-# chain of entropy differences scales with the entropies, not with the result.
-FLOAT_REL_TOL = 1e-12
 
 
 SpaceNode = namedtuple("SpaceNode", "space_id composition entropy")
@@ -57,13 +54,18 @@ class StateSpaceGraph:
     the simple spaces and over node_ids() plus the composite of every simple
     space with every catalyst: one node set, whatever the catalog order.
 
-    One D, E, F or B value lies below another only by more than `tol`: 0
-    when no entropy is a float, so int and Fraction graphs compare exactly,
-    else FLOAT_REL_TOL times the largest |entropy| of the graph, at least 1.
+    Construction takes every element amount and entropy as a Fraction
+    (rational.exact: a float at the decimal it prints as), so every D, E, F
+    and B value is exact and every comparison of them is exact.
     """
 
     def __init__(self, nodes, facts, catalysts=(), max_chain=4):
-        self.nodes = nodes
+        self.nodes = {
+            sp: node._replace(
+                composition=tuple(map(exact, node.composition)),
+                entropy={st: exact(v) for st, v in node.entropy.items()})
+            for sp, node in nodes.items()
+        }
         self.facts = facts
         self.catalysts = catalysts
         self.max_chain = max_chain
@@ -76,10 +78,6 @@ class StateSpaceGraph:
             if any(c < 0 for c in node.composition):
                 raise InputFormatError("negative element amount in space %r"
                                        % sp)
-        values = [v for node in nodes.values() for v in node.entropy.values()]
-        self.tol = 0
-        if any(isinstance(v, float) for v in values):
-            self.tol = FLOAT_REL_TOL * max(1.0, *map(abs, values))
         self.steps = {}
         entropy = {}
         for left, right in self.facts:
@@ -151,7 +149,8 @@ def _fact_side(side, declared):
 def _space_node(entry):
     """One declared space.  Its id is a string without "->" or "|", which
     join ids in report keys, and its entropies are at most 1e100 in
-    magnitude, so that sums of them stay finite floats."""
+    magnitude, so that the D, E and F values a report prints through
+    float() stay inside the float range."""
     sp = entry["id"]
     if not isinstance(sp, str) or "->" in sp or "|" in sp:
         raise InputFormatError("space id must be a string without '->' or "
@@ -288,12 +287,10 @@ def compute_F(graph, a, b):
     return best
 
 
-def detect_negative_cycle(d_matrix, node_ids, tol=0):
+def detect_negative_cycle(d_matrix, node_ids):
     """Bellman-Ford negative-cycle certificate: (cycle nodes, total) or None.
 
-    A distance is relaxed only when it drops by more than tol (a graph's
-    `tol`; the default 0 compares exactly).  A cycle is returned only when
-    the predecessor walk closes on one.
+    A cycle is returned only when the predecessor walk closes on one.
     """
     dist = {n: 0 for n in node_ids}
     pred = {n: None for n in node_ids}
@@ -302,7 +299,7 @@ def detect_negative_cycle(d_matrix, node_ids, tol=0):
         last_changed = None
         for (u, v), w in d_matrix.items():
             cand = dist[u] + w
-            if cand < dist[v] - tol:
+            if cand < dist[v]:
                 dist[v] = cand
                 pred[v] = u
                 last_changed = v
@@ -338,7 +335,7 @@ def check_no_sinks(graph):
 
     Verifies that finiteness of F is symmetric, that -F(b,a) <= F(a,b) on
     finite pairs, and that no negative-total cycle makes the chain infimum
-    unbounded below, each within the graph's tol.
+    unbounded below.
     """
     ids = graph.simple_ids()
     f = {(a, b): compute_F(graph, a, b) for a in ids for b in ids}
@@ -349,10 +346,10 @@ def check_no_sinks(graph):
             fab, fba = f[(a, b)], f[(b, a)]
             if (fab < INF) != (fba < INF):
                 asymmetric.append((a, b, fab, fba))
-            elif fab < INF and fab < -fba - graph.tol:
+            elif fab < INF and fab < -fba:
                 bad_pairs.append((a, b, fab, fba))
     matrix = {(u, v): d for (u, v), d in graph.d_matrix.items() if u != v}
-    cycle = detect_negative_cycle(matrix, [(s,) for s in ids], graph.tol)
+    cycle = detect_negative_cycle(matrix, [(s,) for s in ids])
     holds = not asymmetric and not bad_pairs and cycle is None
     return SinkReport(holds, asymmetric, bad_pairs, cycle)
 
@@ -425,13 +422,11 @@ def solve_additive_constants(graph):
     per-component gauge (the lexicographically first space of the component,
     pinned to zero); on a pure pairwise system this reproduces shortest-path
     potentials exactly.  Spaces no bound ever touches keep a free zero gauge
-    of their own.  A bound moves, and bounds conflict, only by more than the
-    graph's tol.  Infeasibility raises with a negative-cycle certificate.
+    of their own.  Infeasibility raises with a negative-cycle certificate.
     """
     ids = graph.simple_ids()
     constraints = _collect_constraints(graph)
-    tol = graph.tol
-    zero = 0.0 if tol else Fraction(0)
+    zero = Fraction(0)
 
     touching = [
         (a, b) for coeffs, _w in constraints
@@ -453,7 +448,7 @@ def solve_additive_constants(graph):
                 key = ((b,), (a,))
                 if w < pair_matrix.get(key, INF):
                     pair_matrix[key] = w
-        cert = detect_negative_cycle(pair_matrix, [(s,) for s in ids], tol)
+        cert = detect_negative_cycle(pair_matrix, [(s,) for s in ids])
         if cert:
             raise InfeasibleConstantsError([n[0] for n in cert[0]], cert[1])
         raise InfeasibleConstantsError(ids, -INF)
@@ -478,12 +473,12 @@ def solve_additive_constants(graph):
                         continue
                     if c > 0:
                         new_hi = (w - rest) / c
-                        if new_hi < hi[s] - tol:
+                        if new_hi < hi[s]:
                             hi[s] = new_hi
                             changed = True
                     else:
                         new_lo = (w - rest) / c
-                        if new_lo > lo[s] + tol:
+                        if new_lo > lo[s]:
                             lo[s] = new_lo
                             changed = True
             if not changed:
@@ -506,22 +501,22 @@ def solve_additive_constants(graph):
 
     B = {}
     for s in ids:
-        if lo[s] > hi[s] + tol:
+        if lo[s] > hi[s]:
             raise InfeasibleConstantsError([s], float(lo[s] - hi[s]))
         if not math.isinf(hi[s]):
             B[s] = hi[s]
         else:
             B[s] = lo[s]
 
-    max_violation = 0.0
+    max_violation = 0
     for coeffs, w in constraints:
         total = sum(c * B[s] for s, c in coeffs)
-        max_violation = max(max_violation, float(total - w))
-    if max_violation > tol:
-        raise InfeasibleConstantsError(ids, max_violation)
+        max_violation = max(max_violation, total - w)
+    if max_violation > 0:
+        raise InfeasibleConstantsError(ids, float(max_violation))
     return AdditiveConstants(
         B=B, component_id=dict(components), gauges=gauges,
-        max_violation=max_violation,
+        max_violation=float(max_violation),
     )
 
 
@@ -542,16 +537,15 @@ def detect_gap(graph, a, b):
 
     The admissible interval is [-F(b,a), F(a,b)]; a strict gap leaves the
     additive constant difference under-determined by its width.  has_gap
-    means a finite width above the graph's tol: when either F is infinite the
-    difference is not bounded at all, and has_gap is False with an infinite
-    width.
+    means a positive finite width: when either F is infinite the difference
+    is not bounded at all, and has_gap is False with an infinite width.
     """
     fab = compute_F(graph, a, b)
     fba = compute_F(graph, b, a)
     if math.isinf(fab) or math.isinf(fba):
         return GapResult(False, INF, -fba if fba < INF else -INF, fab)
     width = fab + fba
-    return GapResult(width > graph.tol, float(width), float(-fba), float(fab))
+    return GapResult(width > 0, float(width), float(-fba), float(fab))
 
 
 class OffsetCriterionReport(namedtuple("OffsetCriterionReport",
@@ -569,8 +563,7 @@ def check_entropy_offset_criterion(graph, accessible_fn):
 
     accessible_fn(space_x, state_x, space_y, state_y) answers ground-truth
     accessibility (typically a closed relation); every pair of states of the
-    graph's simple spaces must agree with the offset inequality, taken
-    within the graph's tol.
+    graph's simple spaces must agree with the offset inequality.
     """
     ids = graph.simple_ids()
     pairs = [
@@ -586,7 +579,7 @@ def check_entropy_offset_criterion(graph, accessible_fn):
         lhs = accessible_fn(a, x, b, y)
         s_x = graph.nodes[a].entropy[x]
         s_y = graph.nodes[b].entropy[y]
-        rhs = f < INF and s_x + f <= s_y + graph.tol
+        rhs = f < INF and s_x + f <= s_y
         checked += 1
         if lhs != rhs:
             mismatches.append((a, x, b, y, lhs, rhs))

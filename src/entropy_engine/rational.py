@@ -36,6 +36,12 @@ def to_float(value):
         return math.inf if value > 0 else -math.inf
 
 
+def exact(value):
+    """A number as a Fraction; a float at the decimal it prints as (0.1 is
+    1/10, not its binary value, so that 0.1 + 0.2 == 0.3 holds)."""
+    return Fraction(repr(value) if isinstance(value, float) else value)
+
+
 def parse_number(value):
     """Accept a finite JSON number or a rational string; Fractions stay exact.
 

@@ -46,7 +46,6 @@ from .states import (
     check_membership,
     compound,
     make_space,
-    signed_sides,
     single,
 )
 from .store import _bits, _FactStore
@@ -217,7 +216,9 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
     queue = []  # (part count, id): popping fewer-part states first pops least
     pending = {}  # queued id -> its delta row
     seen = count = 0
-    fits = [0] * max_parts  # k -> mask of the seen states with at most k parts
+    # k -> mask of the seen states with room and at most k parts, for k up to
+    # the most parts of such a state: a larger k reads the last entry
+    fits = [0]
 
     def add(left, mask, rule):
         nonlocal count
@@ -242,7 +243,7 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
         store.hold(sid)
         size = len(keys[sid])
         if size < max_parts:
-            room = max_parts - size
+            room = min(max_parts - size, len(fits) - 1)
             for a in _bits(fits[room]):
                 done = succ[a] & ~pending.get(a, 0) & fits[room]
                 # left's delta meets sid in the consistency step below
@@ -250,7 +251,8 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
                 if done:
                     add(combine(a, sid), sum(1 << combine(b, sid) for b in done),
                         "consistency")
-            for k in range(size, max_parts):
+            fits.extend(fits[-1:] * (size + 1 - len(fits)))
+            for k in range(size, len(fits)):
                 fits[k] |= 1 << sid
 
     # the input rows by ascending id, so that no order depends on hashing
@@ -272,8 +274,9 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
         size = len(keys[left])
         if size < max_parts:
             fit = [_bits(delta & mask) for mask in fits]
-            for z in _bits(fits[max_parts - size]):
-                rs = fit[max_parts - len(keys[z])]
+            top = len(fits) - 1
+            for z in _bits(fits[min(max_parts - size, top)]):
+                rs = fit[min(max_parts - len(keys[z]), top)]
                 if rs:
                     add(combine(left, z), sum(1 << combine(r, z) for r in rs), "consistency")
         # transitivity: on through the new facts, and back through popped ones
@@ -303,12 +306,6 @@ def close(rel, max_parts=3, budget=DEFAULT_BUDGET):
         epsilon_families=tuple(rel.epsilon_families),
         store=store,
     )
-
-
-def accessible_signed(rel, left, right):
-    """Query with signed scales, normalized via the side-swap convention."""
-    lhs, rhs = signed_sides(left, right)
-    return rel.accessible(lhs, rhs)
 
 
 def classify(rel, x, y):
@@ -400,8 +397,9 @@ def _consistency(store, ids, max_parts):
     for sid in ids:
         if len(keys[sid]) < max_parts:
             groups.setdefault(len(keys[sid]), []).append(sid)
+    top = max(groups, default=0)  # a larger k reads the masks of k = top
     fit = [sum(1 << sid for n in groups if n <= k for sid in groups[n])
-           for k in range(max_parts)]
+           for k in range(top + 1)]
     # per state with room and per k: its successors with at most k parts
     rows = {sid: [_bits(succ[sid] & mask) for mask in fit]
             for group in groups.values() for sid in group}
@@ -412,8 +410,8 @@ def _consistency(store, ids, max_parts):
                  else product(groups[la], groups[lc]))
         for a, c in lefts:
             row = succ[combine(a, c)]
-            for b in rows[a][max_parts - 1]:
-                ds = rows[c][max_parts - len(keys[b])]
+            for b in rows[a][top]:
+                ds = rows[c][min(max_parts - len(keys[b]), top)]
                 if a == c:
                     ds = ds[bisect_left(ds, b):]
                 checked += 2 * len(ds) - (a == c and ds[:1] == [b])

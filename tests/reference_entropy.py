@@ -11,8 +11,14 @@ from fractions import Fraction
 
 from entropy_engine.entropy import EntropyTable
 from entropy_engine.errors import ComparabilityError, NoReferencePairError
-from entropy_engine.relation import STRICTLY_PRECEDES, accessible_signed, classify
+from entropy_engine.relation import STRICTLY_PRECEDES, classify
 from entropy_engine.states import signed_sides, single
+
+
+def accessible_signed(rel, left, right):
+    """Query with signed scales, normalized via the side-swap convention."""
+    lhs, rhs = signed_sides(left, right)
+    return rel.accessible(lhs, rhs)
 
 
 def _mixture_query(rel, space_id, x0, x1, lam, target_state):

@@ -649,15 +649,31 @@ def run_cli(args):
     )
 
 
-@pytest.mark.parametrize("graph", [
-    {"spaces": [_cal_space("a", s0="0", s1="-55/3"),
-                _cal_space("b", s0="58/3", s1="0")],
-     "facts": [[[["a", "s0"]], [["b", "s0"]]], [[["b", "s1"]], [["a", "s1"]]]]},
-    {"spaces": [_cal_space("a", x="0"), _cal_space("b", y="100001/3")],
-     "facts": [[[["a", "x"]], [["b", "y"]]], [[["b", "y"]], [["a", "x"]]]]},
-], ids=["two-way-at-58/3", "equivalence-at-100001/3"])
-def test_cli_exact_round_trip_of_large_weight_has_no_sinks(tmp_path, graph):
-    # each round trip totals exactly 0, which a float epsilon misread
+@pytest.mark.parametrize("graph, B", [
+    ({"spaces": [_cal_space("a", s0="0", s1="-55/3"),
+                 _cal_space("b", s0="58/3", s1="0")],
+      "facts": [[[["a", "s0"]], [["b", "s0"]]], [[["b", "s1"]], [["a", "s1"]]]]},
+     {"a": "0", "b": "-55/3"}),
+    ({"spaces": [_cal_space("a", x="0"), _cal_space("b", y="100001/3")],
+      "facts": [[[["a", "x"]], [["b", "y"]]], [[["b", "y"]], [["a", "x"]]]]},
+     {"a": "0", "b": "-100001/3"}),
+    ({"spaces": [{"id": "A", "composition": [0.1], "entropy": {"a": "0"}},
+                 {"id": "B", "composition": [0.2], "entropy": {"b": "0"}},
+                 {"id": "C", "composition": [0.3], "entropy": {"c": "0"}}],
+      "facts": [[[["A", "a"], ["B", "b"]], [["C", "c"]]],
+                [[["C", "c"]], [["A", "a"], ["B", "b"]]]]},
+     {"A": "0", "B": "0", "C": "0"}),
+    ({"spaces": [_cal_space("A", a=0.1), _cal_space("B", b=0.2),
+                 _cal_space("C", c=0.3)],
+      "facts": [[[["A", "a"]], [["B", "b"]]], [[["B", "b"]], [["C", "c"]]],
+                [[["C", "c"]], [["A", "a"]]]]},
+     {"A": "0", "B": "-1/10", "C": "-1/5"}),
+], ids=["two-way-at-58/3", "equivalence-at-100001/3", "decimal-element-amounts",
+        "decimal-entropies"])
+def test_cli_exact_round_trip_of_large_weight_has_no_sinks(tmp_path, graph, B):
+    # each round trip totals exactly 0, which a float epsilon misread; a
+    # float is read at its decimal, where 0.1 + 0.2 == 0.3 conserves element
+    # content and B(C) is -1/5, not -0.19999999999999998
     graph_path = write_json(tmp_path / "graph.json", graph)
     spec_path = write_json(
         tmp_path / "spec.json",
@@ -668,8 +684,10 @@ def test_cli_exact_round_trip_of_large_weight_has_no_sinks(tmp_path, graph):
                  ["run", spec_path, "--out", str(out)]):
         proc = run_cli(args)
         assert proc.returncode == 0, (args, proc.stderr)
-    report = json.loads((out / "report.json").read_text())
-    assert report["reports"]["calibration_suite"]["no_sinks"] is True
+    rep = json.loads((out / "report.json").read_text())["reports"][
+        "calibration_suite"]
+    assert rep["no_sinks"] is True
+    assert rep["B"] == B
 
 
 def test_cli_float_graph_of_mixed_magnitudes_solves(tmp_path, capsys):
@@ -719,6 +737,22 @@ def test_cli_one_sided_relation_fact_is_input_error(tmp_path):
         proc = run_cli(args)
         assert proc.returncode == 2, (args, proc.stderr)
         assert "Traceback" not in proc.stderr
+
+
+def test_cli_max_parts_past_every_state_runs_to_the_budget(tmp_path):
+    # close sizes its tables by the parts its states reach, not by max_parts
+    write_json(tmp_path / "rel.json", CHAIN_RELATION)
+    spec_path = write_json(tmp_path / "spec.json", base_spec(
+        stages=["close"], relation="rel.json",
+        options={"max_parts": 10 ** 30, "budget": 2000}))
+    assert run_cli(["validate", spec_path]).returncode == 0
+    out = tmp_path / "out"
+    proc = run_cli(["run", spec_path, "--out", str(out)])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert report["reports"]["close"]["error"].startswith(
+        "closure exceeded the fact budget of 2000")
 
 
 def _part(state):

@@ -23,7 +23,6 @@ from entropy_engine.relation import (
     STRICTLY_PRECEDES,
     EpsilonFamily,
     OracleRelation,
-    accessible_signed,
     build_relation,
     check_comparison_hypothesis,
     check_stability,
@@ -34,6 +33,7 @@ from entropy_engine.relation import (
 )
 from entropy_engine.relation import Relation
 from entropy_engine.states import compound, make_space, single
+from reference_entropy import accessible_signed
 from relation_fixtures import relation_from_oracle
 
 HALF = Fraction(1, 2)
@@ -195,6 +195,20 @@ def test_close_budget_exceeded_raises():
                         "scaling", "consistency", "cancellation")
     assert len(exc.parts) == 2 and all(1 <= n <= 3 for n in exc.parts)
     assert "%s fact with %d -> %d parts" % ((exc.rule,) + exc.parts) in str(exc)
+
+
+def test_close_and_scan_size_their_tables_by_the_parts_states_reach():
+    # a bound far past the most parts any state reaches acts as that many
+    rel = build_relation([space("abc")], [fact("a", "b"), fact("b", "c")], GRID)
+    messages = set()
+    for max_parts in (20, 40, 10 ** 30):
+        with pytest.raises(ClosureBudgetError) as info:
+            close(rel, max_parts=max_parts, budget=2000)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+    closed = close(rel, max_parts=3)
+    top = max(len(state.parts) for state in closed.successors)
+    assert run_axiom_scan(closed, 10 ** 30) == run_axiom_scan(closed, 2 * top)
 
 
 BUDGET_MESSAGES = """
