@@ -4,8 +4,8 @@ Mixing and reaction processes connect different state spaces.  The cheapest
 entropy cost of a one-step process gives D; chaining steps through
 intermediate spaces gives E; running the chain next to a recoverable catalyst
 space gives F.  The additive constants B then have to satisfy the difference
-bounds -F(b,a) <= B(a) - B(b) <= F(a,b), a finite feasibility problem solved
-with shortest-path potentials; composite spaces carry the implied linear
+bounds -F(b,a) <= B(a) - B(b) <= F(a,b), a linear feasibility problem solved
+exactly by a simplex over Fractions; composite spaces carry the implied linear
 combination of their factors instead of a variable of their own.
 
 Every one-step cost comes from a table keyed by (left signature, right
@@ -17,7 +17,7 @@ StateSpaceGraph(g.nodes, g.facts, g.catalysts, k).
 """
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cached_property
 from fractions import Fraction
 
@@ -354,29 +354,26 @@ def check_no_sinks(graph):
     return SinkReport(holds, asymmetric, bad_pairs, cycle)
 
 
-AdditiveConstants = namedtuple("AdditiveConstants",
-                               "B component_id gauges max_violation")
-AdditiveConstants.__doc__ = """Solved additive constants with one gauge per
-connected component."""
+AdditiveConstants = namedtuple("AdditiveConstants", "B component_id gauges")
+AdditiveConstants.__doc__ = """Solved additive constants: B per space, the
+component of each space, and the spaces pinned at 0, in id order."""
 
 
-def _components(ids, finite_pairs):
-    """Component number of each id, and the first id of each component."""
-    comp, roots = {}, []
+def _components(ids, constraints):
+    """Component number of each id; the spaces of a constraint share one."""
+    groups = [{s for s, _c in coeffs} for coeffs, _w in constraints]
+    comp = {}
     for s in ids:
-        if s in comp:
-            continue
-        comp[s] = len(roots)
-        roots.append(s)
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for a, b in finite_pairs:
-                for x, y in ((a, b), (b, a)):
-                    if x == u and y not in comp:
-                        comp[y] = comp[s]
-                        stack.append(y)
-    return comp, roots
+        if s not in comp:
+            comp[s], stack = max(comp.values(), default=-1) + 1, [s]
+            while stack:
+                u = stack.pop()
+                for group in groups:
+                    if u in group:
+                        for y in sorted(group - comp.keys()):
+                            comp[y] = comp[s]
+                            stack.append(y)
+    return comp
 
 
 def _collect_constraints(graph):
@@ -402,122 +399,134 @@ def _collect_constraints(graph):
             w = graph.f_table[u].get(v, INF)
             if math.isinf(w):
                 continue
-            coeffs = {}
-            for s in u:
-                coeffs[s] = coeffs.get(s, 0) + 1
-            for s in v:
-                coeffs[s] = coeffs.get(s, 0) - 1
-            coeffs = tuple(
-                (s, c) for s, c in sorted(coeffs.items()) if c != 0
-            )
+            net = Counter(u)
+            net.subtract(v)
+            coeffs = tuple((s, c) for s, c in sorted(net.items()) if c)
             if coeffs:
                 constraints.append((coeffs, w))
     return constraints
 
 
-def solve_additive_constants(graph):
-    """Choose B values satisfying every difference bound.
+# A simplex over Fractions on a condensed tableau.  B(space k) = x_k - t, x and
+# t >= 0, so one shift column t = n covers every real B; the slack of row i is
+# n + 1 + i, the artificial last (Bland's order).  rows: basic -> [{nonbasic:
+# coeff}, rhs], an objective [{nonbasic: d}, z]; zeros are not stored.
 
-    Upper and lower bounds on each space are propagated to a fixpoint from a
-    per-component gauge (the lexicographically first space of the component,
-    pinned to zero); on a pure pairwise system this reproduces shortest-path
-    potentials exactly.  Spaces no bound ever touches keep a free zero gauge
-    of their own.  Infeasibility raises with a negative-cycle certificate.
+
+def _pivot(rows, objective, enter, leave):
+    """Swap basic `leave` for `enter`; only the pivot row's nonzeros move."""
+    coeffs, rhs = rows.pop(leave)
+    p = coeffs.pop(enter)
+    new = {j: v / p for j, v in coeffs.items()}
+    new[leave] = 1 / p
+    rhs /= p
+    rows[enter] = [new, rhs]
+    for other in (*rows.values(), objective):
+        f = other[0].pop(enter, 0)
+        if f:
+            for j, v in new.items():
+                val = other[0].get(j, 0) - f * v
+                if val:
+                    other[0][j] = val
+                else:
+                    del other[0][j]
+            other[1] -= f * rhs
+
+
+def _maximize(rows, objective):
+    """Pivot by Bland's rule to an optimum; False when unbounded."""
+    while True:
+        enter = min((j for j, d in objective[0].items() if d < 0),
+                    default=None)
+        if enter is None:
+            return True
+        ratios = [(rhs / row[enter], leave) for leave, (row, rhs)
+                  in rows.items() if row.get(enter, 0) > 0]
+        if not ratios:
+            return False
+        _pivot(rows, objective, enter, min(ratios)[1])
+
+
+def _objective(rows, costs):
+    """Objective row of sum(cost * var), from the rows of costed vars only."""
+    coeffs, value = {}, Fraction(0)
+    for var, c in costs.items():
+        row, rhs = rows.get(var, ({var: -1}, 0))
+        value += c * rhs
+        for j, v in row.items():
+            coeffs[j] = coeffs.get(j, 0) + c * v
+    return [{j: d for j, d in coeffs.items() if d}, value]
+
+
+def _feasible_rows(constraints, index):
+    """Phase 1: rows of a feasible basis for constraints ((space, c), ...), w,
+    index giving each space's variable.  One artificial column, -1 in every
+    row, enters at the most negative row.  Infeasible, the objective row at
+    the nonbasic slacks is a Farkas certificate."""
+    t = len(index)
+    rows = {}
+    for i, (coeffs, w) in enumerate(constraints):
+        row = {index[s]: Fraction(c) for s, c in coeffs}
+        if sum(c for _s, c in coeffs):
+            row[t] = Fraction(-sum(c for _s, c in coeffs))
+        rows[t + 1 + i] = [row, Fraction(w)]
+    low = min(rows, key=lambda i: (rows[i][1], i), default=None)
+    if low is None or rows[low][1] >= 0:
+        return rows
+    art = t + 1 + len(constraints)
+    for row, _rhs in rows.values():
+        row[art] = Fraction(-1)
+    objective = _objective(rows, {art: -1})
+    _pivot(rows, objective, art, low)
+    _maximize(rows, objective)
+    if objective[1] < 0:
+        certificate = [(objective[0][t + 1 + i], coeffs, w)
+                       for i, (coeffs, w) in enumerate(constraints)
+                       if objective[0].get(t + 1 + i, 0) > 0]
+        raise InfeasibleConstantsError(
+            certificate, sum(y * w for y, _c, w in certificate))
+    if art in rows and rows[art][0]:  # basic at 0: pivot it out
+        _pivot(rows, objective, min(rows[art][0]), art)
+    rows.pop(art, None)  # still basic: its row is empty
+    for row, _rhs in rows.values():
+        row.pop(art, None)
+    return rows
+
+
+def solve_additive_constants(graph):
+    """B values meeting every bound sum(c * B(space)) <= w, exactly.
+
+    Spaces are taken in id order.  Each gets the largest B the bounds allow
+    with the earlier values fixed, else the least, else it is pinned at 0 and
+    listed in `gauges`: on differences bounded both ways, the shortest-path
+    potentials from each component's first space.  After an optimum the
+    tableau keeps only its optimal face (columns of nonzero reduced cost
+    dropped); after a pin it is rebuilt with the fixed values substituted.
+    Infeasible bounds raise InfeasibleConstantsError from phase 1.
     """
     ids = graph.simple_ids()
     constraints = _collect_constraints(graph)
-    zero = Fraction(0)
-
-    touching = [
-        (a, b) for coeffs, _w in constraints
-        for a, _ca in coeffs for b, _cb in coeffs if a != b
-    ]
-    components, gauges = _components(ids, touching)
-
-    lo = {s: -INF for s in ids}
-    hi = {s: INF for s in ids}
-    for g in gauges:
-        lo[g] = hi[g] = zero
-
-    def raise_infeasible():
-        pair_matrix = {}
-        for coeffs, w in constraints:
-            if len(coeffs) == 2 and {c for _s, c in coeffs} == {1, -1}:
-                a = next(s for s, c in coeffs if c == 1)
-                b = next(s for s, c in coeffs if c == -1)
-                key = ((b,), (a,))
-                if w < pair_matrix.get(key, INF):
-                    pair_matrix[key] = w
-        cert = detect_negative_cycle(pair_matrix, [(s,) for s in ids])
-        if cert:
-            raise InfeasibleConstantsError([n[0] for n in cert[0]], cert[1])
-        raise InfeasibleConstantsError(ids, -INF)
-
-    def propagate():
-        max_rounds = 2 * (len(ids) + 1)
-        for round_no in range(max_rounds + 1):
-            changed = False
-            for coeffs, w in constraints:
-                for s, c in coeffs:
-                    rest = zero
-                    finite = True
-                    for t, ct in coeffs:
-                        if t == s:
-                            continue
-                        bound = lo[t] if ct > 0 else hi[t]
-                        if math.isinf(bound):
-                            finite = False
-                            break
-                        rest += ct * bound
-                    if not finite:
-                        continue
-                    if c > 0:
-                        new_hi = (w - rest) / c
-                        if new_hi < hi[s]:
-                            hi[s] = new_hi
-                            changed = True
-                    else:
-                        new_lo = (w - rest) / c
-                        if new_lo > lo[s]:
-                            lo[s] = new_lo
-                            changed = True
-            if not changed:
-                return
-            if round_no == max_rounds:
-                raise_infeasible()
-
-    # fix one free space at a time so composite bounds can pin the rest
-    for _ in range(len(ids) + 1):
-        propagate()
-        free = [
-            s for s in ids if math.isinf(lo[s]) and math.isinf(hi[s])
-        ]
-        if not free:
-            break
-        pin = min(free)
-        lo[pin] = hi[pin] = zero
-        if pin not in gauges:
-            gauges.append(pin)
-
-    B = {}
+    index = {s: k for k, s in enumerate(ids)}
+    B, gauges, rows = {}, [], None
     for s in ids:
-        if lo[s] > hi[s]:
-            raise InfeasibleConstantsError([s], float(lo[s] - hi[s]))
-        if not math.isinf(hi[s]):
-            B[s] = hi[s]
+        if rows is None:  # substitute the values fixed so far
+            rest = [(tuple((sp, c) for sp, c in coeffs if sp not in B),
+                     w - sum(c * B[sp] for sp, c in coeffs if sp in B))
+                    for coeffs, w in constraints]
+            rows = _feasible_rows([r for r in rest if r[0]], index)
+        for sign in (1, -1):
+            objective = _objective(rows, {index[s]: sign, len(ids): -sign})
+            if _maximize(rows, objective):
+                B[s] = sign * objective[1]
+                for row, _rhs in rows.values():  # keep the optimal face
+                    for j in objective[0]:  # every d > 0 here
+                        row.pop(j, None)
+                break
         else:
-            B[s] = lo[s]
-
-    max_violation = 0
-    for coeffs, w in constraints:
-        total = sum(c * B[s] for s, c in coeffs)
-        max_violation = max(max_violation, total - w)
-    if max_violation > 0:
-        raise InfeasibleConstantsError(ids, float(max_violation))
-    return AdditiveConstants(
-        B=B, component_id=dict(components), gauges=gauges,
-        max_violation=float(max_violation),
-    )
+            B[s] = Fraction(0)
+            gauges.append(s)
+            rows = None
+    return AdditiveConstants(B, _components(ids, constraints), gauges)
 
 
 def composite_B(constants, factors):

@@ -88,14 +88,17 @@ class SplitBoundaryError(EngineError):
 
 
 class InfeasibleConstantsError(EngineError):
-    """The additive-constant difference constraints admit no solution."""
+    """The additive-constant bounds admit no solution.  certificate holds
+    (y, coeffs, w) for bounds sum(c * B(s)) <= w, coeffs ((s, c), ...), with
+    multipliers y > 0 under which every space's coefficients cancel, and
+    total = sum(y * w) < 0 (Farkas' lemma)."""
 
-    def __init__(self, cycle, total):
-        super().__init__(
-            "infeasible constraint system: cycle %s has total bound %s < 0"
-            % (" -> ".join(str(n) for n in cycle), total)
-        )
-        self.cycle = cycle
+    def __init__(self, certificate, total):
+        terms = ["%s * [%s <= %s]" % (y, " ".join("%+d B(%s)" % (c, s)
+                 for s, c in coeffs), w) for y, coeffs, w in certificate]
+        super().__init__("infeasible constraint system: %s add up to 0 <= %s"
+                         % (" + ".join(terms), total))
+        self.certificate = certificate
         self.total = total
 
 

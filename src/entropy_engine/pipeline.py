@@ -116,6 +116,8 @@ def _stage_close(ctx):
 
 
 def _stage_check_axioms(ctx):
+    if "error" in ctx.reports.get("close", {}):  # the input is not closed
+        return {"skipped": "close failed"}
     reports = run_axiom_scan(ctx.relation, ctx.spec.options["max_parts"])
     out = {}
     for name, rep in sorted(reports.items()):
@@ -386,7 +388,6 @@ def _stage_calibration_suite(ctx):
     out["B"] = {k: _jsonable(v) for k, v in sorted(constants.B.items())}
     out["component_id"] = constants.component_id
     out["gauges"] = constants.gauges
-    out["max_violation"] = constants.max_violation
 
     gaps = {}
     for a in ids:

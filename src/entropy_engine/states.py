@@ -6,17 +6,18 @@ products of spaces commute.  Zero-scale parts are dropped; negative scales are
 only ever used transiently, by moving the part to the other side of a query.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import RelationSpecError, UnknownStateError
 
 
-class StateSpace:
+class StateSpace(namedtuple("StateSpace", "space_id composition state_ids")):
     """A declared state space: identifier, element content, finite state list."""
 
-    __slots__ = ("space_id", "composition", "state_ids")
+    __slots__ = ()
 
-    def __init__(self, space_id, composition, state_ids):
+    def __new__(cls, space_id, composition, state_ids):
         if len(set(state_ids)) != len(state_ids):
             raise RelationSpecError("duplicate state ids in space %r" % space_id)
         for c in composition:
@@ -24,21 +25,7 @@ class StateSpace:
                 raise RelationSpecError(
                     "negative element amount in space %r" % space_id
                 )
-        self.space_id = space_id
-        self.composition = composition
-        self.state_ids = state_ids
-
-    def _key(self):
-        return self.space_id, self.composition, self.state_ids
-
-    def __eq__(self, other):
-        return type(other) is StateSpace and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "StateSpace(space_id=%r, composition=%r, state_ids=%r)" % self._key()
+        return super().__new__(cls, space_id, composition, state_ids)
 
 
 def make_space(space_id, composition, state_ids):

@@ -10,16 +10,28 @@ against them.  Do not optimise this module.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
-from entropy_engine.constants import (
-    AdditiveConstants,
-    GapResult,
-    SinkReport,
-)
-from entropy_engine.errors import InfeasibleConstantsError
+from entropy_engine.constants import GapResult, SinkReport
+from entropy_engine.errors import EngineError
 
 INF = math.inf
+
+
+# the package's solver result and error as they were when this module froze
+AdditiveConstants = namedtuple("AdditiveConstants",
+                               "B component_id gauges max_violation")
+
+
+class InfeasibleConstantsError(EngineError):
+    def __init__(self, cycle, total):
+        super().__init__(
+            "infeasible constraint system: cycle %s has total bound %s < 0"
+            % (" -> ".join(str(n) for n in cycle), total)
+        )
+        self.cycle = cycle
+        self.total = total
 
 
 def _signature(side):

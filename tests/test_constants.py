@@ -22,6 +22,7 @@ from entropy_engine.constants import (
     solve_additive_constants,
 )
 from entropy_engine.errors import InfeasibleConstantsError, InputFormatError
+from test_constants_reference import random_graph_doc
 
 INF = math.inf
 
@@ -501,8 +502,123 @@ def test_infeasible_cycle_reports_certificate():
     g = StateSpaceGraph({"X": nx, "Y": ny}, facts)
     with pytest.raises(InfeasibleConstantsError) as err:
         solve_additive_constants(g)
-    assert set(err.value.cycle) == {"X", "Y"}
-    assert err.value.total < 0
+    certificate = err.value.certificate
+    assert {s for _y, coeffs, _w in certificate for s, _c in coeffs} == {
+        "X", "Y"}
+    assert_farkas(certificate, err.value.total)
+    assert "add up to 0 <= -3" in str(err.value)
+
+
+def assert_farkas(certificate, total):
+    """Positive multipliers under which every space's coefficients cancel
+    and the bounds add up to total < 0."""
+    weighted = {}
+    for y, coeffs, _w in certificate:
+        assert y > 0
+        for s, c in coeffs:
+            weighted[s] = weighted.get(s, 0) + y * c
+    assert not any(weighted.values())
+    assert total == sum(y * w for y, _c, w in certificate) < 0
+
+
+def test_composite_bounds_seed_192_solve_in_id_order():
+    # three multi-term bounds: B0 - B2 - B3 + B4 <= 0, B2 - B3 <= 11 and
+    # -B1 + B3 - B4 <= -1; interval propagation called this infeasible
+    comps = {"S0": (2, 1), "S1": (1, 0), "S2": (1, 1), "S3": (1, 1),
+             "S4": (0, 1)}
+    tables = {"S0": (-2, -5), "S1": (-2, 0), "S2": (0, -2), "S3": (-3, -1),
+              "S4": (6, -4)}
+    nodes = {sp: node(sp, {"s0": a, "s1": b}, comps[sp])
+             for sp, (a, b) in tables.items()}
+    facts = [
+        ((("S3", "s0"),), (("S1", "s1"), ("S4", "s1"))),
+        ((("S2", "s1"), ("S4", "s1")), (("S3", "s1"), ("S4", "s0"))),
+        ((("S0", "s1"), ("S1", "s0")), (("S0", "s1"), ("S1", "s1"))),
+        ((("S0", "s1"), ("S1", "s1")), (("S0", "s1"), ("S1", "s0"))),
+        ((("S0", "s1"), ("S4", "s1")), (("S2", "s1"), ("S3", "s0"))),
+        ((("S4", "s1"),), (("S4", "s0"),)),
+        ((("S0", "s0"), ("S3", "s1")), (("S0", "s1"), ("S3", "s0"))),
+        ((("S2", "s0"), ("S3", "s1")), (("S2", "s1"), ("S3", "s1"))),
+    ]
+    g = StateSpaceGraph(nodes, facts, max_chain=4)
+    assert check_no_sinks(g).holds
+    sol = solve_additive_constants(g)
+    assert sol.B == {"S0": 0, "S1": 0, "S2": 1, "S3": -10, "S4": -9}
+    assert all(type(v) is Fraction for v in sol.B.values())
+    assert sol.gauges == ["S0", "S1"]
+
+
+def test_three_term_bound_of_seed_2334_is_met():
+    # B(p0) - B(p1) - B(p2) <= 1 beside B(p0) - 2B(p1) <= 7/3 and
+    # B(p0) - 2B(p2) <= 13/3: the lower bounds alone break the middle one
+    g = graph_from_json(random_graph_doc(random.Random(2334)))
+    assert check_no_sinks(g).holds
+    sol = solve_additive_constants(g)
+    assert sol.B == {"p0": 0, "p1": Fraction(-7, 6), "p2": Fraction(1, 6)}
+    assert sol.gauges == ["p0"]
+
+
+def two_element_graph_doc(rng):
+    """Random graph JSON over two elements: 3-6 spaces of composition
+    (1,0), (0,1), (1,1) or (2,1), two states each with integer entropies in
+    [-6, 6], and 3-12 facts between one- and two-part sides of equal
+    content."""
+    spaces = [{"id": "S%d" % k,
+               "composition": list(rng.choice([(1, 0), (0, 1), (1, 1), (2, 1)])),
+               "entropy": {"s0": rng.randint(-6, 6), "s1": rng.randint(-6, 6)}}
+              for k in range(rng.randint(3, 6))]
+
+    def side():
+        parts = rng.sample(spaces, rng.choice([1, 2]))
+        content = tuple(map(sum, zip(*(sp["composition"] for sp in parts))))
+        return [[sp["id"], rng.choice(["s0", "s1"])] for sp in parts], content
+
+    facts, n_facts = [], rng.randint(3, 12)
+    while len(facts) < n_facts:
+        (left, cl), (right, cr) = side(), side()
+        if cl == cr:
+            facts.append([left, right])
+    return {"spaces": spaces, "facts": facts, "max_chain": rng.randint(2, 4)}
+
+
+def linprog_feasible(bounds, ids):
+    """Does some real B meet every bound?  scipy's LP solver, in floats."""
+    from scipy.optimize import linprog
+
+    if not bounds:
+        return True
+    res = linprog([0] * len(ids),
+                  A_ub=[[float(dict(coeffs).get(s, 0)) for s in ids]
+                        for coeffs, _w in bounds],
+                  b_ub=[float(w) for _c, w in bounds],
+                  bounds=[(None, None)] * len(ids))
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+@pytest.mark.parametrize("generator, seed", [
+    (random_graph_doc, 0), (random_graph_doc, 7), (two_element_graph_doc, 0)])
+def test_solver_agrees_with_linprog_on_feasibility(generator, seed):
+    pytest.importorskip("scipy")
+    rng = random.Random(seed)
+    solved = raised = 0
+    for _ in range(300):
+        g = graph_from_json(generator(rng))
+        bounds = constants._collect_constraints(g)
+        try:
+            sol = solve_additive_constants(g)
+        except InfeasibleConstantsError as exc:
+            assert not linprog_feasible(bounds, g.simple_ids())
+            assert all((coeffs, w) in bounds for _y, coeffs, w in exc.certificate)
+            assert_farkas(exc.certificate, exc.total)
+            raised += 1
+            continue
+        assert linprog_feasible(bounds, g.simple_ids())
+        assert all(type(v) is Fraction for v in sol.B.values())
+        for coeffs, w in bounds:
+            assert sum(c * sol.B[s] for s, c in coeffs) <= w
+        solved += 1
+    assert solved > 0 and raised > 0
 
 
 def test_component_shift_preserves_feasibility():

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -101,3 +102,23 @@ def test_cli_and_pipeline_import_without_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_package_imports_only_the_standard_library():
+    # numpy and scipy serve tests only; the runtime stays stdlib-only
+    src_dir = os.path.dirname(entropy_engine.__file__)
+    for name in sorted(os.listdir(src_dir)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src_dir, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            for top in tops:
+                assert top in sys.stdlib_module_names or top == "entropy_engine", (
+                    name, top)

@@ -740,10 +740,11 @@ def test_cli_one_sided_relation_fact_is_input_error(tmp_path):
 
 
 def test_cli_max_parts_past_every_state_runs_to_the_budget(tmp_path):
-    # close sizes its tables by the parts its states reach, not by max_parts
+    # close sizes its tables by the parts its states reach, not by max_parts;
+    # after it fails, the axiom scan does not read the unclosed input
     write_json(tmp_path / "rel.json", CHAIN_RELATION)
     spec_path = write_json(tmp_path / "spec.json", base_spec(
-        stages=["close"], relation="rel.json",
+        stages=["close", "check_axioms"], relation="rel.json",
         options={"max_parts": 10 ** 30, "budget": 2000}))
     assert run_cli(["validate", spec_path]).returncode == 0
     out = tmp_path / "out"
@@ -753,6 +754,10 @@ def test_cli_max_parts_past_every_state_runs_to_the_budget(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["reports"]["close"]["error"].startswith(
         "closure exceeded the fact budget of 2000")
+    assert report["reports"]["check_axioms"] == {"skipped": "close failed"}
+    assert [line for line in proc.stdout.splitlines()
+            if line.startswith("violation: ")] == [
+        "violation: close: " + report["reports"]["close"]["error"]]
 
 
 def _part(state):
